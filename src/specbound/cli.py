@@ -83,7 +83,8 @@ class ReportEnvelope:
             "checks": self.checks,
             "wall_time_s": self.wall_time_s,
         }
-        return json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=_json_default)
 
 
 def _json_default(obj):
@@ -308,9 +309,12 @@ def _parse_residues(text: str) -> tuple[int, ...]:
 
 def _parse_p_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise InvalidInputError(f"cannot parse p list {text!r}") from exc
+    if not all(math.isfinite(p) for p in values):
+        raise InvalidInputError(f"p values must be finite, got {text!r}")
+    return values
 
 
 def _parse_range(text: str, step: str) -> tuple[int, ...]:

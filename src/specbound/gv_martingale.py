@@ -224,7 +224,7 @@ def wb_membership_check(seq: MartingaleSequence, b: ResidueSet) -> float:
 
 def lp_norm(values: np.ndarray, p: float, grid: QadicGrid) -> float:
     """((1/q**N) * sum |g|**p)**(1/p) against the uniform grid measure."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise InvalidInputError(f"p must be >= 1, got {p}")
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.size,):
@@ -253,7 +253,7 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float,
     This chain is the engine of the dimension bound; a failure means a bug, not
     an unlucky input.
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise InvalidInputError(f"p must be >= 1, got {p}")
     if seq.source is not None:
         _require_spectrum_in_cb(seq.source, b)

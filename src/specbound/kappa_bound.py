@@ -43,8 +43,6 @@ class VertexSet:
     """Extreme points of the feasible region, rows sorted lexicographically."""
 
     vertices: np.ndarray  # shape (n, q)
-    feasibility_tol: float = FEASIBILITY_TOL
-    dedup_tol: float = DEDUP_TOL
 
     def __len__(self) -> int:
         return int(self.vertices.shape[0])
@@ -116,7 +114,8 @@ def _clipped_shift(vertices: np.ndarray) -> np.ndarray:
     return np.clip(1.0 + vertices, 0.0, None)
 
 
-def _xlogx(s: np.ndarray) -> np.ndarray:
+def xlogx(s: np.ndarray) -> np.ndarray:
+    """Elementwise s*log(s), extended by its limit 0 at s <= 0."""
     return np.where(s > 0, s * np.log(np.where(s > 0, s, 1.0)), 0.0)
 
 
@@ -160,7 +159,7 @@ def kappa_prime_1(polytope: FeasiblePolytope) -> KappaPrime:
     q = polytope.q
     if vertices.shape[0] == 0:
         return KappaPrime(0.0, np.zeros(q))
-    objective = _xlogx(_clipped_shift(vertices)).sum(axis=1)
+    objective = xlogx(_clipped_shift(vertices)).sum(axis=1)
     top = float(objective.max())
     tied = np.flatnonzero(objective >= top - 1e-12 * max(1.0, abs(top)))
     witness = vertices[tied[0]]  # rows already in lexicographic order

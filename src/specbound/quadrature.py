@@ -1,11 +1,11 @@
 """Double-exponential (tanh-sinh) quadrature for endpoint log singularities.
 
-The integrands in this package are smooth except for integrable logarithmic
-blow-ups at interval endpoints (log(cos^2 z) at odd multiples of pi/2, or
-t*log(t) degenerating at t = 0).  Gauss rules stall on those; the tanh-sinh
-substitution x = tanh((pi/2)*sinh(u)) pushes the nodes double-exponentially
-fast into the endpoints, so each depth doubling roughly doubles the number of
-correct digits even with the singularity present.
+It serves the log-integral identity (``riesz_products.log_integral``), whose
+integrand log(cos^2 z) * sin(2z/q) is smooth except for integrable logarithmic
+blow-ups at the odd multiples of pi/2 that end each piece.  Gauss rules stall
+on those; the tanh-sinh substitution x = tanh((pi/2)*sinh(u)) pushes the
+nodes double-exponentially fast into the endpoints, so each depth doubling
+roughly doubles the number of correct digits even with the singularity present.
 """
 
 from __future__ import annotations

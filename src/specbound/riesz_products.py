@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError, ResourceLimitError
+from .kappa_bound import xlogx
 from .quadrature import tanh_sinh
 from .spectrum import SparseSpectrum, uniform_interval_masses
 
@@ -91,19 +92,9 @@ def partial_product_values(params: RieszParams, depth: int, m: int) -> np.ndarra
     return _product_at_phases(params, depth, np.arange(m, dtype=np.int64), m)
 
 
-def _midpoint_product_values(params: RieszParams, depth: int, m: int) -> np.ndarray:
-    # x = (2j+1)/(2m): reduce phases mod 2m so midpoints stay exact as well
-    numerators = 2 * np.arange(m, dtype=np.int64) + 1
-    return _product_at_phases(params, depth, numerators, 2 * m)
-
-
 def _profile(q: int) -> np.ndarray:
     j = np.arange(1, q - 1)
     return 1.0 - np.cos((2 * j + 1) * np.pi / q) / math.cos(math.pi / q)
-
-
-def _xlogx_sum(t: np.ndarray) -> float:
-    return float(np.sum(np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)))
 
 
 def kappa_prime_riesz(q: int) -> float:
@@ -114,14 +105,14 @@ def kappa_prime_riesz(q: int) -> float:
     """
     if q < 3:
         raise InvalidInputError(f"base must be >= 3, got {q}")
-    return -_xlogx_sum(_profile(q)) / q
+    return -float(np.sum(xlogx(_profile(q)))) / q
 
 
 def bound_theorem3(q: int) -> float:
     """Sharpest closed-form lower bound, 1 + kappa_prime_riesz(q)/log(q)."""
     if q < 3:
         raise InvalidInputError(f"base must be >= 3, got {q}")
-    return 1.0 - _xlogx_sum(_profile(q)) / (q * math.log(q))
+    return 1.0 - float(np.sum(xlogx(_profile(q)))) / (q * math.log(q))
 
 
 def entropy_objective(q: int, phi: float) -> float:
@@ -133,7 +124,7 @@ def entropy_objective(q: int, phi: float) -> float:
     """
     j = np.arange(q)
     t = 1.0 - np.cos(2.0 * np.pi * j / q + phi) / math.cos(phi)
-    return _xlogx_sum(np.clip(t, 0.0, None))
+    return float(np.sum(xlogx(np.clip(t, 0.0, None))))
 
 
 def endpoint_optimality_gap(q: int, num: int = 1001) -> float:
@@ -176,7 +167,7 @@ def chebyshev_identity_residual(q: int) -> float:
     certifies the quadrature and the algebraic reduction simultaneously."""
     if q % 2 != 0 or not 4 <= q <= 64:
         raise InvalidInputError(f"identity check needs even q in 4..64, got {q}")
-    lhs = _xlogx_sum(_profile(q))
+    lhs = float(np.sum(xlogx(_profile(q))))
     cos_q = math.cos(math.pi / q)
     rhs = ((1.0 - LOG2) * q + 2.0 * LOG2
            + 2.0 / (q * cos_q) * log_integral(q)
@@ -228,22 +219,18 @@ def bound_prop5(q: int) -> float:
 def factor_entropy(a: float) -> float:
     """h(a) = integral over one period of (1 + a*cos(2*pi*x)) * log(1 + a*cos(2*pi*x)).
 
-    At |a| = 1 the exact value is 1 - log 2; otherwise the symmetric half-period
-    is integrated by tanh-sinh (the integrand degenerates like t*log t at the
-    minimum when |a| is close to 1, which plain Gauss rules handle poorly).
+    Closed form h(a) = 1 - s + log((1 + s)/2) with s = sqrt(1 - a**2).  For
+    a != 0 put r = (1 - s)/a; then the Fourier series
+    log(1 + a*cos t) = log((1 + s)/2) + 2*sum_{n>=1} (-1)**(n+1) * r**n * cos(n*t)/n
+    gives the period means log((1 + s)/2) of log(1 + a*cos) and a*r = 1 - s of
+    a*cos*log(1 + a*cos).  It is evaluated as u + log1p(-u/2) with
+    u = 1 - s = a**2/(1 + s), which is free of cancellation and gives exactly 0
+    at a = 0 and exactly 1 - log 2 at |a| = 1.
     """
     if not abs(a) <= 1.0:
         raise InvalidInputError(f"amplitude must satisfy |a| <= 1, got {a}")
-    if a == 0.0:
-        return 0.0
-    if abs(a) == 1.0:
-        return 1.0 - LOG2
-
-    def integrand(x):
-        t = 1.0 + a * np.cos(2.0 * np.pi * x)
-        return np.where(t > 0, t * np.log(np.maximum(t, np.finfo(float).tiny)), 0.0)
-
-    return 2.0 * tanh_sinh(integrand, 0.0, 0.5, tol=1e-11)
+    u = a * a / (1.0 + math.sqrt(1.0 - a * a))
+    return u + math.log1p(-0.5 * u)
 
 
 def fan_main_term(params: RieszParams) -> float:
@@ -344,8 +331,7 @@ def _level_entropy(spec: SparseSpectrum, q: int, level: int) -> float:
     masses = uniform_interval_masses(spec, q ** level)
     if masses.min() < -1e-10:
         raise NumericalError(f"negative interval mass {masses.min():.3e}: corrupted spectrum")
-    positive = masses[masses > 0]
-    entropy = -float(np.sum(positive * np.log(positive)))
+    entropy = -float(np.sum(xlogx(masses[masses > 0])))
     return entropy / (level * math.log(q))
 
 

@@ -130,6 +130,22 @@ class TestVerifyCommand:
         names = {c["name"] for c in data["checks"]}
         assert "martingale/growth_p=2.0" in names
 
+    def test_non_finite_p_rejected(self, capsys):
+        code, _, err = run_main(["verify", "--suite", "martingale", "--p", "1,nan"], capsys)
+        assert code == 2
+        assert "finite" in err
+
+    def test_overflowing_residual_is_strict_json(self, capsys):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        _, out, _ = run_main(["verify", "--suite", "martingale", "--q", "3", "--n", "4",
+                              "--p", "1e6", "--subsets", "5", "--format", "json"], capsys)
+        data = json.loads(out, parse_constant=reject)
+        growth = next(c for c in data["checks"] if c["name"] == "martingale/growth_p=1000000.0")
+        assert growth["residual"] is None
+        assert "not finite" in growth["detail"]
+
     def test_checks_csv(self, capsys):
         code, out, _ = run_main(["verify", "--suite", "martingale", "--q", "3", "--n",
                                  "3", "--subsets", "5", "--format", "csv"], capsys)

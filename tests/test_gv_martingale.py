@@ -265,6 +265,13 @@ class TestGrowth:
         with pytest.raises(PreconditionError):
             gv.growth_check(seq, zq.ResidueSet.of(3, [1, 2]), 2.0)
 
+    def test_nan_exponent_rejected(self):
+        seq, _, grid = riesz_sequence(3, 1.0, 3)
+        with pytest.raises(InvalidInputError):
+            gv.growth_check(seq, zq.ResidueSet.of(3, [1, 2]), math.nan)
+        with pytest.raises(InvalidInputError):
+            gv.lp_norm(np.ones(grid.size), math.nan, grid)
+
 
 class TestSetAverage:
     def test_full_grid_reduces_to_norm_comparison(self):

@@ -7,6 +7,7 @@ from specbound import kappa_bound as kb
 from specbound import riesz_products as rp
 from specbound import zq_spectral as zq
 from specbound.errors import InvalidInputError, NumericalError, ResourceLimitError
+from specbound.quadrature import tanh_sinh
 from specbound.spectrum import SparseSpectrum
 
 LOG2 = math.log(2.0)
@@ -181,14 +182,24 @@ class TestFanTerm:
     def test_endpoint_amplitude(self):
         for q in (3, 4, 16):
             expected = 1.0 - (1.0 - LOG2) / math.log(q)
-            assert abs(rp.fan_main_term(rp.RieszParams(1.0, q)) - expected) <= 1e-15
-            assert abs(rp.fan_main_term(rp.RieszParams(-1.0, q)) - expected) <= 1e-15
+            assert rp.fan_main_term(rp.RieszParams(1.0, q)) == expected
+            assert rp.fan_main_term(rp.RieszParams(-1.0, q)) == expected
 
     def test_zero_amplitude(self):
         assert rp.fan_main_term(rp.RieszParams(0.0, 7)) == 1.0
 
+    def test_factor_entropy_matches_quadrature_reference(self):
+        # the defining integral over the symmetric half-period, by tanh-sinh
+        def integrand(x, a):
+            t = 1.0 + a * np.cos(2.0 * np.pi * x)
+            return np.where(t > 0, t * np.log(np.maximum(t, np.finfo(float).tiny)), 0.0)
+
+        near_one = 1.0 - 1e-9
+        for a in [*np.linspace(-1.0, 1.0, 41), near_one, -near_one]:
+            reference = 2.0 * tanh_sinh(lambda x: integrand(x, a), 0.0, 0.5, tol=1e-11)
+            assert abs(rp.factor_entropy(float(a)) - reference) <= 1e-13, a
+
     def test_factor_entropy_continuous_at_endpoint(self):
-        # quadrature just inside |a|=1 approaches the closed-form endpoint value
         assert abs(rp.factor_entropy(1.0 - 1e-9) - (1.0 - LOG2)) <= 1e-6
 
     def test_factor_entropy_lipschitz(self):
