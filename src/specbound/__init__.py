@@ -11,7 +11,6 @@ from .errors import (
 from .kappa_bound import (
     DimensionBound,
     FeasiblePolytope,
-    VertexSet,
     def_reform_check,
     dimension_bound,
     kappa,
@@ -23,14 +22,12 @@ from .kappa_bound import (
 from .gv_martingale import (
     MartingaleSequence,
     QadicGrid,
-    TreeAddress,
     growth_check,
     lp_norm,
     martingale_levels,
     phi_kernel_mass_sandwich,
     sample_on_grid,
     set_average_check,
-    sibling_difference_vector,
     spectral_projection_check,
     wb_membership_check,
 )
@@ -61,8 +58,6 @@ from .zq_spectral import (
     inverse_dft_zq,
     minimal_subgroup_containing,
     q_valuation,
-    spectrum_richness,
-    subgroups,
     symmetrize,
     wb_basis,
 )

@@ -42,7 +42,6 @@ class RunConfig:
     q: int | None = None
     b: tuple[int, ...] | None = None
     a: float | None = None
-    depth: int | None = None          # spectrum truncation
     levels: int | None = None         # martingale grid depth N
     p_values: tuple[float, ...] | None = None
     entropy_level: int | None = None

@@ -52,37 +52,6 @@ class QadicGrid:
     def size(self) -> int:
         return self.q ** self.levels
 
-    def indices(self) -> np.ndarray:
-        return np.arange(self.size, dtype=np.int64)
-
-    def points(self) -> np.ndarray:
-        return self.indices() / self.size
-
-
-@dataclass(frozen=True)
-class TreeAddress:
-    """A vertex of the sampling tree: level k and residue class c mod q**k."""
-
-    level: int
-    cls: int
-
-    def validate(self, grid: QadicGrid) -> None:
-        if not 0 <= self.level <= grid.levels:
-            raise InvalidInputError(f"level {self.level} outside 0..{grid.levels}")
-        if not 0 <= self.cls < grid.q ** self.level:
-            raise InvalidInputError(
-                f"class {self.cls} outside 0..q**{self.level}-1"
-            )
-
-    def child(self, i: int, grid: QadicGrid) -> "TreeAddress":
-        if not 0 <= i < grid.q:
-            raise InvalidInputError(f"child index {i} outside 0..{grid.q - 1}")
-        return TreeAddress(self.level + 1, self.cls + i * grid.q ** self.level)
-
-    def member_indices(self, grid: QadicGrid) -> np.ndarray:
-        step = grid.q ** self.level
-        return np.arange(self.cls, grid.size, step, dtype=np.int64)
-
 
 def sample_on_grid(spec: SparseSpectrum, grid: QadicGrid) -> np.ndarray:
     """Evaluate the density at every grid point; real output, exact phases.
@@ -121,9 +90,6 @@ class MartingaleSequence:
     def levels(self) -> int:
         return self.grid.levels
 
-    def level_values(self, k: int) -> np.ndarray:
-        return self.class_values[k]
-
     def level_on_grid(self, k: int) -> np.ndarray:
         reps = self.grid.size // self.class_values[k].size
         return np.tile(self.class_values[k], reps)
@@ -137,11 +103,18 @@ class MartingaleSequence:
     def level_norm(self, k: int, p: float) -> float:
         key = (k, p)
         if key not in self._norm_cache:
-            values = self.class_values[k]
-            weight = self.grid.size // values.size
-            total = float(np.sum(np.abs(values) ** p)) * weight
-            self._norm_cache[key] = (total / self.grid.size) ** (1.0 / p)
+            # every atom of level k carries the same grid weight
+            self._norm_cache[key] = float(_power_mean(self.class_values[k], p))
         return self._norm_cache[key]
+
+
+def _power_mean(values: np.ndarray, p: float) -> np.ndarray:
+    """(mean over axis 0 of |x|**p)**(1/p), with max |x| factored out so that
+    no power overflows, however large p is."""
+    magnitude = np.abs(values)
+    top = magnitude.max(axis=0)
+    scale = np.where(top > 0, top, 1.0)
+    return scale * np.mean((magnitude / scale) ** p, axis=0) ** (1.0 / p)
 
 
 def martingale_levels(f: np.ndarray, grid: QadicGrid,
@@ -162,34 +135,18 @@ def martingale_levels(f: np.ndarray, grid: QadicGrid,
     return MartingaleSequence(grid=grid, class_values=levels, source=source)
 
 
-def martingale_from_spectrum(spec: SparseSpectrum, grid: QadicGrid) -> MartingaleSequence:
-    return martingale_levels(sample_on_grid(spec, grid), grid, source=spec)
-
-
 def spectral_projection_check(spec: SparseSpectrum, grid: QadicGrid, k: int,
-                              seq: MartingaleSequence | None = None) -> float:
-    """Max deviation of the averaged level k from direct Fourier synthesis of
-    the frequencies divisible by q**(N-k).  Small residual validates both paths."""
+                              seq: MartingaleSequence) -> float:
+    """Max deviation of the averaged level k of ``seq`` (built from ``spec`` on
+    ``grid``) from direct Fourier synthesis of the frequencies divisible by
+    q**(N-k).  Small residual validates both paths."""
     if not 0 <= k <= grid.levels:
         raise InvalidInputError(f"level {k} outside 0..{grid.levels}")
-    if seq is None:
-        seq = martingale_from_spectrum(spec, grid)
     divisor = grid.q ** (grid.levels - k)
     keep = np.mod(spec.frequencies, divisor) == 0
     filtered = SparseSpectrum(spec.frequencies[keep], spec.coefficients[keep], q=spec.q)
     direct = synthesize_on_grid(filtered, grid.size).real
     return float(np.max(np.abs(seq.level_on_grid(k) - direct)))
-
-
-def sibling_difference_vector(seq: MartingaleSequence, addr: TreeAddress) -> np.ndarray:
-    """(f_k on the q children of ``addr``) minus the parent value; sums to ~0."""
-    addr.validate(seq.grid)
-    if addr.level >= seq.levels:
-        raise InvalidInputError("address must sit strictly above the leaf level")
-    k = addr.level + 1
-    step = seq.grid.q ** addr.level
-    children = seq.class_values[k][addr.cls + step * np.arange(seq.grid.q)]
-    return children - seq.class_values[addr.level][addr.cls]
 
 
 def _require_spectrum_in_cb(spec: SparseSpectrum, b: ResidueSet) -> None:
@@ -229,7 +186,7 @@ def lp_norm(values: np.ndarray, p: float, grid: QadicGrid) -> float:
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.size,):
         raise InvalidInputError(f"expected a grid function of length {grid.size}")
-    return float(np.mean(np.abs(values) ** p) ** (1.0 / p))
+    return float(_power_mean(values, p))
 
 
 class GrowthReport(NamedTuple):
@@ -274,8 +231,7 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float,
         worst_step = min(worst_step, rhs * (1.0 + slack) + floor - lhs)
         if lhs > rhs * (1.0 + slack) + floor:
             failures.append(f"step k={k}: ||f_k||_p={lhs:.12g} > e^kappa*||f_(k-1)||_p={rhs:.12g}")
-        children = np.abs(seq.sibling_matrix(k)) ** p
-        local_lhs = (children.mean(axis=0)) ** (1.0 / p)
+        local_lhs = _power_mean(seq.sibling_matrix(k), p)
         local_rhs = step_factor * np.abs(seq.class_values[k - 1])
         slacks = local_rhs * (1.0 + slack) + floor - local_lhs
         worst_atom = min(worst_atom, float(slacks.min()))
@@ -306,23 +262,14 @@ class SetAverageReport(NamedTuple):
     average: float            # (1/q**N) * sum over C of f
     hoelder_rhs: float        # ||f||_p * (#C/q**N)**((p-1)/p)
     growth_rhs: float         # q * e**(kappa/p * N) ... with the certified exponent
-    frostman_rhs: float | None
-    contraction: float | None
 
 
 def set_average_check(seq: MartingaleSequence, subset: Sequence[int], p: float,
-                      b: ResidueSet, beta: float | None = None,
-                      slack: float = 1e-9) -> SetAverageReport:
+                      b: ResidueSet, slack: float = 1e-9) -> SetAverageReport:
     """Explicit-constant chain bounding the average of f over a grid subset.
 
     (1/q**N) * sum_{x in C} f(x) <= ||f||_p * (#C * q**-N)**((p-1)/p)
                                  <= q * e**(kappa(1/p)*N) * mass * (#C * q**-N)**((p-1)/p).
-
-    With ``beta`` given, also reports the rearranged bound
-    q * mass * r**N * (#C * q**(-beta*N))**((p-1)/p) where
-    r = e**kappa(1/p) * q**((beta-1)(p-1)/p); r < 1 is what makes the set-average
-    bound decay, and it holds for p close enough to 1 whenever
-    beta < 1 + kappa'(1)/log q.
     """
     if p <= 1.0:
         raise PreconditionError(f"the chain needs p > 1, got {p}")
@@ -344,14 +291,7 @@ def set_average_check(seq: MartingaleSequence, subset: Sequence[int], p: float,
     floor = 1e-12 * max(1.0, float(np.max(np.abs(f))))
     passed = (average <= hoelder * (1.0 + slack) + floor
               and hoelder <= growth * (1.0 + slack) + floor)
-    frostman = None
-    contraction = None
-    if beta is not None:
-        gamma = (p - 1.0) / p
-        contraction = math.exp(kappa_theta) * seq.grid.q ** ((beta - 1.0) * gamma)
-        frostman = (seq.grid.q * mass * contraction ** seq.levels
-                    * (subset.size * seq.grid.q ** (-beta * seq.levels)) ** gamma)
-    return SetAverageReport(passed, average, hoelder, growth, frostman, contraction)
+    return SetAverageReport(passed, average, hoelder, growth)
 
 
 class SandwichReport(NamedTuple):

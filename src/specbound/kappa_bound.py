@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError, PreconditionError, ResourceLimitError
 from .zq_spectral import (
     ResidueSet,
     Subgroup,
@@ -36,16 +36,8 @@ from .zq_spectral import (
 
 FEASIBILITY_TOL = 1e-9
 DEDUP_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """Extreme points of the feasible region, rows sorted lexicographically."""
-
-    vertices: np.ndarray  # shape (n, q)
-
-    def __len__(self) -> int:
-        return int(self.vertices.shape[0])
+# C(q, d) solves: admits the half-band B at q=20, C(20, 10) = 184756
+MAX_VERTEX_SUBSETS = 2 * 10 ** 5
 
 
 class FeasiblePolytope:
@@ -58,20 +50,19 @@ class FeasiblePolytope:
     def q(self) -> int:
         return self.basis.q
 
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
     @classmethod
+    @cache
     def from_residues(cls, b: ResidueSet) -> "FeasiblePolytope":
+        """The polytope of ``b``, shared per process so each B is enumerated once."""
         return cls(wb_basis(b))
 
     @cached_property
-    def vertex_set(self) -> VertexSet:
+    def vertex_set(self) -> np.ndarray:
+        """Extreme points, shape (n, q), rows sorted lexicographically; read-only."""
         return polytope_vertices(self)
 
 
-def polytope_vertices(polytope: FeasiblePolytope) -> VertexSet:
+def polytope_vertices(polytope: FeasiblePolytope) -> np.ndarray:
     """Enumerate the extreme points by exhausting active coordinate subsets.
 
     Every vertex of a d-dimensional polytope activates at least d of the q
@@ -79,14 +70,21 @@ def polytope_vertices(polytope: FeasiblePolytope) -> VertexSet:
     with an invertible submatrix, then filtering by global feasibility and
     deduplicating, yields exactly the vertex set.  Rank-deficient subsets are
     skipped; near-singular solves are rejected by a residual check rather than
-    a condition estimate.
+    a condition estimate.  Raises :class:`ResourceLimitError` before any solve
+    when C(q, d) exceeds ``MAX_VERTEX_SUBSETS``.
     """
     m = polytope.basis.columns
     q, d = m.shape
     if d > q:
         raise InvalidInputError(f"subspace dimension {d} exceeds ambient dimension {q}")
+    subsets = math.comb(q, d)
+    if subsets > MAX_VERTEX_SUBSETS:
+        raise ResourceLimitError(
+            f"vertex enumeration needs C({q}, {d}) = {subsets} solves, "
+            f"over the {MAX_VERTEX_SUBSETS:.0e} budget"
+        )
     if d == 0:
-        return VertexSet(vertices=np.zeros((0, q)))
+        return _read_only(np.zeros((0, q)))
     rhs = -np.ones(d)
     kept: list[np.ndarray] = []
     for subset in combinations(range(q), d):
@@ -103,10 +101,13 @@ def polytope_vertices(polytope: FeasiblePolytope) -> VertexSet:
         if any(np.max(np.abs(v - w)) < DEDUP_TOL for w in kept):
             continue
         kept.append(v)
-    if not kept:
-        return VertexSet(vertices=np.zeros((0, q)))
-    stacked = np.array(sorted(kept, key=tuple))
-    return VertexSet(vertices=stacked)
+    return _read_only(np.array(sorted(kept, key=tuple)) if kept else np.zeros((0, q)))
+
+
+def _read_only(vertices: np.ndarray) -> np.ndarray:
+    # one array per polytope is shared by every caller in the process
+    vertices.flags.writeable = False
+    return vertices
 
 
 def _clipped_shift(vertices: np.ndarray) -> np.ndarray:
@@ -130,7 +131,7 @@ def kappa(theta: float, polytope: FeasiblePolytope) -> float:
         raise InvalidInputError(f"theta must lie in (0, 1], got {theta}")
     if theta == 1.0:
         return 0.0
-    vertices = polytope.vertex_set.vertices
+    vertices = polytope.vertex_set
     if vertices.shape[0] == 0:
         return 0.0  # origin-only polytope
     q = polytope.q
@@ -155,7 +156,7 @@ def kappa_prime_1(polytope: FeasiblePolytope) -> KappaPrime:
     0 at t=0), so the maximum over the polytope is attained at a vertex.  Ties
     are broken toward the lexicographically smallest vertex for determinism.
     """
-    vertices = polytope.vertex_set.vertices
+    vertices = polytope.vertex_set
     q = polytope.q
     if vertices.shape[0] == 0:
         return KappaPrime(0.0, np.zeros(q))

@@ -64,7 +64,3 @@ def tanh_sinh_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         f"(last delta {delta:.3e})"
     )
 
-
-def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              tol: float = 1e-9, max_level: int = 12) -> float:
-    return tanh_sinh_full(f, a, b, tol=tol, max_level=max_level).value

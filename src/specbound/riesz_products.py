@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError, ResourceLimitError
 from .kappa_bound import xlogx
-from .quadrature import tanh_sinh
+from .quadrature import tanh_sinh_full
 from .spectrum import SparseSpectrum, uniform_interval_masses
 
 MAX_SPECTRUM_TERMS = 10 ** 7
@@ -71,7 +71,7 @@ def riesz_spectrum(params: RieszParams, depth: int) -> SparseSpectrum:
             nxt[n - step] = nxt.get(n - step, 0.0) + side
         coeffs = nxt
     coeffs = {n: c for n, c in coeffs.items() if c != 0.0}
-    return SparseSpectrum.from_dict(coeffs, q=params.q, order=depth)
+    return SparseSpectrum.from_dict(coeffs, q=params.q)
 
 
 def _product_at_phases(params: RieszParams, depth: int, numerators: np.ndarray,
@@ -158,7 +158,7 @@ def log_integral(q: int, tol: float = 1e-9) -> float:
 
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        total += tanh_sinh(integrand, a, b, tol=tol)
+        total += tanh_sinh_full(integrand, a, b, tol=tol).value
     return total
 
 
@@ -353,8 +353,7 @@ class BoundTableRow:
 def bound_table_row(params: RieszParams,
                     peyriere_depth: int | None = None,
                     peyriere_grid: int | None = None,
-                    entropy_level: int | None = 5,
-                    entropy_depth: int | None = None) -> BoundTableRow:
+                    entropy_level: int | None = 5) -> BoundTableRow:
     """Assemble the full comparison row.
 
     None arguments request resource-safe defaults scaled to q;
@@ -375,7 +374,7 @@ def bound_table_row(params: RieszParams,
         lvl = entropy_level
         while q ** lvl > MAX_ENTROPY_GRID and lvl > 1:
             lvl -= 1
-        depth = entropy_depth if entropy_depth is not None else 2 * lvl
+        depth = 2 * lvl
         while 3 ** depth > MAX_SPECTRUM_TERMS:
             depth -= 1
         entropy = entropy_dimension_estimate(params, depth, lvl)

@@ -19,12 +19,11 @@ from .errors import InvalidInputError
 
 @dataclass(frozen=True)
 class SparseSpectrum:
-    """Finite frequency-to-coefficient map with optional base/order metadata."""
+    """Finite frequency-to-coefficient map with optional base metadata."""
 
     frequencies: np.ndarray  # int64, strictly increasing
     coefficients: np.ndarray  # complex128, same length
     q: int | None = None
-    order: int | None = None
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=np.int64)
@@ -40,14 +39,12 @@ class SparseSpectrum:
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
-    def from_dict(cls, mapping: dict[int, complex], q: int | None = None,
-                  order: int | None = None) -> "SparseSpectrum":
+    def from_dict(cls, mapping: dict[int, complex], q: int | None = None) -> "SparseSpectrum":
         items = sorted(mapping.items())
         return cls(
             frequencies=np.array([n for n, _ in items], dtype=np.int64),
             coefficients=np.array([c for _, c in items], dtype=complex),
             q=q,
-            order=order,
         )
 
     def __len__(self) -> int:
@@ -113,33 +110,29 @@ def uniform_interval_masses(spec: SparseSpectrum, m: int) -> np.ndarray:
     Exact up to roundoff for any finite spectrum; requires conjugate symmetry
     (real density) so the result is real.
     """
-    if not spec.is_conjugate_symmetric():
-        raise InvalidInputError("interval masses need a conjugate-symmetric spectrum")
-    freqs = spec.frequencies
-    nz = freqs != 0
-    g = np.zeros(m, dtype=complex)
-    if np.any(nz):
-        f = freqs[nz]
-        c = spec.coefficients[nz]
-        weights = c * (np.exp(2j * np.pi * f / m) - 1.0) / (2j * np.pi * f)
-        np.add.at(g, np.mod(f, m), weights)
-    masses = (np.fft.ifft(g) * m).real
+    masses = _oscillating_masses(
+        spec, m, lambda c, f: c * (np.exp(2j * np.pi * f / m) - 1.0) / (2j * np.pi * f))
     masses += float(spec.coefficient(0).real) / m
     return masses
 
 
 def centered_interval_masses(spec: SparseSpectrum, m: int, radius: float) -> np.ndarray:
     """Masses of [j/m - radius, j/m + radius] for j = 0..m-1, same closed form."""
+    masses = _oscillating_masses(
+        spec, m, lambda c, f: c * np.sin(2 * np.pi * f * radius) / (np.pi * f))
+    masses += float(spec.coefficient(0).real) * 2.0 * radius
+    return masses
+
+
+def _oscillating_masses(spec: SparseSpectrum, m: int, weights) -> np.ndarray:
+    """Interval masses of the nonzero frequencies at the m grid points, from each
+    term's mass ``weights(c_n, n)`` at the interval based at 0: one binning of
+    the frequencies mod m and one inverse FFT."""
     if not spec.is_conjugate_symmetric():
         raise InvalidInputError("interval masses need a conjugate-symmetric spectrum")
     freqs = spec.frequencies
     nz = freqs != 0
     g = np.zeros(m, dtype=complex)
     if np.any(nz):
-        f = freqs[nz]
-        c = spec.coefficients[nz]
-        weights = c * np.sin(2 * np.pi * f * radius) / (np.pi * f)
-        np.add.at(g, np.mod(f, m), weights)
-    masses = (np.fft.ifft(g) * m).real
-    masses += float(spec.coefficient(0).real) * 2.0 * radius
-    return masses
+        np.add.at(g, np.mod(freqs[nz], m), weights(spec.coefficients[nz], freqs[nz]))
+    return (np.fft.ifft(g) * m).real

@@ -88,7 +88,7 @@ def kappa_suite(q_max: int = 10, seed: int = 0, fd_q_max: int = 8) -> list[Check
         for b in symmetric_residue_sets(q, nonempty=False):
             tag = f"q={q} B={sorted(b.members)}"
             polytope = kb.FeasiblePolytope.from_residues(b)
-            vertices = polytope.vertex_set.vertices
+            vertices = polytope.vertex_set
             if len(vertices):
                 off = np.array([np.linalg.norm(polytope.basis.project_off(v)) for v in vertices])
                 feasibility.append((float((-1.0 - vertices.min())), tag))
@@ -151,8 +151,9 @@ def _counterexample_check(q: int = 4, l: int = 1) -> CheckResult:
     weights = zq.inverse_dft_zq(profile)
     atoms = int(np.sum(np.abs(weights) > 1e-12))
     uniform = float(np.max(np.abs(np.abs(weights) - 1.0 / q)))
-    nonneg = bool(np.max(np.abs(weights.imag)) < 1e-12 and weights.real.min() >= -1e-12)
-    passed = not outside and atoms == q and uniform < 1e-12 and not nonneg
+    # weights must be genuinely complex, not just off the non-negative cone
+    complex_weights = bool(np.max(np.abs(weights.imag)) > 0.1 / q)
+    passed = not outside and atoms == q and uniform < 1e-12 and complex_weights
     detail = (
         f"complex measure with spectrum in the class {l} mod {q}: {atoms} atoms of "
         f"modulus 1/{q}, not non-negative, dimension 0 -- the restricted-spectrum "

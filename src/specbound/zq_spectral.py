@@ -61,12 +61,6 @@ def symmetrize(b: ResidueSet) -> ResidueSet:
     return ResidueSet.of(b.q, b.members | {b.q - m for m in b.members})
 
 
-def harmonic_vector(q: int, m: int) -> np.ndarray:
-    """The complex character (exp(2*pi*i*m*j/q))_{j=0..q-1} as a length-q vector."""
-    j = np.arange(q)
-    return np.exp(2j * np.pi * m * j / q)
-
-
 def dft_zq(v, q: int | None = None) -> np.ndarray:
     """Forward transform on Z_q: vhat(m) = sum_j exp(-2*pi*i*m*j/q) * v_j.
 
@@ -162,19 +156,15 @@ def q_valuation(n: int, q: int) -> tuple[int, int]:
     return v, k
 
 
-def in_cb(n: int, b: ResidueSet, absolute: bool = False) -> bool:
+def in_cb(n: int, b: ResidueSet) -> bool:
     """Membership of the integer frequency n in C_B.
 
     True iff n == 0 or n = k * q**v with q not dividing k and (k mod q) in B.
-    Negative n is tested literally by default: the cofactor keeps its sign and
-    its residue is reduced into 0..q-1.  ``absolute=True`` instead tests |n|
-    against the symmetrized residue set (the two conventions agree whenever B
-    is symmetric, which covers every real-measure use).
+    Negative n is tested literally: the cofactor keeps its sign and its residue
+    is reduced into 0..q-1, so n and -n agree whenever B is symmetric.
     """
     if n == 0:
         return True
-    if absolute:
-        return in_cb(abs(n), symmetrize(b))
     _, k = q_valuation(n, b.q)
     return (k % b.q) in b.members
 
@@ -193,17 +183,6 @@ class Subgroup:
     @property
     def elements(self) -> tuple[int, ...]:
         return tuple(range(0, self.q, self.generator))
-
-    def __contains__(self, m: int) -> bool:
-        return m % self.generator == 0
-
-
-def subgroups(q: int) -> list[Subgroup]:
-    """All subgroups of Z_q (one per divisor of q), sorted by order."""
-    if q < 2:
-        raise InvalidInputError(f"modulus must be >= 2, got {q}")
-    divisors = [d for d in range(1, q + 1) if q % d == 0]
-    return sorted((Subgroup(q, d) for d in divisors), key=lambda h: h.order)
 
 
 class MinimalSubgroup(NamedTuple):
@@ -225,30 +204,6 @@ def minimal_subgroup_containing(b: ResidueSet) -> MinimalSubgroup:
     h = Subgroup(b.q, g)
     proper = set(b.members) != set(h.elements) - {0}
     return MinimalSubgroup(h, proper)
-
-
-def spectrum_richness(spectrum: Iterable[int], q: int) -> set[int]:
-    """Residues m in 1..q-1 realized by a divisor of some nonzero spectrum element.
-
-    Zero frequencies are ignored (everything divides 0); negative entries are
-    reduced to their absolute value.
-    """
-    if q < 2:
-        raise InvalidInputError(f"modulus must be >= 2, got {q}")
-    found: set[int] = set()
-    for n in spectrum:
-        n = abs(int(n))
-        if n == 0:
-            continue
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                for div in (d, n // d):
-                    r = div % q
-                    if r != 0:
-                        found.add(r)
-            d += 1
-    return found
 
 
 def counterexample_measure(q: int, l: int) -> SparseSpectrum:

@@ -1,8 +1,11 @@
 import json
+import math
 import subprocess
 import sys
+import time
 
 from specbound import cli
+from specbound.verify import CheckResult
 
 
 def run_main(argv, capsys):
@@ -42,6 +45,15 @@ class TestBoundCommand:
     def test_out_of_range_residue(self, capsys):
         code, _, err = run_main(["bound", "--q", "4", "--b", "7"], capsys)
         assert code == 2
+
+    def test_vertex_enumeration_guard_exit_code(self, capsys):
+        start = time.monotonic()
+        code, _, err = run_main(["bound", "--q", "40", "--b",
+                                 "1,2,3,4,5,6,7,8,9,10,30,31,32,33,34,35,36,37,38,39"],
+                                capsys)
+        assert code == 3
+        assert "resource" in err.lower()
+        assert time.monotonic() - start < 1.0
 
     def test_csv_schema_with_empty_comparison_columns(self, capsys):
         code, out, _ = run_main(["bound", "--q", "4", "--b", "2", "--format", "csv"],
@@ -135,16 +147,24 @@ class TestVerifyCommand:
         assert code == 2
         assert "finite" in err
 
-    def test_overflowing_residual_is_strict_json(self, capsys):
+    def test_overflowing_residual_is_strict_json(self):
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
 
-        _, out, _ = run_main(["verify", "--suite", "martingale", "--q", "3", "--n", "4",
-                              "--p", "1e6", "--subsets", "5", "--format", "json"], capsys)
-        data = json.loads(out, parse_constant=reject)
-        growth = next(c for c in data["checks"] if c["name"] == "martingale/growth_p=1000000.0")
-        assert growth["residual"] is None
-        assert "not finite" in growth["detail"]
+        check = CheckResult("x", False, float("inf")).as_dict()
+        envelope = cli.ReportEnvelope("0", {}, {}, [check])
+        data = json.loads(envelope.to_json(), parse_constant=reject)
+        assert data["checks"][0]["residual"] is None
+        assert "not finite" in data["checks"][0]["detail"]
+
+    def test_huge_exponent_passes_with_finite_residuals(self, capsys):
+        code, data = payload(["verify", "--suite", "martingale", "--q", "3", "--n", "4",
+                              "--p", "1e6", "--subsets", "5"], capsys)
+        assert code == 0
+        names = {c["name"] for c in data["checks"]}
+        assert "martingale/growth_p=1000000.0" in names
+        for check in data["checks"]:
+            assert check["residual"] is not None and math.isfinite(check["residual"])
 
     def test_checks_csv(self, capsys):
         code, out, _ = run_main(["verify", "--suite", "martingale", "--q", "3", "--n",

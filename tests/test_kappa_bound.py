@@ -5,7 +5,7 @@ import pytest
 
 from specbound import kappa_bound as kb
 from specbound import zq_spectral as zq
-from specbound.errors import InvalidInputError, PreconditionError
+from specbound.errors import InvalidInputError, PreconditionError, ResourceLimitError
 
 LOG2 = math.log(2.0)
 
@@ -23,16 +23,16 @@ def assert_same_vertex_set(actual: np.ndarray, expected, tol=1e-9):
 
 class TestVertices:
     def test_q4_alternating_pair(self):
-        vs = polytope(4, [2]).vertex_set.vertices
+        vs = polytope(4, [2]).vertex_set
         assert_same_vertex_set(vs, [[1, -1, 1, -1], [-1, 1, -1, 1]])
 
     def test_q4_two_pairs(self):
-        vs = polytope(4, [1, 3]).vertex_set.vertices
+        vs = polytope(4, [1, 3]).vertex_set
         assert_same_vertex_set(vs, [[1, 1, -1, -1], [-1, -1, 1, 1],
                                     [1, -1, -1, 1], [-1, 1, 1, -1]])
 
     def test_q3_simplex(self):
-        vs = polytope(3, [1, 2]).vertex_set.vertices
+        vs = polytope(3, [1, 2]).vertex_set
         assert_same_vertex_set(vs, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
     def test_zero_dimensional(self):
@@ -41,23 +41,40 @@ class TestVertices:
     def test_feasibility_and_membership(self):
         for q, members in [(5, [1, 4]), (6, [1, 2, 4, 5]), (8, [2, 6]), (9, [3, 6])]:
             p = polytope(q, members)
-            vs = p.vertex_set.vertices
+            vs = p.vertex_set
             assert len(vs) > 0
             assert vs.min() >= -1 - 1e-10
             for v in vs:
                 assert np.linalg.norm(p.basis.project_off(v)) <= 1e-10
                 # a vertex activates at least dim constraints
-                assert np.sum(np.abs(v + 1) <= 1e-7) >= p.dim
+                assert np.sum(np.abs(v + 1) <= 1e-7) >= p.basis.dim
 
     def test_closed_under_negation_when_feasible(self):
         for q, members in [(4, [2]), (5, [1, 4]), (7, [2, 5]), (8, [1, 3, 5, 7])]:
-            vs = polytope(q, members).vertex_set.vertices
+            vs = polytope(q, members).vertex_set
             for v in vs:
                 if (-v).min() >= -1 - 1e-9:
                     assert any(np.max(np.abs(-v - w)) <= 1e-7 for w in vs)
 
+    def test_enumerated_once_per_residue_set(self):
+        # equal residue sets share one polytope, so the vertices are solved once
+        first = polytope(8, [1, 3, 5, 7])
+        assert polytope(8, [7, 5, 3, 1]) is first
+        assert first.vertex_set is first.vertex_set
+        assert not first.vertex_set.flags.writeable
+
+    def test_subset_budget_guard(self):
+        # q=40 half-band: C(40, 20) ~ 1.4e11 subsets, refused before any solve
+        members = [*range(1, 11), *range(30, 40)]
+        p = polytope(40, members)
+        assert math.comb(40, p.basis.dim) > kb.MAX_VERTEX_SUBSETS
+        with pytest.raises(ResourceLimitError, match=r"C\(40, 20\)"):
+            kb.polytope_vertices(p)
+        # the largest half-band in use, q=20, stays inside the budget
+        assert math.comb(20, 10) <= kb.MAX_VERTEX_SUBSETS
+
     def test_pairwise_distinct(self):
-        vs = polytope(8, [1, 3, 5, 7]).vertex_set.vertices
+        vs = polytope(8, [1, 3, 5, 7]).vertex_set
         for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
                 assert np.max(np.abs(vs[i] - vs[j])) >= 1e-7
@@ -223,7 +240,7 @@ class TestDefReform:
         rng = np.random.default_rng(11)
         for q, members in [(4, [1, 3]), (5, [1, 4]), (6, [2, 4])]:
             p = polytope(q, members)
-            vs = p.vertex_set.vertices
+            vs = p.vertex_set
             for _ in range(20):
                 weights = rng.dirichlet(np.ones(len(vs)))
                 b_vec = weights @ vs
