@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError, ResourceLimitError
-from .kappa_bound import FeasiblePolytope, kappa
+from .kappa_bound import FeasiblePolytope, kappa, power_mean
 from .spectrum import SparseSpectrum, centered_interval_masses, synthesize_on_grid
 from .zq_spectral import ResidueSet, in_cb, wb_basis
 
@@ -104,17 +104,8 @@ class MartingaleSequence:
         key = (k, p)
         if key not in self._norm_cache:
             # every atom of level k carries the same grid weight
-            self._norm_cache[key] = float(_power_mean(self.class_values[k], p))
+            self._norm_cache[key] = float(power_mean(self.class_values[k], p))
         return self._norm_cache[key]
-
-
-def _power_mean(values: np.ndarray, p: float) -> np.ndarray:
-    """(mean over axis 0 of |x|**p)**(1/p), with max |x| factored out so that
-    no power overflows, however large p is."""
-    magnitude = np.abs(values)
-    top = magnitude.max(axis=0)
-    scale = np.where(top > 0, top, 1.0)
-    return scale * np.mean((magnitude / scale) ** p, axis=0) ** (1.0 / p)
 
 
 def martingale_levels(f: np.ndarray, grid: QadicGrid,
@@ -186,7 +177,7 @@ def lp_norm(values: np.ndarray, p: float, grid: QadicGrid) -> float:
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.size,):
         raise InvalidInputError(f"expected a grid function of length {grid.size}")
-    return float(_power_mean(values, p))
+    return float(power_mean(values, p))
 
 
 class GrowthReport(NamedTuple):
@@ -231,7 +222,7 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float,
         worst_step = min(worst_step, rhs * (1.0 + slack) + floor - lhs)
         if lhs > rhs * (1.0 + slack) + floor:
             failures.append(f"step k={k}: ||f_k||_p={lhs:.12g} > e^kappa*||f_(k-1)||_p={rhs:.12g}")
-        local_lhs = _power_mean(seq.sibling_matrix(k), p)
+        local_lhs = power_mean(seq.sibling_matrix(k), p)
         local_rhs = step_factor * np.abs(seq.class_values[k - 1])
         slacks = local_rhs * (1.0 + slack) + floor - local_lhs
         worst_atom = min(worst_atom, float(slacks.min()))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +38,9 @@ FEASIBILITY_TOL = 1e-9
 DEDUP_TOL = 1e-7
 # C(q, d) solves: admits the half-band B at q=20, C(20, 10) = 184756
 MAX_VERTEX_SUBSETS = 2 * 10 ** 5
+# floats in one stacked (n, d, d) solve: large enough to amortize the call,
+# small enough that the chunk temporaries stay well under a megabyte
+_SOLVE_FLOATS = 2 ** 14
 
 
 class FeasiblePolytope:
@@ -58,7 +61,7 @@ class FeasiblePolytope:
 
     @cached_property
     def vertex_set(self) -> np.ndarray:
-        """Extreme points, shape (n, q), rows sorted lexicographically; read-only."""
+        """Extreme points, shape (n, q), in :func:`polytope_vertices` order; read-only."""
         return polytope_vertices(self)
 
 
@@ -68,10 +71,18 @@ def polytope_vertices(polytope: FeasiblePolytope) -> np.ndarray:
     Every vertex of a d-dimensional polytope activates at least d of the q
     constraints v_j >= -1, so solving (M t)_j = -1 on each d-subset of rows
     with an invertible submatrix, then filtering by global feasibility and
-    deduplicating, yields exactly the vertex set.  Rank-deficient subsets are
-    skipped; near-singular solves are rejected by a residual check rather than
-    a condition estimate.  Raises :class:`ResourceLimitError` before any solve
-    when C(q, d) exceeds ``MAX_VERTEX_SUBSETS``.
+    deduplicating, yields exactly the vertex set.
+
+    The subsets are taken in ``combinations`` order, a chunk at a time, and
+    each chunk's submatrices are solved as one stack.  Exactly singular
+    submatrices (determinant 0) are dropped before the solve; near-singular
+    ones are rejected by a residual check at ``FEASIBILITY_TOL`` rather than a
+    condition estimate.  Solutions within ``DEDUP_TOL`` of each other in the
+    max norm are one vertex, represented by the first seen in subset order
+    (see :func:`_distinct_rows`).  Rows come back sorted lexicographically by
+    their ``DEDUP_TOL``-rounded coordinates, so the order does not depend on
+    round-off.  Raises :class:`ResourceLimitError` before any solve when
+    C(q, d) exceeds ``MAX_VERTEX_SUBSETS``.
     """
     m = polytope.basis.columns
     q, d = m.shape
@@ -85,23 +96,74 @@ def polytope_vertices(polytope: FeasiblePolytope) -> np.ndarray:
         )
     if d == 0:
         return _read_only(np.zeros((0, q)))
-    rhs = -np.ones(d)
-    kept: list[np.ndarray] = []
-    for subset in combinations(range(q), d):
-        a = m[list(subset)]
-        try:
-            t = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if np.max(np.abs(a @ t + 1.0)) > FEASIBILITY_TOL:
-            continue  # singular to working precision
-        v = m @ t
-        if v.min() < -1.0 - FEASIBILITY_TOL:
-            continue
-        if any(np.max(np.abs(v - w)) < DEDUP_TOL for w in kept):
-            continue
-        kept.append(v)
-    return _read_only(np.array(sorted(kept, key=tuple)) if kept else np.zeros((0, q)))
+    stream = combinations(range(q), d)
+    chunk = max(1, _SOLVE_FLOATS // (d * d))
+    found = []
+    while len(idx := np.fromiter(islice(stream, chunk), dtype=(np.intp, (d,)))):
+        v = _feasible_solutions(m, idx)
+        found.append(v[_first_per_key(_dedup_keys(v))])  # keeps the candidate list short
+    v = _distinct_rows(np.concatenate(found))
+    return _read_only(v[np.lexsort(_dedup_keys(v).T[::-1])])
+
+
+def _feasible_solutions(m: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """The feasible v = M t with (M t)_S = -1, for each row subset S of ``subsets``."""
+    a = m[subsets]
+    a = a[np.linalg.det(a) != 0.0]  # one singular matrix would fail the whole stack
+    t = np.linalg.solve(a, np.full((*a.shape[:2], 1), -1.0))
+    residual = np.abs(a @ t + 1.0).max(axis=(1, 2), initial=0.0)
+    v = t[:, :, 0] @ m.T
+    feasible = (residual <= FEASIBILITY_TOL) & (v.min(axis=1) >= -1.0 - FEASIBILITY_TOL)
+    return v[feasible]
+
+
+def _dedup_keys(v: np.ndarray) -> np.ndarray:
+    # coordinates in units of DEDUP_TOL; rows with equal keys are closer than it
+    return np.rint(v / DEDUP_TOL).astype(np.int64)
+
+
+def _first_per_key(keys: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the first row of each distinct key row."""
+    order = np.lexsort(keys.T[::-1])  # stable, so each run of equal keys starts at its first row
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+    return np.sort(order[new])
+
+
+def _distinct_rows(v: np.ndarray) -> np.ndarray:
+    """Greedy dedup in row order: a row closer than ``DEDUP_TOL`` (max norm)
+    to an earlier kept row is dropped.
+
+    Rows with equal rounded keys merge into the first of them.  Pairs closer
+    than the tolerance with different keys (they straddle a rounding
+    boundary) are found as runs of small gaps in a sorted 1-D projection and
+    settled by the greedy rule, in row order, within each run.  This is the
+    pairwise greedy rule whenever each cluster of near-copies is narrower than
+    ``DEDUP_TOL``, as the ~1e-14 spread of repeated vertex solves is.
+    """
+    v = v[_first_per_key(_dedup_keys(v))]
+    # positive weights summing to 1, so |w.(x - y)| <= max|x - y| and a close
+    # pair has a close projection; a transcendental ratio keeps them generic,
+    # so that distinct vertices rarely project close together
+    w = np.exp(-np.arange(v.shape[1]) / np.pi)
+    proj = v @ (w / w.sum())
+    order = np.argsort(proj, kind="stable")
+    # twice the tolerance leaves room for round-off in the projection
+    small = np.diff(proj[order]) < 2.0 * DEDUP_TOL
+    starts = np.flatnonzero(np.concatenate(([True], ~small)))
+    lengths = np.diff(starts, append=len(v))
+    keep = np.ones(len(v), dtype=bool)
+    for start, length in zip(starts[lengths > 1], lengths[lengths > 1]):
+        run = np.sort(order[start:start + length])
+        block = v[run]
+        near = np.abs(block[:, None, :] - block[None, :, :]).max(axis=2) < DEDUP_TOL
+        kept: list[int] = []
+        for i in range(length):
+            if near[i, kept].any():
+                keep[run[i]] = False
+            else:
+                kept.append(i)
+    return v[keep]
 
 
 def _read_only(vertices: np.ndarray) -> np.ndarray:
@@ -118,6 +180,15 @@ def _clipped_shift(vertices: np.ndarray) -> np.ndarray:
 def xlogx(s: np.ndarray) -> np.ndarray:
     """Elementwise s*log(s), extended by its limit 0 at s <= 0."""
     return np.where(s > 0, s * np.log(np.where(s > 0, s, 1.0)), 0.0)
+
+
+def power_mean(values: np.ndarray, p: float) -> np.ndarray:
+    """(mean over axis 0 of |x|**p)**(1/p), with max |x| factored out so that
+    no power overflows, however large p is."""
+    magnitude = np.abs(values)
+    top = magnitude.max(axis=0)
+    scale = np.where(top > 0, top, 1.0)
+    return scale * np.mean((magnitude / scale) ** p, axis=0) ** (1.0 / p)
 
 
 def kappa(theta: float, polytope: FeasiblePolytope) -> float:
@@ -154,7 +225,9 @@ def kappa_prime_1(polytope: FeasiblePolytope) -> KappaPrime:
 
     The objective is convex (affine maps composed with t*log(t), extended by
     0 at t=0), so the maximum over the polytope is attained at a vertex.  Ties
-    are broken toward the lexicographically smallest vertex for determinism.
+    are broken toward the first vertex in the vertex set's order, which is
+    lexicographic in the ``DEDUP_TOL``-rounded coordinates, so round-off in
+    the solves cannot change the witness.
     """
     vertices = polytope.vertex_set
     q = polytope.q
@@ -163,7 +236,7 @@ def kappa_prime_1(polytope: FeasiblePolytope) -> KappaPrime:
     objective = xlogx(_clipped_shift(vertices)).sum(axis=1)
     top = float(objective.max())
     tied = np.flatnonzero(objective >= top - 1e-12 * max(1.0, abs(top)))
-    witness = vertices[tied[0]]  # rows already in lexicographic order
+    witness = vertices[tied[0]]
     return KappaPrime(-top / q, witness.copy())
 
 
@@ -259,6 +332,6 @@ def def_reform_check(a: float, b_vec, p: float, polytope: FeasiblePolytope,
         raise PreconditionError("vector is not in the admissible subspace")
     if b_vec.min() < -a - 1e-12 * max(1.0, a):
         raise PreconditionError("vector entries must be >= -a")
-    lhs = (np.mean(np.abs(a + b_vec) ** p)) ** (1.0 / p)
+    lhs = float(power_mean(a + b_vec, p))
     rhs = a * math.exp(kappa(1.0 / p, polytope))
     return lhs <= rhs * (1.0 + slack) + 1e-15

@@ -216,7 +216,7 @@ def bound_prop5(q: int) -> float:
             - (1.0 / math.cos(math.pi / q) - 1.0) / logq)
 
 
-def factor_entropy(a: float) -> float:
+def factor_entropy(a: float | np.ndarray) -> float | np.ndarray:
     """h(a) = integral over one period of (1 + a*cos(2*pi*x)) * log(1 + a*cos(2*pi*x)).
 
     Closed form h(a) = 1 - s + log((1 + s)/2) with s = sqrt(1 - a**2).  For
@@ -225,17 +225,17 @@ def factor_entropy(a: float) -> float:
     gives the period means log((1 + s)/2) of log(1 + a*cos) and a*r = 1 - s of
     a*cos*log(1 + a*cos).  It is evaluated as u + log1p(-u/2) with
     u = 1 - s = a**2/(1 + s), which is free of cancellation and gives exactly 0
-    at a = 0 and exactly 1 - log 2 at |a| = 1.
+    at a = 0 and exactly 1 - log 2 at |a| = 1.  Elementwise on an array.
     """
-    if not abs(a) <= 1.0:
+    if not np.all(np.abs(a) <= 1.0):
         raise InvalidInputError(f"amplitude must satisfy |a| <= 1, got {a}")
-    u = a * a / (1.0 + math.sqrt(1.0 - a * a))
-    return u + math.log1p(-0.5 * u)
+    u = a * a / (1.0 + np.sqrt(1.0 - a * a))
+    return u + np.log1p(-0.5 * u)
 
 
 def fan_main_term(params: RieszParams) -> float:
     """Asymptotic main term 1 - h(a)/log q (remainder terms out of scope)."""
-    return 1.0 - factor_entropy(params.a) / math.log(params.q)
+    return 1.0 - float(factor_entropy(params.a)) / math.log(params.q)
 
 
 class PeyriereEstimate(NamedTuple):

@@ -1,10 +1,13 @@
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from specbound import kappa_bound as kb
 from specbound import zq_spectral as zq
+from specbound.verify import symmetric_residue_sets
 from specbound.errors import InvalidInputError, PreconditionError, ResourceLimitError
 
 LOG2 = math.log(2.0)
@@ -19,6 +22,15 @@ def assert_same_vertex_set(actual: np.ndarray, expected, tol=1e-9):
     assert actual.shape == expected.shape
     for row in expected:
         assert any(np.max(np.abs(row - v)) <= tol for v in actual), f"missing vertex {row}"
+
+
+def pairwise_greedy(rows):
+    """Reference dedup: keep a row unless it is within DEDUP_TOL of a kept one."""
+    kept = []
+    for v in rows:
+        if not any(np.max(np.abs(v - w)) < kb.DEDUP_TOL for w in kept):
+            kept.append(v)
+    return np.array(kept)
 
 
 class TestVertices:
@@ -79,6 +91,95 @@ class TestVertices:
             for j in range(i + 1, len(vs)):
                 assert np.max(np.abs(vs[i] - vs[j])) >= 1e-7
 
+    @pytest.mark.parametrize("q,count", [(16, 660), (18, 1287), (20, 4004)])
+    def test_half_band_vertex_counts(self, q, count):
+        h = q // 4
+        members = [*range(1, h + 1), *range(q - h, q)]
+        assert len(polytope(q, members).vertex_set) == count
+
+    def test_matches_per_subset_reference(self):
+        # the one-subset-at-a-time enumerator, kept as the reference
+        def reference(p):
+            m = p.basis.columns
+            q, d = m.shape
+            found = []
+            for subset in combinations(range(q), d):
+                a = m[list(subset)]
+                try:
+                    t = np.linalg.solve(a, -np.ones(d))
+                except np.linalg.LinAlgError:
+                    continue
+                v = m @ t
+                solved = np.max(np.abs(a @ t + 1.0)) <= kb.FEASIBILITY_TOL
+                if solved and v.min() >= -1.0 - kb.FEASIBILITY_TOL:
+                    found.append(v)
+            return pairwise_greedy(found).reshape(-1, q)
+
+        for q in range(3, 11):
+            for b in symmetric_residue_sets(q):
+                p = kb.FeasiblePolytope.from_residues(b)
+                assert_same_vertex_set(p.vertex_set, reference(p), tol=1e-12)
+
+    def test_rows_in_rounded_lexicographic_order(self):
+        vs = polytope(12, [1, 2, 3, 9, 10, 11]).vertex_set
+        keys = [tuple(np.rint(v / kb.DEDUP_TOL).astype(int)) for v in vs]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+
+class TestCompletenessOracle:
+    """Linear programming as an independent check that no vertex is missed.
+
+    The maximum of c.v over {v = M t : v >= -1} is attained at a vertex, so
+    it equals max(vertex_set @ c) exactly when the enumeration is complete
+    in direction c.
+    """
+
+    @staticmethod
+    def lp_max(p, c):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        m = p.basis.columns
+        result = linprog(-(m.T @ c), A_ub=-m, b_ub=np.ones(p.q), bounds=(None, None),
+                         method="highs")
+        assert result.status == 0, result.message
+        return -result.fun
+
+    def test_linear_maxima_match(self):
+        rng = np.random.default_rng(3)
+        for q in range(3, 13):
+            for b in symmetric_residue_sets(q):
+                p = kb.FeasiblePolytope.from_residues(b)
+                for c in rng.standard_normal((5, q)):
+                    assert abs(self.lp_max(p, c) - np.max(p.vertex_set @ c)) <= 1e-9, (b, c)
+
+    def test_detects_a_missing_vertex(self):
+        p = polytope(8, [1, 3, 5, 7])
+        c = np.random.default_rng(4).standard_normal(8)
+        values = p.vertex_set @ c
+        incomplete = np.delete(values, np.argmax(values))
+        assert self.lp_max(p, c) - incomplete.max() > 1e-3
+
+
+class TestDistinctRows:
+    def test_merge_across_rounding_boundary_keeps_first(self):
+        # 1e-14 apart, on either side of the key boundary 1.5 * DEDUP_TOL
+        above, below = 1.5e-7 + 5e-15, 1.5e-7 - 5e-15
+        assert np.rint(above / kb.DEDUP_TOL) != np.rint(below / kb.DEDUP_TOL)
+        rows = np.array([[above, 0.5], [below, 0.5]])
+        np.testing.assert_array_equal(kb._distinct_rows(rows), rows[:1])
+        np.testing.assert_array_equal(kb._distinct_rows(rows[::-1]), rows[1:])
+
+    def test_rows_beyond_tolerance_stay(self):
+        rows = np.array([[0.25, -1.0], [0.25 + 2e-7, -1.0]])
+        np.testing.assert_array_equal(kb._distinct_rows(rows), rows)
+
+    def test_matches_pairwise_greedy(self):
+        # clusters of near-copies, a few straddling rounding boundaries
+        rng = np.random.default_rng(5)
+        centers = rng.integers(-3, 4, size=(40, 6)) * 0.5 * kb.DEDUP_TOL + 1e-3 * rng.integers(0, 3, size=(40, 6))
+        rows = centers[rng.integers(0, 40, size=400)] + rng.uniform(-1e-14, 1e-14, size=(400, 6))
+        np.testing.assert_array_equal(kb._distinct_rows(rows), pairwise_greedy(rows))
+
 
 class TestKappa:
     def test_kappa_at_one_is_zero(self):
@@ -127,6 +228,12 @@ class TestKappaPrime:
     def test_witness_is_lexicographically_smallest(self):
         result = kb.kappa_prime_1(polytope(4, [2]))
         assert np.allclose(result.witness, [-1, 1, -1, 1])
+
+    def test_witness_tie_break_ignores_round_off(self):
+        # the maximisers tie; last-bit noise such as -0.9999999999999999 must
+        # not move (-1, -1, -1, -1, 2, 2) out of first place
+        result = kb.kappa_prime_1(polytope(6, [1, 2, 4, 5]))
+        assert np.allclose(result.witness, [-1, -1, -1, -1, 2, 2], rtol=0, atol=1e-9)
 
 
 class TestFiniteDifference:
@@ -245,6 +352,13 @@ class TestDefReform:
                 weights = rng.dirichlet(np.ones(len(vs)))
                 b_vec = weights @ vs
                 assert kb.def_reform_check(1.0, b_vec, float(rng.uniform(1.1, 6.0)), p)
+
+    def test_huge_exponent_does_not_overflow(self):
+        # |1 + v|**p overflows at p=1e6; the power mean factors out max |1 + v|
+        p = polytope(3, [1, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert kb.def_reform_check(1.0, np.array([-1.0, -1.0, 2.0]), 1e6, p)
 
     def test_precondition_violations(self):
         p = polytope(4, [2])

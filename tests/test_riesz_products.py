@@ -199,6 +199,16 @@ class TestFanTerm:
             reference = 2.0 * tanh_sinh_full(lambda x: integrand(x, a), 0.0, 0.5, tol=1e-11).value
             assert abs(rp.factor_entropy(float(a)) - reference) <= 1e-13, a
 
+    def test_factor_entropy_elementwise(self):
+        amplitudes = np.linspace(-1.0, 1.0, 101)
+        values = rp.factor_entropy(amplitudes)
+        assert values.shape == amplitudes.shape
+        assert np.array_equal(values, [rp.factor_entropy(float(a)) for a in amplitudes])
+        with pytest.raises(InvalidInputError):
+            rp.factor_entropy(np.array([0.5, 1.5]))
+        with pytest.raises(InvalidInputError):
+            rp.factor_entropy(np.array([0.5, np.nan]))
+
     def test_factor_entropy_continuous_at_endpoint(self):
         assert abs(rp.factor_entropy(1.0 - 1e-9) - (1.0 - LOG2)) <= 1e-6
 
