@@ -1,9 +1,10 @@
 """Command-line front end: bound computation, Riesz comparison tables,
 verification suites, and q-sweeps with machine-readable output.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
-3 resource guard tripped.  JSON payloads are deterministic for a fixed config
-and seed except for the wall_time_s field.
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error
+or violated precondition, 3 resource guard tripped, 4 numerical failure.
+JSON payloads are deterministic for a fixed config and seed except for the
+wall_time_s field.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import kappa_bound as kb
 from . import riesz_products as rp
 from . import verify
 from . import zq_spectral as zq
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, NumericalError, PreconditionError, ResourceLimitError
 
 TABLE_COLUMNS = [
     "q", "B", "kappa_prime_1", "bound", "subgroup_bound", "delta",
@@ -458,12 +459,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         envelope = COMMANDS[config.command](config)
-    except InvalidInputError as exc:
+    except (InvalidInputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
     _emit(envelope, config)
     return 0 if envelope.all_passed else 1
 

@@ -194,9 +194,12 @@ def power_mean(values: np.ndarray, p: float) -> np.ndarray:
 def kappa(theta: float, polytope: FeasiblePolytope) -> float:
     """Growth exponent at theta in (0, 1], evaluated over the vertex set.
 
-    Computed in log-space (factoring out the largest summand) so that small
-    theta never overflows the 1/theta power.  kappa(1) is exactly 0: the
-    zero-sum constraint makes every vertex objective log(1) there.
+    Computed in log-space (factoring out each vertex's largest summand) so
+    that small theta never overflows the 1/theta power.  All vertices are one
+    (n, q) array expression; the zeros left by clipping 1 + v are masked out
+    of the max and the sum, and their logarithm is never taken.  kappa(1) is
+    exactly 0: the zero-sum constraint makes every vertex objective log(1)
+    there.
     """
     if not 0.0 < theta <= 1.0:
         raise InvalidInputError(f"theta must lie in (0, 1], got {theta}")
@@ -205,14 +208,13 @@ def kappa(theta: float, polytope: FeasiblePolytope) -> float:
     vertices = polytope.vertex_set
     if vertices.shape[0] == 0:
         return 0.0  # origin-only polytope
-    q = polytope.q
-    best = -math.inf
-    for row in _clipped_shift(vertices):
-        logs = np.log(row[row > 0])
-        top = logs.max()
-        total = np.sum(np.exp((logs - top) / theta))
-        best = max(best, top + theta * (math.log(total) - math.log(q)))
-    return best
+    shifted = _clipped_shift(vertices)
+    positive = shifted > 0
+    logs = np.log(np.where(positive, shifted, 1.0))
+    # each row sums to q, so its top log is >= 0 and the masked exponents are <= 0
+    top = logs.max(axis=1, where=positive, initial=-np.inf)
+    total = np.sum(np.exp((logs - top[:, None]) / theta), axis=1, where=positive)
+    return float(np.max(top + theta * (np.log(total) - math.log(polytope.q))))
 
 
 class KappaPrime(NamedTuple):

@@ -27,6 +27,7 @@ from .spectrum import SparseSpectrum, uniform_interval_masses
 MAX_SPECTRUM_TERMS = 10 ** 7
 MAX_ENTROPY_GRID = 10 ** 6
 MAX_PEYRIERE_GRID = 10 ** 7
+_DERIVATIVE_BLOCK = 4096  # grid points per block of g_derivative_bound_check
 
 LOG2 = math.log(2.0)
 
@@ -115,22 +116,24 @@ def bound_theorem3(q: int) -> float:
     return 1.0 - float(np.sum(xlogx(_profile(q)))) / (q * math.log(q))
 
 
-def entropy_objective(q: int, phi: float) -> float:
+def entropy_objective(q: int, phi: float | np.ndarray) -> float | np.ndarray:
     """The rotated-profile entropy sum whose endpoint maximum yields the closed form.
 
     For |phi| <= pi/q the summands 1 - cos(2*pi*j/q + phi)/cos(phi) are
     non-negative; as a function of tan(phi) the sum is convex and even, so its
-    supremum over the admissible window sits at phi = +-pi/q.
+    supremum over the admissible window sits at phi = +-pi/q.  Elementwise in
+    ``phi``: an array of angles gives one sum per angle, each taken over j as
+    the last axis, so a grid is one call.
     """
+    phi = np.asarray(phi, dtype=float)[..., None]
     j = np.arange(q)
-    t = 1.0 - np.cos(2.0 * np.pi * j / q + phi) / math.cos(phi)
-    return float(np.sum(xlogx(np.clip(t, 0.0, None))))
+    t = 1.0 - np.cos(2.0 * np.pi * j / q + phi) / np.cos(phi)
+    return np.sum(xlogx(np.clip(t, 0.0, None)), axis=-1)
 
 
 def endpoint_optimality_gap(q: int, num: int = 1001) -> float:
     """max over an interior phi grid minus the endpoint value (<= 0 expected)."""
-    phis = np.linspace(-np.pi / q, np.pi / q, num)
-    values = np.array([entropy_objective(q, float(phi)) for phi in phis])
+    values = entropy_objective(q, np.linspace(-np.pi / q, np.pi / q, num))
     return float(values[1:-1].max() - max(values[0], values[-1]))
 
 
@@ -294,12 +297,16 @@ def g_derivative_bound_check(x_points: int = 100_000) -> DerivativeBoundReport:
     (2) L = sup on [0, pi/2] of sin(x) * (1 + log(1 + cos(x))) lands in [1.2, 1.25].
     Points where 1 + a*cos(x) vanishes are assigned their limit value 0.
     """
+    a = np.linspace(-1.0, 1.0, 21)[:, None]
     x = np.linspace(0.0, 2.0 * np.pi, x_points)
     sup = 0.0
-    for a in np.linspace(-1.0, 1.0, 21):
-        t = 1.0 + a * np.cos(x)
+    # all amplitudes at once on a block of x: the (21, block) temporaries stay
+    # small, where whole-grid ones would raise the peak memory of the run
+    for lo in range(0, x_points, _DERIVATIVE_BLOCK):
+        xs = x[lo:lo + _DERIVATIVE_BLOCK]
+        t = 1.0 + a * np.cos(xs)
         inner = np.where(t > 0, 1.0 + np.log(np.maximum(t, np.finfo(float).tiny)), 0.0)
-        deriv = np.where(t > 0, -a * np.sin(x) * inner, 0.0)
+        deriv = np.where(t > 0, -a * np.sin(xs) * inner, 0.0)
         sup = max(sup, float(np.max(np.abs(deriv))))
     half = np.linspace(0.0, np.pi / 2.0, x_points)
     lipschitz = float(np.max(np.sin(half) * (1.0 + np.log1p(np.cos(half)))))

@@ -66,12 +66,18 @@ class SparseSpectrum:
         return 0.0
 
     def is_conjugate_symmetric(self, tol: float = 1e-12) -> bool:
-        """True iff c(-n) == conj(c(n)) for every frequency, within ``tol``."""
-        scale = max(1.0, float(np.max(np.abs(self.coefficients))) if len(self) else 1.0)
-        for n, c in self.items():
-            if abs(self.coefficient(-n) - np.conj(c)) > tol * scale:
-                return False
-        return True
+        """True iff c(-n) == conj(c(n)) for every frequency, within ``tol``.
+
+        A frequency whose mirror -n is absent pairs with coefficient 0.  All
+        mirrors are located by one ``searchsorted``; the gate fails closed, so
+        a NaN coefficient makes the spectrum not symmetric.
+        """
+        freqs, coeffs = self.frequencies, self.coefficients
+        scale = max(1.0, float(np.max(np.abs(coeffs), initial=0.0)))
+        ix = np.minimum(np.searchsorted(freqs, -freqs), len(self) - 1)
+        mirror = np.where(freqs[ix] == -freqs, coeffs[ix], 0.0)
+        mismatch = float(np.max(np.abs(mirror - np.conj(coeffs)), initial=0.0))
+        return mismatch <= tol * scale
 
     def evaluate(self, x) -> np.ndarray:
         """Direct synthesis sum_n c_n exp(2*pi*i*n*x) at arbitrary points."""

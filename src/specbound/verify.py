@@ -90,7 +90,7 @@ def kappa_suite(q_max: int = 10, seed: int = 0, fd_q_max: int = 8) -> list[Check
             polytope = kb.FeasiblePolytope.from_residues(b)
             vertices = polytope.vertex_set
             if len(vertices):
-                off = np.array([np.linalg.norm(polytope.basis.project_off(v)) for v in vertices])
+                off = np.linalg.norm(polytope.basis.project_off(vertices.T), axis=0)
                 feasibility.append((float((-1.0 - vertices.min())), tag))
                 membership.append((float(off.max()), tag))
             result = kb.dimension_bound(b)
@@ -221,31 +221,27 @@ def _dftlemma_residual(seq: gv.MartingaleSequence) -> float:
     At level k the difference vector over the children of parent class c is
     sum_{m=1}^{q-1} e_m(c) * omega_m with
     e_m(c) = sum over frequencies l = d * q**(N-k), d = m (mod q), q not | d,
-    of c_l * exp(2*pi*i*l*c/q**N); the reconstruction must match the averaged
-    levels pointwise.
+    of c_l * exp(2*pi*i*l*c/q**N) = c_l * exp(2*pi*i*d*c/q**k); the
+    reconstruction must match the averaged levels pointwise.  Since
+    omega_m[j] = exp(2*pi*i*j*m/q) and d = m (mod q), entry j of the
+    synthesized vector is sum_d c_l * exp(2*pi*i*d*(c + j*q**(k-1))/q**k): the
+    length-q**k inverse DFT of the coefficients binned by d mod q**k, read at
+    c + j*q**(k-1).  Memory is O(q**k), at most the grid size.
     """
     spec = seq.source
     grid = seq.grid
-    q, size = grid.q, grid.size
+    q = grid.q
     freqs = spec.frequencies
     coeffs = spec.coefficients
     worst = 0.0
-    omega = np.exp(2j * np.pi * np.outer(np.arange(q), np.arange(q)) / q)  # omega[j, m]
     for k in range(1, grid.levels + 1):
         step = q ** (grid.levels - k)
-        exact = (np.mod(freqs, step) == 0) & (np.mod(freqs // step, q) != 0)
-        classes = np.arange(q ** (k - 1), dtype=np.int64)
-        e = np.zeros((q, classes.size), dtype=complex)
-        if np.any(exact):
-            f_ex = freqs[exact]
-            c_ex = coeffs[exact]
-            digits = np.mod(f_ex // step, q)
-            phases = np.exp(2j * np.pi * np.mod(np.outer(f_ex, classes), size) / size)
-            for m in range(1, q):
-                sel = digits == m
-                if np.any(sel):
-                    e[m] = c_ex[sel] @ phases[sel]
-        synthesized = (omega @ e).real
+        period = q ** k
+        d = freqs // step
+        exact = (np.mod(freqs, step) == 0) & (np.mod(d, q) != 0)
+        binned = np.zeros(period, dtype=complex)
+        np.add.at(binned, np.mod(d[exact], period), coeffs[exact])
+        synthesized = (np.fft.ifft(binned) * period).real.reshape(q, period // q)
         actual = seq.sibling_matrix(k) - seq.class_values[k - 1][None, :]
         worst = max(worst, float(np.max(np.abs(synthesized - actual))))
     return worst

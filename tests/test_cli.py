@@ -4,7 +4,10 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from specbound import cli
+from specbound.errors import NumericalError, PreconditionError
 from specbound.verify import CheckResult
 
 
@@ -187,6 +190,20 @@ class TestEnvelope:
         _, data = payload(["bound", "--q", "4", "--b", "2"], capsys)
         assert set(data) == {"version", "config", "results", "checks", "wall_time_s"}
         assert data["config"]["command"] == "bound"
+
+    @pytest.mark.parametrize("error,code,prefix", [
+        (PreconditionError("ill-posed"), 2, "error: ill-posed"),
+        (NumericalError("diverged"), 4, "numerical error: diverged"),
+    ])
+    def test_library_error_exit_codes(self, monkeypatch, capsys, error, code, prefix):
+        def failing(config):
+            raise error
+
+        monkeypatch.setitem(cli.COMMANDS, "bound", failing)
+        status, out, err = run_main(["bound", "--q", "4", "--b", "2"], capsys)
+        assert status == code
+        assert out == ""
+        assert err.startswith(prefix)
 
     def test_failed_check_gives_exit_one(self):
         envelope = cli.ReportEnvelope("0", {}, {}, [{"passed": False, "name": "x",

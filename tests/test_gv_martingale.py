@@ -271,6 +271,9 @@ class TestSetAverage:
         f = seq.level_on_grid(grid.levels)
         assert abs(report.average - gv.lp_norm(f, 1.0, grid)) <= 1e-12
         assert abs(report.hoelder_rhs - gv.lp_norm(f, 2.0, grid)) <= 1e-12
+        # repeated and unordered indices name the same subset
+        shuffled = np.concatenate([np.arange(grid.size)[::-1], np.arange(0, grid.size, 7)])
+        assert gv.set_average_check(seq, shuffled, 2.0, zq.ResidueSet.of(3, [1, 2])) == report
 
     def test_singleton(self):
         seq, _, grid = riesz_sequence(3, 1.0, 5)
@@ -281,6 +284,12 @@ class TestSetAverage:
         seq, _, _ = riesz_sequence(3, 1.0, 3)
         with pytest.raises(PreconditionError):
             gv.set_average_check(seq, [], 2.0, zq.ResidueSet.of(3, [1, 2]))
+
+    @pytest.mark.parametrize("bad", [-1, 27])
+    def test_index_outside_grid_rejected(self, bad):
+        seq, _, _ = riesz_sequence(3, 1.0, 3)
+        with pytest.raises(InvalidInputError):
+            gv.set_average_check(seq, [5, bad, 5], 2.0, zq.ResidueSet.of(3, [1, 2]))
 
 
 class TestPlateauSandwich:

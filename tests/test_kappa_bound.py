@@ -181,7 +181,26 @@ class TestDistinctRows:
         np.testing.assert_array_equal(kb._distinct_rows(rows), pairwise_greedy(rows))
 
 
+def per_row_kappa(theta, p):
+    """Reference: kappa evaluated one vertex row at a time, in log-space."""
+    best = -math.inf
+    for row in np.clip(1.0 + p.vertex_set, 0.0, None):
+        logs = np.log(row[row > 0])
+        top = logs.max()
+        total = np.sum(np.exp((logs - top) / theta))
+        best = max(best, top + theta * (math.log(total) - math.log(p.q)))
+    return best
+
+
 class TestKappa:
+    @pytest.mark.parametrize("theta", [1e-3, 0.2, 0.5, 0.8, 1 / 1.1, 0.99, 0.999, 0.9999])
+    def test_matches_per_row_reference(self, theta):
+        # same terms per row; the masked sum and np.log may round the last bit differently
+        for q in range(3, 13):
+            for b in symmetric_residue_sets(q):
+                p = kb.FeasiblePolytope.from_residues(b)
+                assert abs(kb.kappa(theta, p) - per_row_kappa(theta, p)) <= 1e-15, (q, b.members)
+
     def test_kappa_at_one_is_zero(self):
         for q, members in [(4, [2]), (5, [1, 4]), (6, [1, 2, 3, 4, 5])]:
             assert kb.kappa(1.0, polytope(q, members)) == 0.0

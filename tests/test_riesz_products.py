@@ -117,6 +117,23 @@ class TestClosedForms:
         for q in range(3, 13):
             assert rp.endpoint_optimality_gap(q) <= 1e-9
 
+    def test_entropy_objective_matches_scalar_loop(self):
+        def scalar_objective(q, phi):
+            j = np.arange(q)
+            t = 1.0 - np.cos(2.0 * np.pi * j / q + phi) / math.cos(phi)
+            return float(np.sum(kb.xlogx(np.clip(t, 0.0, None))))
+
+        for q in range(3, 13):
+            phis = np.linspace(-np.pi / q, np.pi / q, 1001)
+            values = np.array([scalar_objective(q, float(phi)) for phi in phis])
+            np.testing.assert_array_equal(rp.entropy_objective(q, phis), values)
+            np.testing.assert_array_equal(rp.entropy_objective(q, phis.reshape(7, 143)),
+                                          values.reshape(7, 143))
+            gap = float(values[1:-1].max() - max(values[0], values[-1]))
+            assert rp.endpoint_optimality_gap(q) == gap
+            endpoint = rp.entropy_objective(q, math.pi / q)
+            assert isinstance(endpoint, float) and endpoint == scalar_objective(q, math.pi / q)
+
 
 class TestLogIntegral:
     @pytest.mark.parametrize("q", sorted(LOG_INTEGRAL_REFERENCE))
@@ -254,6 +271,17 @@ class TestDerivativeBounds:
         assert abs(report.lipschitz_constant - 1.2257873768) <= 1e-6
         # the global sup is attained on the |a| = 1 slice
         assert abs(report.sup_estimate - report.lipschitz_constant) <= 1e-9
+
+    @pytest.mark.parametrize("x_points", [100_000, 4097, 5, 1])
+    def test_matches_per_amplitude_loop(self, x_points):
+        x = np.linspace(0.0, 2.0 * np.pi, x_points)
+        sup = 0.0
+        for a in np.linspace(-1.0, 1.0, 21):
+            t = 1.0 + a * np.cos(x)
+            inner = np.where(t > 0, 1.0 + np.log(np.maximum(t, np.finfo(float).tiny)), 0.0)
+            deriv = np.where(t > 0, -a * np.sin(x) * inner, 0.0)
+            sup = max(sup, float(np.max(np.abs(deriv))))
+        assert rp.g_derivative_bound_check(x_points).sup_estimate == sup
 
 
 class TestEntropyEstimate:

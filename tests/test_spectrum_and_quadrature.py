@@ -31,6 +31,20 @@ class TestSparseSpectrum:
         assert good.is_conjugate_symmetric()
         assert not bad.is_conjugate_symmetric()
 
+    def test_conjugate_symmetry_unpaired_and_empty(self):
+        # an absent mirror frequency pairs with coefficient 0
+        assert SparseSpectrum.from_dict({3: 0.0, 0: 1.0}).is_conjugate_symmetric()
+        assert not SparseSpectrum.from_dict({3: 1e-3, 0: 1.0}).is_conjugate_symmetric()
+        assert SparseSpectrum.from_dict({}).is_conjugate_symmetric()
+
+    @pytest.mark.parametrize("mapping", [
+        {0: math.nan},
+        {1: math.nan, -1: math.nan},
+        {0: 1.0, 2: 0.5, -2: complex(0.5, math.nan)},
+    ])
+    def test_conjugate_symmetry_fails_closed_on_nan(self, mapping):
+        assert not SparseSpectrum.from_dict(mapping).is_conjugate_symmetric()
+
     def test_evaluate_matches_direct_sum(self):
         rng = np.random.default_rng(0)
         freqs = rng.choice(np.arange(-40, 41), size=15, replace=False)
