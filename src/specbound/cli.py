@@ -1,10 +1,16 @@
 """Command-line front end: bound computation, Riesz comparison tables,
 verification suites, and q-sweeps with machine-readable output.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error
-or violated precondition, 3 resource guard tripped, 4 numerical failure.
-JSON payloads are deterministic for a fixed config and seed except for the
-wall_time_s field.
+The commands pass the options the user set through to the library, whose
+signatures hold every default and whose functions hold every check formula.
+Each command returns its results and checks; ``main`` times the call and
+builds the one report envelope.  The envelope's config block lists only the
+options that were set (or have a parser default).
+
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
+violated precondition or empty range, 3 resource guard tripped or memory
+exhausted, 4 numerical failure.  JSON payloads are deterministic for a fixed
+config and seed except for the wall_time_s field.
 """
 
 from __future__ import annotations
@@ -46,8 +52,6 @@ class RunConfig:
     levels: int | None = None         # martingale grid depth N
     p_values: tuple[float, ...] | None = None
     entropy_level: int | None = None
-    peyriere_depth: int | None = None
-    peyriere_grid: int | None = None
     suite: str | None = None
     q_max: int | None = None
     q_range: tuple[int, ...] | None = None
@@ -107,8 +111,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _table_csv(rows: list[dict], extra_columns: list[str] | None = None) -> str:
-    columns = TABLE_COLUMNS + (extra_columns or [])
+def _csv(rows: list[dict], columns: list[str]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -117,17 +120,13 @@ def _table_csv(rows: list[dict], extra_columns: list[str] | None = None) -> str:
     return buf.getvalue()
 
 
-def _checks_csv(checks: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CHECK_COLUMNS)
-    for c in checks:
-        writer.writerow([_csv_cell(c.get(col)) for col in CHECK_COLUMNS])
-    return buf.getvalue()
+def _given(**options) -> dict:
+    """The options the user set; the library signatures hold every default."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (results, checks) for ``main`` to wrap in a report
 # ---------------------------------------------------------------------------
 
 def _bound_row(result: kb.DimensionBound) -> dict:
@@ -141,13 +140,10 @@ def _bound_row(result: kb.DimensionBound) -> dict:
     }
 
 
-def cmd_bound(config: RunConfig) -> ReportEnvelope:
-    start = time.monotonic()
-    b = zq.ResidueSet.of(config.q, config.b or ())
-    result = kb.dimension_bound(b)
-    row = _bound_row(result)
+def cmd_bound(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
+    result = kb.dimension_bound(zq.ResidueSet.of(config.q, config.b))
     results = {
-        "table": [row],
+        "table": [_bound_row(result)],
         "raw_bound": result.raw_bound,
         "subgroup": list(result.subgroup),
         "proper_inclusion": result.proper_inclusion,
@@ -157,86 +153,66 @@ def cmd_bound(config: RunConfig) -> ReportEnvelope:
     }
     checks = [
         verify.CheckResult("bound/delta_nonnegative", result.delta >= -1e-12,
-                           result.delta, "certified bound dominates the subgroup bound").as_dict(),
+                           result.delta, "certified bound dominates the subgroup bound"),
         verify.CheckResult("bound/value_in_unit_interval",
-                           0.0 <= result.bound <= 1.0, result.bound, "").as_dict(),
+                           0.0 <= result.bound <= 1.0, result.bound, ""),
     ]
-    return ReportEnvelope(__version__, config.as_dict(), results, checks,
-                          time.monotonic() - start)
+    return results, checks
 
 
-def _riesz_row(config: RunConfig, q: int) -> tuple[dict, list[dict]]:
-    params = rp.RieszParams(config.a if config.a is not None else 1.0, q)
-    table = rp.bound_table_row(
-        params,
-        peyriere_depth=config.peyriere_depth,
-        peyriere_grid=config.peyriere_grid,
-        entropy_level=config.entropy_level if config.entropy_level is not None else 5,
-    )
+def _riesz_row(params: rp.RieszParams,
+               entropy_level: int | None) -> tuple[dict, list[verify.CheckResult]]:
+    q = params.q
+    table = rp.bound_table_row(params, **_given(entropy_level=entropy_level))
     dim = kb.dimension_bound(zq.ResidueSet.of(q, [1, q - 1]))
     row = _bound_row(dim)
-    row.update({
-        "theorem3": table.theorem3,
-        "prop4": table.prop4,
-        "prop5": table.prop5,
-        "fan_main": table.fan_main,
-        "peyriere": table.peyriere,
-        "peyriere_converged": table.peyriere_converged,
-        "entropy_est": table.entropy_est,
-    })
+    row.update((k, v) for k, v in dataclasses.asdict(table).items() if k not in ("q", "a"))
     checks = [
         verify.CheckResult(f"riesz/q={q}/theorem3_in_unit_interval",
-                           0.0 <= table.theorem3 <= 1.0, table.theorem3, "").as_dict(),
+                           0.0 <= table.theorem3 <= 1.0, table.theorem3, ""),
         verify.CheckResult(f"riesz/q={q}/theorem3_matches_vertex_bound",
                            abs(table.theorem3 - dim.raw_bound) <= 1e-9,
                            abs(table.theorem3 - dim.raw_bound),
-                           "closed form vs vertex enumeration").as_dict(),
+                           "closed form vs vertex enumeration"),
     ]
     if table.peyriere_converged:
         checks.append(verify.CheckResult(
             f"riesz/q={q}/certified_below_peyriere",
             table.theorem3 <= table.peyriere + 0.02,
             table.theorem3 - table.peyriere,
-            "a lower bound must not exceed the dimension estimate").as_dict())
-    if table.entropy_est is not None:
-        checks.append(verify.CheckResult(
-            f"riesz/q={q}/certified_below_entropy",
-            table.theorem3 <= table.entropy_est + 0.05,
-            table.theorem3 - table.entropy_est,
-            "entropy proxy dominates any valid lower bound").as_dict())
+            "a lower bound must not exceed the dimension estimate"))
+    checks.append(verify.CheckResult(
+        f"riesz/q={q}/certified_below_entropy",
+        table.theorem3 <= table.entropy_est + 0.05,
+        table.theorem3 - table.entropy_est,
+        "entropy proxy dominates any valid lower bound"))
     return row, checks
 
 
-def cmd_riesz(config: RunConfig) -> ReportEnvelope:
-    start = time.monotonic()
-    row, checks = _riesz_row(config, config.q)
-    return ReportEnvelope(__version__, config.as_dict(), {"table": [row]}, checks,
-                          time.monotonic() - start)
+def cmd_riesz(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
+    row, checks = _riesz_row(rp.RieszParams(config.a, config.q), config.entropy_level)
+    return {"table": [row]}, checks
 
 
-def cmd_sweep(config: RunConfig) -> ReportEnvelope:
-    start = time.monotonic()
+def cmd_sweep(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
     qs = [q for q in config.q_range if not config.even_only or q % 2 == 0]
     if not qs:
         raise InvalidInputError("sweep range is empty")
     rows = []
     checks = []
     for q in qs:
-        row, row_checks = _riesz_row(config, q)
-        fan_consistency = abs(row["theorem3"] - row["fan_main"]) * q * math.log(q)
-        row["fan_consistency"] = fan_consistency
+        params = rp.RieszParams(config.a, q)
+        row, row_checks = _riesz_row(params, config.entropy_level)
+        row["fan_consistency"] = fan_consistency = rp.fan_consistency(params)
         rows.append(row)
         checks.extend(row_checks)
         checks.append(verify.CheckResult(
             f"sweep/q={q}/fan_consistency_bounded", fan_consistency <= 10.0,
-            fan_consistency, "|theorem3 - fan_main| * q * log q").as_dict())
-    return ReportEnvelope(__version__, config.as_dict(),
-                          {"table": rows, "extra_columns": ["fan_consistency"]},
-                          checks, time.monotonic() - start)
+            fan_consistency, "|theorem3 - fan_main| * q * log q"))
+    return {"table": rows, "extra_columns": ["fan_consistency"]}, checks
 
 
-def cmd_verify(config: RunConfig) -> ReportEnvelope:
-    start = time.monotonic()
+def cmd_verify(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
     suite = config.suite
     if suite not in set(verify.SUITES) | {"all"}:
         raise InvalidInputError(
@@ -244,25 +220,19 @@ def cmd_verify(config: RunConfig) -> ReportEnvelope:
         )
     checks: list[verify.CheckResult] = []
     if suite in ("kappa", "all"):
-        checks += verify.kappa_suite(q_max=config.q_max or 10, seed=config.seed)
+        checks += verify.kappa_suite(seed=config.seed, **_given(q_max=config.q_max))
     if suite in ("riesz-identities", "all"):
-        checks += verify.riesz_identity_suite(q_max=config.q_max or 16, seed=config.seed)
+        checks += verify.riesz_identity_suite(seed=config.seed, **_given(q_max=config.q_max))
     if suite in ("martingale", "all"):
-        checks += verify.martingale_suite(
-            q=config.q or 3,
-            a=config.a if config.a is not None else 1.0,
-            depth=config.levels or 6,
-            p_values=config.p_values or (1.25, 2.0, 4.0),
-            seed=config.seed,
-            n_subsets=config.subsets or 100,
-        )
+        checks += verify.martingale_suite(seed=config.seed, **_given(
+            q=config.q, a=config.a, depth=config.levels, p_values=config.p_values,
+            n_subsets=config.subsets))
     results = {
         "suite": suite,
         "total": len(checks),
         "failed": sum(not c.passed for c in checks),
     }
-    return ReportEnvelope(__version__, config.as_dict(), results,
-                          [c.as_dict() for c in checks], time.monotonic() - start)
+    return results, checks
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +244,9 @@ def render(envelope: ReportEnvelope, fmt: str) -> str:
         return envelope.to_json() + "\n"
     if fmt == "csv":
         if "table" in envelope.results:
-            return _table_csv(envelope.results["table"],
-                              envelope.results.get("extra_columns"))
-        return _checks_csv(envelope.checks)
+            return _csv(envelope.results["table"],
+                        TABLE_COLUMNS + envelope.results.get("extra_columns", []))
+        return _csv(envelope.checks, CHECK_COLUMNS)
     lines = [f"specbound {envelope.version}: {envelope.config.get('command')}"]
     table = envelope.results.get("table")
     if table:
@@ -376,9 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_riesz = sub.add_parser("riesz", help="bound comparison table for the product measure")
     p_riesz.add_argument("--q", type=int, required=True)
     p_riesz.add_argument("--a", type=float, default=1.0)
-    p_riesz.add_argument("--entropy-level", type=int, default=5)
-    p_riesz.add_argument("--pey-depth", type=int, default=None)
-    p_riesz.add_argument("--pey-grid", type=int, default=None)
+    p_riesz.add_argument("--entropy-level", type=int, default=None)
     add_common(p_riesz)
 
     p_verify = sub.add_parser("verify", help="run a named property suite")
@@ -397,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--even-only", action="store_true")
     p_sweep.add_argument("--a", type=float, default=1.0)
     p_sweep.add_argument("--entropy-level", type=int, default=None)
-    p_sweep.add_argument("--pey-depth", type=int, default=None)
-    p_sweep.add_argument("--pey-grid", type=int, default=None)
     add_common(p_sweep)
     return parser
 
@@ -411,7 +377,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command == "riesz":
         return RunConfig(command="riesz", q=args.q, a=args.a,
                          entropy_level=args.entropy_level,
-                         peyriere_depth=args.pey_depth, peyriere_grid=args.pey_grid,
                          output_format=args.output_format, output=args.output,
                          seed=args.seed)
     if args.command == "verify":
@@ -426,7 +391,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                          q_range=_parse_range(args.q, args.step),
                          even_only=args.even_only,
                          entropy_level=args.entropy_level,
-                         peyriere_depth=args.pey_depth, peyriere_grid=args.pey_grid,
                          output_format=args.output_format, output=args.output,
                          seed=args.seed)
     raise InvalidInputError(f"unknown command {args.command!r}")
@@ -458,12 +422,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        envelope = COMMANDS[config.command](config)
+        start = time.monotonic()
+        results, checks = COMMANDS[config.command](config)
+        envelope = ReportEnvelope(__version__, config.as_dict(), results,
+                                  [c.as_dict() for c in checks], time.monotonic() - start)
     except (InvalidInputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"resource guard: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

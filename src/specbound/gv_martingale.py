@@ -20,7 +20,7 @@ residuals, that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -84,7 +84,6 @@ class MartingaleSequence:
     grid: QadicGrid
     class_values: list[np.ndarray]
     source: SparseSpectrum | None = None
-    _norm_cache: dict[tuple[int, float], float] = field(default_factory=dict, repr=False)
 
     @property
     def levels(self) -> int:
@@ -99,13 +98,6 @@ class MartingaleSequence:
         if not 1 <= k <= self.levels:
             raise InvalidInputError(f"level {k} outside 1..{self.levels}")
         return self.class_values[k].reshape(self.grid.q, -1)
-
-    def level_norm(self, k: int, p: float) -> float:
-        key = (k, p)
-        if key not in self._norm_cache:
-            # every atom of level k carries the same grid weight
-            self._norm_cache[key] = float(power_mean(self.class_values[k], p))
-        return self._norm_cache[key]
 
 
 def martingale_levels(f: np.ndarray, grid: QadicGrid,
@@ -161,11 +153,7 @@ def wb_membership_check(seq: MartingaleSequence, b: ResidueSet) -> float:
     basis = wb_basis(b)
     worst = 0.0
     for k in range(1, seq.levels + 1):
-        diffs = seq.sibling_matrix(k) - seq.class_values[k - 1][None, :]
-        if basis.dim:
-            residual = diffs - basis.columns @ (basis.columns.T @ diffs)
-        else:
-            residual = diffs
+        residual = basis.project_off(seq.sibling_matrix(k) - seq.class_values[k - 1][None, :])
         worst = max(worst, float(np.max(np.sqrt(np.sum(residual ** 2, axis=0)))))
     return worst
 
@@ -213,12 +201,14 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float,
     scale = max(1.0, float(np.max(np.abs(seq.class_values[seq.levels]))))
     floor = 1e-12 * scale
     failures: list[str] = []
+    # every atom of a level carries the same grid weight
+    norms = [float(power_mean(values, p)) for values in seq.class_values]
 
     worst_step = math.inf
     worst_atom = math.inf
     for k in range(1, seq.levels + 1):
-        lhs = seq.level_norm(k, p)
-        rhs = step_factor * seq.level_norm(k - 1, p)
+        lhs = norms[k]
+        rhs = step_factor * norms[k - 1]
         worst_step = min(worst_step, rhs * (1.0 + slack) + floor - lhs)
         if lhs > rhs * (1.0 + slack) + floor:
             failures.append(f"step k={k}: ||f_k||_p={lhs:.12g} > e^kappa*||f_(k-1)||_p={rhs:.12g}")
@@ -232,7 +222,7 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float,
 
     mass = float(seq.class_values[0][0])
     global_rhs = seq.grid.q * math.exp(kappa_theta * seq.levels) * mass
-    global_lhs = seq.level_norm(seq.levels, p)
+    global_lhs = norms[seq.levels]
     global_slack = global_rhs * (1.0 + slack) + floor - global_lhs
     if global_slack < 0:
         failures.append(f"global: ||f||_p={global_lhs:.12g} > q*e^(kappa*N)*mass={global_rhs:.12g}")

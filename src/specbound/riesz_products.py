@@ -111,9 +111,7 @@ def kappa_prime_riesz(q: int) -> float:
 
 def bound_theorem3(q: int) -> float:
     """Sharpest closed-form lower bound, 1 + kappa_prime_riesz(q)/log(q)."""
-    if q < 3:
-        raise InvalidInputError(f"base must be >= 3, got {q}")
-    return 1.0 - float(np.sum(xlogx(_profile(q)))) / (q * math.log(q))
+    return 1.0 + kappa_prime_riesz(q) / math.log(q)
 
 
 def entropy_objective(q: int, phi: float | np.ndarray) -> float | np.ndarray:
@@ -241,6 +239,18 @@ def fan_main_term(params: RieszParams) -> float:
     return 1.0 - float(factor_entropy(params.a)) / math.log(params.q)
 
 
+def fan_consistency(params: RieszParams) -> float:
+    """|theorem3 - fan_main| * q * log q, the scaled gap between the certified
+    bound and the asymptotic main term.
+
+    The paper's asymptotic agreement makes this bounded in q at |a| = 1.  For
+    |a| < 1 it grows like q: theorem3 does not depend on a, while fan_main
+    moves by (h(1) - h(a))/log q.
+    """
+    q = params.q
+    return abs(bound_theorem3(q) - fan_main_term(params)) * q * math.log(q)
+
+
 class PeyriereEstimate(NamedTuple):
     estimate: float
     converged: bool
@@ -352,39 +362,33 @@ class BoundTableRow:
     prop4: float | None
     prop5: float
     fan_main: float
-    peyriere: float | None
-    peyriere_converged: bool | None
-    entropy_est: float | None
+    peyriere: float
+    peyriere_converged: bool
+    entropy_est: float
 
 
-def bound_table_row(params: RieszParams,
-                    peyriere_depth: int | None = None,
-                    peyriere_grid: int | None = None,
-                    entropy_level: int | None = 5) -> BoundTableRow:
+def bound_table_row(params: RieszParams, entropy_level: int = 5) -> BoundTableRow:
     """Assemble the full comparison row.
 
-    None arguments request resource-safe defaults scaled to q;
-    ``entropy_level=None`` skips the entropy proxy entirely.
+    The Peyriere proxy runs at the deepest product level (at most 8) whose
+    next level still fits 5e5 grid cells, on a grid of at least 2e5 points
+    and at least three blocks of q**depth.  The entropy proxy uses
+    ``entropy_level``, lowered until q**level fits ``MAX_ENTROPY_GRID``, on a
+    spectrum of depth 2*level, lowered until it fits ``MAX_SPECTRUM_TERMS``.
     """
     q = params.q
-    if peyriere_depth is None:
-        peyriere_depth = 1
-        while q ** (peyriere_depth + 1) <= 5 * 10 ** 5 and peyriere_depth < 8:
-            peyriere_depth += 1
-    if peyriere_grid is None:
-        block = q ** peyriere_depth
-        # multiplier >= 3 keeps the depth probe off degenerate grid alignments
-        peyriere_grid = block * max(3, -(-200_000 // block))
-    pey = peyriere_dimension(params, peyriere_depth, peyriere_grid)
-    entropy = None
-    if entropy_level is not None:
-        lvl = entropy_level
-        while q ** lvl > MAX_ENTROPY_GRID and lvl > 1:
-            lvl -= 1
-        depth = 2 * lvl
-        while 3 ** depth > MAX_SPECTRUM_TERMS:
-            depth -= 1
-        entropy = entropy_dimension_estimate(params, depth, lvl)
+    depth = 1
+    while q ** (depth + 1) <= 5 * 10 ** 5 and depth < 8:
+        depth += 1
+    block = q ** depth
+    # multiplier >= 3 keeps the depth probe off degenerate grid alignments
+    pey = peyriere_dimension(params, depth, block * max(3, -(-200_000 // block)))
+    level = entropy_level
+    while q ** level > MAX_ENTROPY_GRID and level > 1:
+        level -= 1
+    spectrum_depth = 2 * level
+    while 3 ** spectrum_depth > MAX_SPECTRUM_TERMS:
+        spectrum_depth -= 1
     return BoundTableRow(
         q=q,
         a=params.a,
@@ -394,5 +398,5 @@ def bound_table_row(params: RieszParams,
         fan_main=fan_main_term(params),
         peyriere=pey.estimate,
         peyriere_converged=pey.converged,
-        entropy_est=entropy,
+        entropy_est=entropy_dimension_estimate(params, spectrum_depth, level),
     )

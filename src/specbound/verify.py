@@ -18,6 +18,7 @@ from . import gv_martingale as gv
 from . import kappa_bound as kb
 from . import riesz_products as rp
 from . import zq_spectral as zq
+from .errors import InvalidInputError
 
 FD_STEPS = (1e-2, 1e-3, 1e-4)
 
@@ -71,6 +72,8 @@ def _worst(name: str, entries: list[tuple[float, str]], threshold: float,
 # ---------------------------------------------------------------------------
 
 def kappa_suite(q_max: int = 10, seed: int = 0, fd_q_max: int = 8) -> list[CheckResult]:
+    if q_max < 3:
+        raise InvalidInputError(f"kappa suite needs q_max >= 3, got {q_max}")
     rng = np.random.default_rng(seed)
     feasibility: list[tuple[float, str]] = []
     membership: list[tuple[float, str]] = []
@@ -167,6 +170,8 @@ def _counterexample_check(q: int = 4, l: int = 1) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
+    if q_max < 4:
+        raise InvalidInputError(f"riesz identities need an even q >= 4, got q_max={q_max}")
     rng = np.random.default_rng(seed)
     identity = [(rp.chebyshev_identity_residual(q), f"q={q}")
                 for q in range(4, q_max + 1, 2)]
@@ -185,8 +190,7 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
         np.abs(rp.factor_entropy(pairs[:, 0]) - rp.factor_entropy(pairs[:, 1]))
         - np.abs(pairs[:, 0] - pairs[:, 1])
     ))
-    fan = [(abs(rp.bound_theorem3(q) - rp.fan_main_term(rp.RieszParams(1.0, q))) * q * math.log(q),
-            f"q={q}") for q in (8, 16, 32, 64, 128)]
+    fan = [(rp.fan_consistency(rp.RieszParams(1.0, q)), f"q={q}") for q in (8, 16, 32, 64, 128)]
     prop5_dom = [(rp.bound_prop5(q) - rp.bound_theorem3(q), f"q={q}")
                  for q in range(3, max(q_max, 32) + 1)]
     prop4_gap = ", ".join(
@@ -250,6 +254,8 @@ def _dftlemma_residual(seq: gv.MartingaleSequence) -> float:
 def martingale_suite(q: int = 3, a: float = 1.0, depth: int = 6,
                      p_values: tuple[float, ...] = (1.25, 2.0, 4.0),
                      seed: int = 0, n_subsets: int = 100) -> list[CheckResult]:
+    if n_subsets < 1:
+        raise InvalidInputError(f"need at least one random subset, got {n_subsets}")
     rng = np.random.default_rng(seed)
     params = rp.RieszParams(a, q)
     b = zq.ResidueSet.of(q, [1, q - 1])

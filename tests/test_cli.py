@@ -93,12 +93,6 @@ class TestRieszCommand:
         assert code == 0
         assert data["results"]["table"][0]["peyriere"] == 1.0
 
-    def test_resource_guard_exit_code(self, capsys):
-        code, _, err = run_main(["riesz", "--q", "3", "--a", "1", "--pey-depth", "20"],
-                                capsys)
-        assert code == 3
-        assert "resource" in err.lower()
-
 
 class TestSweepCommand:
     def test_multiplicative_range(self, capsys):
@@ -144,6 +138,20 @@ class TestVerifyCommand:
         assert data["results"]["failed"] == 0
         names = {c["name"] for c in data["checks"]}
         assert "martingale/growth_p=2.0" in names
+
+    @pytest.mark.parametrize("options", [
+        ["--suite", "martingale", "--n", "0"],
+        ["--suite", "martingale", "--q", "0"],
+        ["--suite", "martingale", "--subsets", "0"],
+        ["--suite", "kappa", "--q-max", "2"],
+        ["--suite", "riesz-identities", "--q-max", "3"],
+    ])
+    def test_empty_range_is_usage_error(self, capsys, options):
+        # zero values reach the suites' own guards instead of their defaults
+        code, out, err = run_main(["verify"] + options, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_non_finite_p_rejected(self, capsys):
         code, _, err = run_main(["verify", "--suite", "martingale", "--p", "1,nan"], capsys)
@@ -194,6 +202,7 @@ class TestEnvelope:
     @pytest.mark.parametrize("error,code,prefix", [
         (PreconditionError("ill-posed"), 2, "error: ill-posed"),
         (NumericalError("diverged"), 4, "numerical error: diverged"),
+        (MemoryError(), 3, "resource guard: out of memory"),
     ])
     def test_library_error_exit_codes(self, monkeypatch, capsys, error, code, prefix):
         def failing(config):

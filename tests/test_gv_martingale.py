@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specbound import gv_martingale as gv
+from specbound import kappa_bound as kb
 from specbound import riesz_products as rp
 from specbound import zq_spectral as zq
 from specbound.errors import InvalidInputError, PreconditionError, ResourceLimitError
@@ -245,7 +246,7 @@ class TestGrowth:
         report = gv.growth_check(seq, zq.ResidueSet.of(4, [1, 3]), 1.0)
         assert report.passed
         assert report.kappa_theta == 0.0
-        norms = [seq.level_norm(k, 1.0) for k in range(grid.levels + 1)]
+        norms = [kb.power_mean(seq.class_values[k], 1.0) for k in range(grid.levels + 1)]
         assert np.max(np.abs(np.diff(norms))) <= 1e-12
 
     def test_negative_source_rejected(self):

@@ -160,6 +160,45 @@ class TestCompletenessOracle:
         assert self.lp_max(p, c) - incomplete.max() > 1e-3
 
 
+def rank_filtered(p, tol=1e-9):
+    """A copy of ``p`` keeping only the vertex rows whose active set
+    {j : v_j <= -1 + tol} has rank d (singular values above ``tol``), that is
+    the true vertices."""
+    m = p.basis.columns
+    keep = [np.linalg.matrix_rank(m[v <= -1.0 + tol], tol=tol) == m.shape[1]
+            for v in p.vertex_set]
+    filtered = kb.FeasiblePolytope(p.basis)
+    vars(filtered)["vertex_set"] = p.vertex_set[np.array(keep, dtype=bool)]
+    return filtered
+
+
+class TestNonVertexRows:
+    """The enumeration also returns feasible points that are not vertices.
+
+    A d-subset that is singular in exact arithmetic can have a float
+    determinant near 1e-17.  Its system is consistent, so the residual test
+    passes and the solve returns some point on a face.  Such points lie in
+    the polytope, so the convex objectives keep their maxima at the vertices.
+    """
+
+    CASES = [b for q in range(3, 13) for b in symmetric_residue_sets(q)] + [
+        zq.ResidueSet.of(14, [2, 4, 10, 12]), zq.ResidueSet.of(15, [3, 6, 9, 12])]
+
+    def test_rank_filter_finds_the_vertices(self):
+        # a 4-simplex, and the Gale count for the band {+-1, +-2} on Z_7
+        for q, members, vertices in [(15, [3, 6, 9, 12], 5), (14, [2, 4, 10, 12], 14)]:
+            p = polytope(q, members)
+            assert len(rank_filtered(p).vertex_set) == vertices <= len(p.vertex_set)
+
+    def test_certified_values_unchanged(self):
+        for b in self.CASES:
+            p = kb.FeasiblePolytope.from_residues(b)
+            filtered = rank_filtered(p)
+            assert kb.kappa_prime_1(filtered).value == kb.kappa_prime_1(p).value, b
+            for theta in (0.2, 0.5, 0.9):
+                assert kb.kappa(theta, filtered) == kb.kappa(theta, p), (b, theta)
+
+
 class TestDistinctRows:
     def test_merge_across_rounding_boundary_keeps_first(self):
         # 1e-14 apart, on either side of the key boundary 1.5 * DEDUP_TOL

@@ -99,6 +99,12 @@ class TestClosedForms:
         assert abs(rp.bound_theorem3(3)) <= 1e-12
         assert abs(rp.bound_theorem3(4) - 0.5) <= 1e-12
 
+    def test_theorem3_matches_direct_sum(self):
+        # the closed form through kappa_prime_riesz, against the profile sum divided once
+        for q in range(3, 200):
+            direct = 1.0 - float(np.sum(kb.xlogx(rp._profile(q)))) / (q * math.log(q))
+            assert abs(rp.bound_theorem3(q) - direct) <= 2 * np.spacing(1.0)
+
     def test_kappa_prime_riesz_values(self):
         assert abs(rp.kappa_prime_riesz(3) + math.log(3)) <= 1e-12
         assert abs(rp.kappa_prime_riesz(4) + LOG2) <= 1e-12
@@ -204,6 +210,12 @@ class TestFanTerm:
 
     def test_zero_amplitude(self):
         assert rp.fan_main_term(rp.RieszParams(0.0, 7)) == 1.0
+
+    def test_fan_consistency_bounded_at_unit_amplitude(self):
+        for q in (8, 16, 32, 64, 128):
+            params = rp.RieszParams(1.0, q)
+            gap = abs(rp.bound_theorem3(q) - rp.fan_main_term(params))
+            assert rp.fan_consistency(params) == gap * q * math.log(q) <= 10.0
 
     def test_factor_entropy_matches_quadrature_reference(self):
         # the defining integral over the symmetric half-period, by tanh-sinh
