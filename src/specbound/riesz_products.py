@@ -27,6 +27,7 @@ from .spectrum import SparseSpectrum, uniform_interval_masses
 MAX_SPECTRUM_TERMS = 10 ** 7
 MAX_ENTROPY_GRID = 10 ** 6
 MAX_PEYRIERE_GRID = 10 ** 7
+FAN_CONSISTENCY_ALLOWANCE = 10.0  # see fan_consistency_bounded
 _DERIVATIVE_BLOCK = 4096  # grid points per block of g_derivative_bound_check
 
 LOG2 = math.log(2.0)
@@ -52,7 +53,8 @@ def riesz_spectrum(params: RieszParams, depth: int) -> SparseSpectrum:
     Expanding each factor as 1 + (a/2)e(+q**k x) + (a/2)e(-q**k x) puts mass
     (a/2)**(number of nonzero digits) on every frequency sum_k eps_k * q**k with
     digits eps_k in {-1, 0, 1}; those sums are pairwise distinct for q >= 3, so
-    the 3**depth terms never collide.  Exact-zero coefficients (a = 0) are dropped.
+    the 3**depth terms never collide.  Each level prepends a new top digit to
+    arrays of all terms so far.  Exact-zero coefficients (a = 0) are dropped.
     """
     if depth < 0:
         raise InvalidInputError(f"depth must be >= 0, got {depth}")
@@ -60,27 +62,27 @@ def riesz_spectrum(params: RieszParams, depth: int) -> SparseSpectrum:
         raise ResourceLimitError(
             f"3**{depth} spectrum terms exceed the {MAX_SPECTRUM_TERMS:.0e} budget"
         )
+    if (params.q ** depth - 1) // (params.q - 1) >= 2 ** 63:  # the largest |frequency|
+        raise InvalidInputError(f"frequencies of depth {depth} at q={params.q} overflow int64")
     half = params.a / 2.0
-    coeffs: dict[int, float] = {0: 1.0}
+    freqs = np.zeros(1, dtype=np.int64)
+    coeffs = np.ones(1)
     for k in range(depth):
         step = params.q ** k
-        nxt: dict[int, float] = {}
-        for n, c in coeffs.items():
-            nxt[n] = nxt.get(n, 0.0) + c
-            side = c * half
-            nxt[n + step] = nxt.get(n + step, 0.0) + side
-            nxt[n - step] = nxt.get(n - step, 0.0) + side
-        coeffs = nxt
-    coeffs = {n: c for n, c in coeffs.items() if c != 0.0}
-    return SparseSpectrum.from_dict(coeffs, q=params.q)
+        freqs = np.concatenate((freqs - step, freqs, freqs + step))
+        side = coeffs * half
+        coeffs = np.concatenate((side, coeffs, side))
+    keep = coeffs != 0.0
+    return SparseSpectrum(freqs[keep], coeffs[keep], q=params.q)
 
 
-def _product_at_phases(params: RieszParams, depth: int, numerators: np.ndarray,
+def _product_at_phases(params: RieszParams, levels: range, numerators: np.ndarray,
                        denominator: int) -> np.ndarray:
-    # P_depth at x = numerators/denominator with exact integer phase reduction,
-    # so large q**k never loses precision in the cosine argument
+    # the factors k in ``levels`` multiplied at x = numerators/denominator, with
+    # exact integer phase reduction so large q**k never loses precision in the
+    # cosine argument; levels = range(depth) gives P_depth
     out = np.ones(numerators.shape[0])
-    for k in range(depth):
+    for k in levels:
         phase = (params.q ** k * numerators) % denominator
         out *= 1.0 + params.a * np.cos(2.0 * np.pi * phase / denominator)
     return out
@@ -90,7 +92,7 @@ def partial_product_values(params: RieszParams, depth: int, m: int) -> np.ndarra
     """P_depth evaluated at the m grid points j/m by direct factor multiplication."""
     if m < 1:
         raise InvalidInputError(f"grid size must be >= 1, got {m}")
-    return _product_at_phases(params, depth, np.arange(m, dtype=np.int64), m)
+    return _product_at_phases(params, range(depth), np.arange(m, dtype=np.int64), m)
 
 
 def _profile(q: int) -> np.ndarray:
@@ -195,10 +197,7 @@ def chebyshev_product_relerr(q: int, num_points: int = 100, seed: int = 0) -> fl
 def bound_prop4(q: int) -> float:
     """Even-q bound in its displayed singular-integral form, evaluated verbatim.
 
-    Note the sign bookkeeping of the last two terms differs from what direct
-    substitution of the identity into ``bound_theorem3`` would give; both values
-    are reported side by side rather than silently reconciled (``theorem3`` is
-    the certified one).
+    It differs from ``bound_theorem3``, the certified one, by ``prop4_gap``.
     """
     if q % 2 != 0 or q < 4:
         raise InvalidInputError(f"bound_prop4 needs even q >= 4, got {q}")
@@ -206,6 +205,20 @@ def bound_prop4(q: int) -> float:
     cos_q = math.cos(math.pi / q)
     inner = 2.0 * LOG2 - 2.0 / (q * cos_q) * log_integral(q)
     return 1.0 - (1.0 - LOG2) / logq - inner / (q * logq) - math.log(cos_q) / logq
+
+
+def prop4_gap(q: int) -> float:
+    """prop4 - theorem3 = 4L/(q**2 c log q) - 2 log(c)/log q for even q, with
+    L = ``log_integral(q)`` and c = cos(pi/q).
+
+    theorem3 = 1 - S/(q log q) for the profile entropy sum S, and the identity
+    S = (1 - log 2) q + 2 log 2 + 2L/(q c) - q log c turns it into
+    1 - (1 - log 2)/log q - 2 log 2/(q log q) - 2L/(q**2 c log q) + log(c)/log q.
+    prop4 has the last two terms with opposite signs: the gap is twice them.
+    """
+    logq = math.log(q)
+    cos_q = math.cos(math.pi / q)
+    return 4.0 * log_integral(q) / (q * q * cos_q * logq) - 2.0 * math.log(cos_q) / logq
 
 
 def bound_prop5(q: int) -> float:
@@ -241,14 +254,17 @@ def fan_main_term(params: RieszParams) -> float:
 
 def fan_consistency(params: RieszParams) -> float:
     """|theorem3 - fan_main| * q * log q, the scaled gap between the certified
-    bound and the asymptotic main term.
-
-    The paper's asymptotic agreement makes this bounded in q at |a| = 1.  For
-    |a| < 1 it grows like q: theorem3 does not depend on a, while fan_main
-    moves by (h(1) - h(a))/log q.
-    """
+    bound and the asymptotic main term."""
     q = params.q
     return abs(bound_theorem3(q) - fan_main_term(params)) * q * math.log(q)
+
+
+def fan_consistency_bounded(params: RieszParams) -> bool:
+    """The paper's agreement: ``fan_consistency`` <= 10 at |a| = 1.  For |a| < 1
+    only (theorem3 - fan_main) * q * log q <= 10 holds: theorem3 does not depend
+    on a, while fan_main rises by (h(1) - h(a))/log q, so the gap grows like q."""
+    return (fan_consistency(params) <= FAN_CONSISTENCY_ALLOWANCE
+            or (abs(params.a) < 1.0 and bound_theorem3(params.q) < fan_main_term(params)))
 
 
 class PeyriereEstimate(NamedTuple):
@@ -261,36 +277,36 @@ def peyriere_dimension(params: RieszParams, depth: int, m: int) -> PeyriereEstim
 
     Approximates 1 - (1/log q) * integral of log(1 + a*cos(2*pi*x)) dP_depth by a
     midpoint sum on m points; midpoints dodge the log singularities at |a| = 1.
-    The convergence flag compares against one more product level and a doubled
-    grid (both within 0.01); this is a comparison value, not a certificate.
+    The convergence flag asks that the last product level (the sum against
+    P_(depth-1), from the same product pass) and a doubled grid each move the
+    estimate by less than 0.01; this is a comparison value, not a certificate.
     """
     q = params.q
+    if depth < 1:
+        raise InvalidInputError(f"product depth must be >= 1, got {depth}")
     if m < 1 or m % q ** depth != 0:
         raise InvalidInputError(
             f"midpoint grid m={m} must be a positive multiple of q**depth={q ** depth}"
         )
     if m > MAX_PEYRIERE_GRID:
         raise ResourceLimitError(f"midpoint grid {m} exceeds the {MAX_PEYRIERE_GRID:.0e} budget")
-    base = _peyriere_raw(params, depth, m)
-    # the depth probe needs a grid commensurate with the added factor, else the
-    # factor is sampled only at cosine extremes and the probe is meaningless
-    if m % q ** (depth + 1) == 0:
-        probe = _peyriere_raw(params, depth + 1, m)
-    elif q * m <= MAX_PEYRIERE_GRID:
-        probe = _peyriere_raw(params, depth + 1, q * m)
-    else:
-        probe = _peyriere_raw(params, depth - 1, m)
-    refined_grid = _peyriere_raw(params, depth, 2 * m)
-    converged = (abs(probe - base) < 0.01) and (abs(refined_grid - base) < 0.01)
-    return PeyriereEstimate(base, converged)
+    previous, estimate = _peyriere_raw(params, depth, m)
+    refined_grid = _peyriere_raw(params, depth, 2 * m)[1]
+    converged = abs(estimate - previous) < 0.01 and abs(refined_grid - estimate) < 0.01
+    return PeyriereEstimate(estimate, converged)
 
 
-def _peyriere_raw(params: RieszParams, depth: int, m: int) -> float:
+def _peyriere_raw(params: RieszParams, depth: int, m: int) -> tuple[float, float]:
+    # the midpoint estimates against P_(depth-1) and P_depth, from one product pass
     numerators = 2 * np.arange(m, dtype=np.int64) + 1
     t = 1.0 + params.a * np.cos(np.pi * numerators / m)
     log_term = np.where(t > 0, np.log(np.maximum(t, np.finfo(float).tiny)), 0.0)
-    weights = _product_at_phases(params, depth, numerators, 2 * m)
-    return 1.0 - float(np.mean(log_term * weights)) / math.log(params.q)
+    weights = _product_at_phases(params, range(depth - 1), numerators, 2 * m)
+    previous = np.mean(log_term * weights)
+    weights *= _product_at_phases(params, range(depth - 1, depth), numerators, 2 * m)
+    current = np.mean(log_term * weights)
+    log_q = math.log(params.q)
+    return 1.0 - float(previous) / log_q, 1.0 - float(current) / log_q
 
 
 class DerivativeBoundReport(NamedTuple):
@@ -370,9 +386,9 @@ class BoundTableRow:
 def bound_table_row(params: RieszParams, entropy_level: int = 5) -> BoundTableRow:
     """Assemble the full comparison row.
 
-    The Peyriere proxy runs at the deepest product level (at most 8) whose
-    next level still fits 5e5 grid cells, on a grid of at least 2e5 points
-    and at least three blocks of q**depth.  The entropy proxy uses
+    The Peyriere proxy runs at product depth d, the largest d <= 8 with
+    q**(d+1) <= 5e5 (and d = 1 for q > 707), on a grid of at least 2e5 points
+    and at least three blocks of q**d.  The entropy proxy uses
     ``entropy_level``, lowered until q**level fits ``MAX_ENTROPY_GRID``, on a
     spectrum of depth 2*level, lowered until it fits ``MAX_SPECTRUM_TERMS``.
     """
@@ -381,7 +397,6 @@ def bound_table_row(params: RieszParams, entropy_level: int = 5) -> BoundTableRo
     while q ** (depth + 1) <= 5 * 10 ** 5 and depth < 8:
         depth += 1
     block = q ** depth
-    # multiplier >= 3 keeps the depth probe off degenerate grid alignments
     pey = peyriere_dimension(params, depth, block * max(3, -(-200_000 // block)))
     level = entropy_level
     while q ** level > MAX_ENTROPY_GRID and level > 1:

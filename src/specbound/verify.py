@@ -193,9 +193,8 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
     fan = [(rp.fan_consistency(rp.RieszParams(1.0, q)), f"q={q}") for q in (8, 16, 32, 64, 128)]
     prop5_dom = [(rp.bound_prop5(q) - rp.bound_theorem3(q), f"q={q}")
                  for q in range(3, max(q_max, 32) + 1)]
-    prop4_gap = ", ".join(
-        f"q={q}: {rp.bound_prop4(q) - rp.bound_theorem3(q):+.6f}" for q in range(4, q_max + 1, 2)
-    )
+    prop4_gaps = {q: rp.bound_prop4(q) - rp.bound_theorem3(q) for q in range(4, q_max + 1, 2)}
+    prop4_residual = float(np.max([abs(gap - rp.prop4_gap(q)) for q, gap in prop4_gaps.items()]))
     return [
         _worst("riesz/sum_integral_identity", identity, 1e-7),
         _worst("riesz/chebyshev_factorization", factorization, 1e-9),
@@ -208,10 +207,11 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
                     "sup of sin(x)(1 + log(1 + cos x)) on [0, pi/2]"),
         CheckResult("riesz/factor_entropy_1_lipschitz", lip_excess <= 1e-6, lip_excess,
                     "10^4 random amplitude pairs"),
-        _worst("riesz/fan_main_term_agreement", fan, 10.0),
+        _worst("riesz/fan_main_term_agreement", fan, rp.FAN_CONSISTENCY_ALLOWANCE),
         _worst("riesz/prop5_below_theorem3", prop5_dom, 1e-9),
-        CheckResult("riesz/prop4_sign_discrepancy_report", True, None,
-                    f"verbatim prop4 minus theorem3 (sign bookkeeping unresolved): {prop4_gap}"),
+        CheckResult("riesz/prop4_sign_discrepancy_report", prop4_residual <= 1e-12,
+                    prop4_residual, "verbatim prop4 minus theorem3, as derived: " + ", ".join(
+                        f"q={q}: {gap:+.6f}" for q, gap in prop4_gaps.items())),
     ]
 
 

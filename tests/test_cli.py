@@ -104,6 +104,15 @@ class TestSweepCommand:
         for row in table:
             assert row["fan_consistency"] <= 10.0
 
+    @pytest.mark.parametrize("a", ["0.5", "0.8"])
+    def test_below_unit_amplitude_passes(self, a, capsys):
+        # the two-sided fan gap exceeds 10 at q=64 and 128 here, the
+        # one-sided rule for |a| < 1 does not
+        code, data = payload(["sweep", "--q", "8..128", "--step", "x2", "--a", a], capsys)
+        assert code == 0
+        assert data["results"]["table"][-1]["fan_consistency"] > 10.0
+        assert all(c["passed"] for c in data["checks"])
+
     def test_even_only(self, capsys):
         code, data = payload(["sweep", "--q", "4..9", "--even-only",
                               "--entropy-level", "2"], capsys)

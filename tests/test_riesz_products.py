@@ -22,7 +22,44 @@ LOG_INTEGRAL_REFERENCE = {
 }
 
 
+def dict_riesz_spectrum(params, depth):
+    """The dict-built riesz_spectrum the array construction replaced, as the reference."""
+    half = params.a / 2.0
+    coeffs = {0: 1.0}
+    for k in range(depth):
+        step = params.q ** k
+        nxt = {}
+        for n, c in coeffs.items():
+            nxt[n] = nxt.get(n, 0.0) + c
+            side = c * half
+            nxt[n + step] = nxt.get(n + step, 0.0) + side
+            nxt[n - step] = nxt.get(n - step, 0.0) + side
+        coeffs = nxt
+    coeffs = {n: c for n, c in coeffs.items() if c != 0.0}
+    return SparseSpectrum.from_dict(coeffs, q=params.q)
+
+
 class TestRieszSpectrum:
+    @pytest.mark.parametrize("a", [0.0, 0.3, -0.3, 1.0, -1.0])
+    @pytest.mark.parametrize("q", [3, 4, 7])
+    def test_matches_dict_reference(self, q, a):
+        params = rp.RieszParams(a, q)
+        for depth in range(8):
+            spec = rp.riesz_spectrum(params, depth)
+            ref = dict_riesz_spectrum(params, depth)
+            assert np.array_equal(spec.frequencies, ref.frequencies)
+            assert spec.coefficients.tobytes() == ref.coefficients.tobytes()
+
+    def test_int64_overflow_guard(self):
+        # at q = 1448, depth 7 the top step q**6 fits int64 but the largest
+        # frequency q**6 + ... + 1 does not; at q = 1447 it still fits
+        with pytest.raises(InvalidInputError):
+            rp.riesz_spectrum(rp.RieszParams(1.0, 1448), 7)
+        params = rp.RieszParams(1.0, 1447)
+        spec = rp.riesz_spectrum(params, 7)
+        assert spec.max_abs_frequency == (1447 ** 7 - 1) // 1446 > 2 ** 62
+        assert np.array_equal(spec.frequencies, dict_riesz_spectrum(params, 7).frequencies)
+
     def test_zero_amplitude(self):
         spec = rp.riesz_spectrum(rp.RieszParams(0.0, 3), 5)
         assert dict(spec.items()) == {0: 1.0}
@@ -216,6 +253,16 @@ class TestFanTerm:
             params = rp.RieszParams(1.0, q)
             gap = abs(rp.bound_theorem3(q) - rp.fan_main_term(params))
             assert rp.fan_consistency(params) == gap * q * math.log(q) <= 10.0
+            assert rp.fan_consistency_bounded(params)
+
+    def test_fan_consistency_one_sided_below_unit_amplitude(self):
+        # theorem3 does not move with a, fan_main does: the two-sided gap
+        # outgrows the allowance, theorem3 - fan_main stays below it
+        for a in (0.5, -0.5, 0.8):
+            params = rp.RieszParams(a, 128)
+            assert rp.fan_consistency(params) > 10.0
+            assert rp.bound_theorem3(128) < rp.fan_main_term(params)
+            assert rp.fan_consistency_bounded(params)
 
     def test_factor_entropy_matches_quadrature_reference(self):
         # the defining integral over the symmetric half-period, by tanh-sinh
@@ -248,7 +295,77 @@ class TestFanTerm:
             assert abs(rp.factor_entropy(a1) - rp.factor_entropy(a2)) <= abs(a1 - a2) + 1e-8
 
 
+def three_evaluation_peyriere(params, depth, m):
+    """The peyriere_dimension the one-pass depth probe replaced, as the reference:
+    a separate grid evaluation for the depth probe (depth + 1 on m, else on q*m,
+    else depth - 1), one for the estimate and one for the doubled grid."""
+    def product(depth, numerators, denominator):
+        out = np.ones(numerators.shape[0])
+        for k in range(depth):
+            phase = (params.q ** k * numerators) % denominator
+            out *= 1.0 + params.a * np.cos(2.0 * np.pi * phase / denominator)
+        return out
+
+    def raw(depth, m):
+        numerators = 2 * np.arange(m, dtype=np.int64) + 1
+        t = 1.0 + params.a * np.cos(np.pi * numerators / m)
+        log_term = np.where(t > 0, np.log(np.maximum(t, np.finfo(float).tiny)), 0.0)
+        weights = product(depth, numerators, 2 * m)
+        return 1.0 - float(np.mean(log_term * weights)) / math.log(params.q)
+
+    q = params.q
+    base = raw(depth, m)
+    if m % q ** (depth + 1) == 0:
+        probe = raw(depth + 1, m)
+    elif q * m <= rp.MAX_PEYRIERE_GRID:
+        probe = raw(depth + 1, q * m)
+    else:
+        probe = raw(depth - 1, m)
+    refined_grid = raw(depth, 2 * m)
+    return base, (abs(probe - base) < 0.01) and (abs(refined_grid - base) < 0.01)
+
+
+def table_row_peyriere_args(q):
+    """The (depth, m) that bound_table_row passes to peyriere_dimension."""
+    seen = []
+
+    def spy(params, depth, m):
+        seen.append((depth, m))
+        return rp.PeyriereEstimate(1.0, True)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rp, "peyriere_dimension", spy)
+        rp.bound_table_row(rp.RieszParams(0.0, q), entropy_level=1)
+    return seen[0]
+
+
+PEYRIERE_TABLE_CASES = [(q, a) for q in (3, 4, 5, 8, 16, 32, 64, 128)
+                        for a in (-1.0, -0.5, 0.0, 0.5, 0.95, 1.0)]
+# the inputs of the other TestPeyriere tests and of acceptance criterion 8,
+# and a three-point grid on which both flags are False
+PEYRIERE_DIRECT_CASES = [(0.0, 4, 3, 4 ** 3 * 4), (1.0, 3, 4, 3 ** 4 * 5),
+                         (0.5, 4, 4, 4 ** 4 * 5), (-1.0, 5, 4, 5 ** 4 * 5),
+                         (1.0, 4, 6, 4 ** 8), (1.0, 4, 8, 4 ** 10), (1.0, 3, 1, 3)]
+
+
 class TestPeyriere:
+    @pytest.mark.parametrize("q, a", PEYRIERE_TABLE_CASES)
+    def test_table_row_matches_three_evaluation_reference(self, q, a):
+        depth, m = table_row_peyriere_args(q)
+        params = rp.RieszParams(a, q)
+        assert tuple(rp.peyriere_dimension(params, depth, m)) == \
+            three_evaluation_peyriere(params, depth, m)
+
+    @pytest.mark.parametrize("a, q, depth, m", PEYRIERE_DIRECT_CASES)
+    def test_matches_three_evaluation_reference(self, a, q, depth, m):
+        params = rp.RieszParams(a, q)
+        assert tuple(rp.peyriere_dimension(params, depth, m)) == \
+            three_evaluation_peyriere(params, depth, m)
+
+    def test_depth_zero_rejected(self):
+        with pytest.raises(InvalidInputError):
+            rp.peyriere_dimension(rp.RieszParams(1.0, 3), 0, 30)
+
     def test_lebesgue_case_exact(self):
         result = rp.peyriere_dimension(rp.RieszParams(0.0, 4), 3, 4 ** 3 * 4)
         assert result.estimate == 1.0

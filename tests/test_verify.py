@@ -39,6 +39,12 @@ class TestSuites:
         checks = verify.riesz_identity_suite(q_max=8)
         assert checks and all(c.passed for c in checks)
 
+    def test_prop4_gap_matches_derived_formula(self):
+        checks = {c.name: c for c in verify.riesz_identity_suite(q_max=64)}
+        prop4 = checks["riesz/prop4_sign_discrepancy_report"]
+        assert prop4.passed and prop4.residual <= 1e-12
+        assert "q=4: +0.057305" in prop4.detail and "q=64: " in prop4.detail
+
     def test_martingale_suite_passes(self):
         checks = verify.martingale_suite(q=4, a=1.0, depth=4, n_subsets=15)
         assert checks and all(c.passed for c in checks)
