@@ -17,7 +17,6 @@ from .kappa_bound import (
     kappa_left_derivative_fd,
     kappa_prime_1,
     polytope_vertices,
-    subgroup_bound,
 )
 from .gv_martingale import (
     MartingaleSequence,
@@ -56,8 +55,6 @@ from .zq_spectral import (
     dft_zq,
     in_cb,
     inverse_dft_zq,
-    minimal_subgroup_containing,
-    q_valuation,
     symmetrize,
     wb_basis,
 )

@@ -178,12 +178,12 @@ def _riesz_row(params: rp.RieszParams,
     if table.peyriere_converged:
         checks.append(verify.CheckResult(
             f"riesz/q={q}/certified_below_peyriere",
-            table.theorem3 <= table.peyriere + 0.02,
+            table.theorem3 <= table.peyriere + rp.PEYRIERE_SLACK,
             table.theorem3 - table.peyriere,
             "a lower bound must not exceed the dimension estimate"))
     checks.append(verify.CheckResult(
         f"riesz/q={q}/certified_below_entropy",
-        table.theorem3 <= table.entropy_est + 0.05,
+        table.theorem3 <= table.entropy_est + rp.ENTROPY_SLACK,
         table.theorem3 - table.entropy_est,
         "entropy proxy dominates any valid lower bound"))
     return row, checks

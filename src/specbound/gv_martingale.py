@@ -133,11 +133,11 @@ def spectral_projection_check(spec: SparseSpectrum, grid: QadicGrid, k: int,
 
 
 def _require_spectrum_in_cb(spec: SparseSpectrum, b: ResidueSet) -> None:
-    for n in spec.frequencies.tolist():
-        if not in_cb(int(n), b):
-            raise PreconditionError(
-                f"frequency {n} is outside the restricted set for B={sorted(b.members)} mod {b.q}"
-            )
+    outside = spec.frequencies[~in_cb(spec.frequencies, b)]
+    if outside.size:
+        raise PreconditionError(
+            f"frequency {outside[0]} is outside the restricted set for B={sorted(b.members)} mod {b.q}"
+        )
 
 
 def wb_membership_check(seq: MartingaleSequence, b: ResidueSet) -> float:

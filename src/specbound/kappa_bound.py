@@ -25,14 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError, ResourceLimitError
-from .zq_spectral import (
-    ResidueSet,
-    Subgroup,
-    SubspaceBasis,
-    minimal_subgroup_containing,
-    symmetrize,
-    wb_basis,
-)
+from .zq_spectral import ResidueSet, SubspaceBasis, symmetrize, wb_basis
 
 FEASIBILITY_TOL = 1e-9
 DEDUP_TOL = 1e-7
@@ -253,23 +246,6 @@ def kappa_left_derivative_fd(polytope: FeasiblePolytope, h: float) -> float:
     return -kappa(1.0 - h, polytope) / h
 
 
-class SubgroupBound(NamedTuple):
-    bound: float
-    subgroup: Subgroup
-    proper: bool
-
-
-def subgroup_bound(b: ResidueSet) -> SubgroupBound:
-    """Coarse bound 1 - log|H|/log q from the smallest subgroup H containing B.
-
-    Empty B is contained in the trivial subgroup, giving bound 1.
-    """
-    if not b.members:
-        return SubgroupBound(1.0, Subgroup(b.q, b.q), False)
-    h, proper = minimal_subgroup_containing(b)
-    return SubgroupBound(1.0 - math.log(h.order) / math.log(b.q), h, proper)
-
-
 @dataclass(frozen=True)
 class DimensionBound:
     """Certified lower bound 1 + kappa'(1)/log q for spectra restricted by B."""
@@ -289,23 +265,31 @@ class DimensionBound:
 
 
 def dimension_bound(b: ResidueSet) -> DimensionBound:
+    """The certified bound for the symmetrized ``b``, beside the subgroup bound.
+
+    The smallest subgroup H of Z_q containing B is the multiples of
+    g = gcd(B | {q}); empty B gives g = q, the trivial subgroup and bound 1.
+    """
     b_sym = symmetrize(b)
     was_symmetrized = b_sym.members != b.members
     polytope = FeasiblePolytope.from_residues(b_sym)
     kp = kappa_prime_1(polytope)
-    raw = 1.0 + kp.value / math.log(b_sym.q)
+    q = b_sym.q
+    raw = 1.0 + kp.value / math.log(q)
     bound = min(1.0, max(0.0, raw))
-    sub = subgroup_bound(b_sym)
+    g = math.gcd(q, *b_sym.members)
+    subgroup = tuple(range(0, q, g))
+    subgroup_bound = 1.0 - math.log(q // g) / math.log(q)
     return DimensionBound(
-        q=b_sym.q,
+        q=q,
         members=b_sym.sorted_members,
         kappa_prime_1=kp.value,
         bound=bound,
         raw_bound=raw,
-        subgroup_bound=sub.bound,
-        subgroup=sub.subgroup.elements,
-        proper_inclusion=sub.proper,
-        delta=bound - sub.bound,
+        subgroup_bound=subgroup_bound,
+        subgroup=subgroup,
+        proper_inclusion=b_sym.members != set(subgroup[1:]),
+        delta=bound - subgroup_bound,
         witness_vertex=tuple(float(x) for x in kp.witness),
         vertex_count=len(polytope.vertex_set),
         symmetrized=was_symmetrized,

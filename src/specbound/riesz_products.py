@@ -28,6 +28,10 @@ MAX_SPECTRUM_TERMS = 10 ** 7
 MAX_ENTROPY_GRID = 10 ** 6
 MAX_PEYRIERE_GRID = 10 ** 7
 FAN_CONSISTENCY_ALLOWANCE = 10.0  # see fan_consistency_bounded
+# how far theorem3 may sit above a converged Peyriere estimate, and above the
+# entropy proxy, in the certified_below_* checks of the riesz table
+PEYRIERE_SLACK = 0.02
+ENTROPY_SLACK = 0.05
 _DERIVATIVE_BLOCK = 4096  # grid points per block of g_derivative_bound_check
 
 LOG2 = math.log(2.0)
@@ -312,7 +316,6 @@ def _peyriere_raw(params: RieszParams, depth: int, m: int) -> tuple[float, float
 class DerivativeBoundReport(NamedTuple):
     sup_estimate: float
     lipschitz_constant: float
-    passed: bool
 
 
 def g_derivative_bound_check(x_points: int = 100_000) -> DerivativeBoundReport:
@@ -336,8 +339,7 @@ def g_derivative_bound_check(x_points: int = 100_000) -> DerivativeBoundReport:
         sup = max(sup, float(np.max(np.abs(deriv))))
     half = np.linspace(0.0, np.pi / 2.0, x_points)
     lipschitz = float(np.max(np.sin(half) * (1.0 + np.log1p(np.cos(half)))))
-    passed = sup <= 2.0 and 1.2 <= lipschitz <= 1.25
-    return DerivativeBoundReport(sup, lipschitz, passed)
+    return DerivativeBoundReport(sup, lipschitz)
 
 
 def entropy_dimension_estimate(params: RieszParams, depth: int, level: int) -> float:

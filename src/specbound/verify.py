@@ -18,9 +18,12 @@ from . import gv_martingale as gv
 from . import kappa_bound as kb
 from . import riesz_products as rp
 from . import zq_spectral as zq
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 
 FD_STEPS = (1e-2, 1e-3, 1e-4)
+# subsets x grid points drawn by the set-average chain: the default 100 subsets
+# fit on every grid that gv.MAX_GRID admits
+MAX_SUBSET_POINTS = 100 * gv.MAX_GRID
 
 
 @dataclass(frozen=True)
@@ -149,14 +152,14 @@ def _counterexample_check(q: int = 4, l: int = 1) -> CheckResult:
     documents that non-negativity is a necessary hypothesis of the bounds."""
     spec = zq.counterexample_measure(q, l)
     b = zq.ResidueSet.of(q, [l])
-    outside = [n for n, _ in spec.items() if not zq.in_cb(int(n), b)]
+    restricted = bool(zq.in_cb(spec.frequencies, b).all())
     profile = np.array([1.0 if r == l else 0.0 for r in range(q)], dtype=complex)
     weights = zq.inverse_dft_zq(profile)
     atoms = int(np.sum(np.abs(weights) > 1e-12))
     uniform = float(np.max(np.abs(np.abs(weights) - 1.0 / q)))
     # weights must be genuinely complex, not just off the non-negative cone
     complex_weights = bool(np.max(np.abs(weights.imag)) > 0.1 / q)
-    passed = not outside and atoms == q and uniform < 1e-12 and complex_weights
+    passed = restricted and atoms == q and uniform < 1e-12 and complex_weights
     detail = (
         f"complex measure with spectrum in the class {l} mod {q}: {atoms} atoms of "
         f"modulus 1/{q}, not non-negative, dimension 0 -- the restricted-spectrum "
@@ -254,12 +257,23 @@ def _dftlemma_residual(seq: gv.MartingaleSequence) -> float:
 def martingale_suite(q: int = 3, a: float = 1.0, depth: int = 6,
                      p_values: tuple[float, ...] = (1.25, 2.0, 4.0),
                      seed: int = 0, n_subsets: int = 100) -> list[CheckResult]:
+    """The martingale checks on the Riesz product at (q, a) over the q**depth grid.
+
+    Each of the ``n_subsets`` random subsets of the set-average chain costs time
+    linear in the grid size, so ``n_subsets * q**depth`` above
+    ``MAX_SUBSET_POINTS`` (1e9) raises :class:`ResourceLimitError` before any work.
+    """
     if n_subsets < 1:
         raise InvalidInputError(f"need at least one random subset, got {n_subsets}")
     rng = np.random.default_rng(seed)
     params = rp.RieszParams(a, q)
     b = zq.ResidueSet.of(q, [1, q - 1])
     grid = gv.QadicGrid(q, depth)
+    if n_subsets * grid.size > MAX_SUBSET_POINTS:
+        raise ResourceLimitError(
+            f"{n_subsets} subsets of the {grid.size}-point grid exceed the "
+            f"{MAX_SUBSET_POINTS:.0e} subset-point budget"
+        )
     spec = rp.riesz_spectrum(params, depth)
     f = gv.sample_on_grid(spec, grid)
     seq = gv.martingale_levels(f, grid, source=spec)

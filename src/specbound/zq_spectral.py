@@ -3,15 +3,15 @@
 This module owns the small-q discrete Fourier transform, the symmetric residue
 sets B that parameterize which spectra are allowed, the real subspace of
 admissible sibling differences (zero-sum q-vectors whose transform is supported
-on B), and the divisibility predicates for membership in the restricted
-frequency set C_B = {k*q**v : k mod q in B, v >= 0} | {0}.
+on B), and the elementwise membership predicate for the restricted frequency
+set C_B = {k*q**v : k mod q in B, v >= 0} | {0}.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -48,12 +48,6 @@ class ResidueSet:
     @property
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.sorted_members)
 
 
 def symmetrize(b: ResidueSet) -> ResidueSet:
@@ -143,67 +137,19 @@ def wb_basis(b: ResidueSet) -> SubspaceBasis:
     return SubspaceBasis(q=q, dim=columns.shape[1], columns=columns)
 
 
-def q_valuation(n: int, q: int) -> tuple[int, int]:
-    """Write n = k * q**v with q not dividing k; returns (v, k).  n must be nonzero."""
-    if q < 2:
-        raise InvalidInputError(f"base must be >= 2, got {q}")
-    if n == 0:
-        raise InvalidInputError("q_valuation undefined at 0")
-    v, k = 0, int(n)
-    while k % q == 0:
-        k //= q
-        v += 1
-    return v, k
+def in_cb(n: int | np.ndarray, b: ResidueSet) -> np.ndarray:
+    """Membership of integer frequencies in C_B, elementwise over an int or int64 array.
 
-
-def in_cb(n: int, b: ResidueSet) -> bool:
-    """Membership of the integer frequency n in C_B.
-
-    True iff n == 0 or n = k * q**v with q not dividing k and (k mod q) in B.
+    True where n == 0 or n = k * q**v with q not dividing k and (k mod q) in B.
     Negative n is tested literally: the cofactor keeps its sign and its residue
     is reduced into 0..q-1, so n and -n agree whenever B is symmetric.
     """
-    if n == 0:
-        return True
-    _, k = q_valuation(n, b.q)
-    return (k % b.q) in b.members
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """The subgroup of Z_q generated by a divisor d of q: all multiples of d."""
-
-    q: int
-    generator: int
-
-    @property
-    def order(self) -> int:
-        return self.q // self.generator
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return tuple(range(0, self.q, self.generator))
-
-
-class MinimalSubgroup(NamedTuple):
-    subgroup: Subgroup
-    proper_inclusion: bool
-
-
-def minimal_subgroup_containing(b: ResidueSet) -> MinimalSubgroup:
-    """Smallest subgroup H of Z_q with B contained in H \\ {0}.
-
-    H is the set of multiples of gcd(B | {q}).  ``proper_inclusion`` flags
-    B != H \\ {0}, the case where the subgroup bound is known to be loose.
-    """
-    if not b.members:
-        raise InvalidInputError("minimal_subgroup_containing needs a nonempty residue set")
-    g = b.q
-    for m in b.members:
-        g = math.gcd(g, m)
-    h = Subgroup(b.q, g)
-    proper = set(b.members) != set(h.elements) - {0}
-    return MinimalSubgroup(h, proper)
+    q = b.q
+    k = np.asarray(n, dtype=np.int64)
+    # strip factors of q from the nonzero entries: at most log_q(2**63) rounds
+    while (divisible := (k % q == 0) & (k != 0)).any():
+        k = np.where(divisible, k // q, k)
+    return (k == 0) | np.isin(k % q, list(b.members))
 
 
 def counterexample_measure(q: int, l: int) -> SparseSpectrum:

@@ -162,6 +162,16 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_subset_budget_exit_code(self, capsys):
+        # 1e9 subsets of the default 729-point grid would run for days
+        start = time.monotonic()
+        code, out, err = run_main(["verify", "--suite", "martingale", "--subsets", "1000000000"],
+                                  capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource guard: ")
+        assert time.monotonic() - start < 1.0
+
     def test_non_finite_p_rejected(self, capsys):
         code, _, err = run_main(["verify", "--suite", "martingale", "--p", "1,nan"], capsys)
         assert code == 2

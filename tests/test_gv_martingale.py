@@ -160,7 +160,10 @@ class TestSiblingDifferences:
             for freq, coeff in spec.items():
                 if freq == 0:
                     continue
-                v, d = zq.q_valuation(int(freq), q)
+                v, d = 0, freq
+                while d % q == 0:
+                    d //= q
+                    v += 1
                 if v == n - k:
                     e[d % q] += coeff * np.exp(2j * np.pi * freq * x0)
             expected = (omega @ e).real

@@ -363,30 +363,35 @@ class TestDimensionBound:
 
 
 class TestSubgroupBound:
+    # the subgroup bound 1 - log|H|/log q, H the multiples of gcd(B | {q})
     def test_q4(self):
-        result = kb.subgroup_bound(zq.ResidueSet.of(4, [2]))
-        assert abs(result.bound - 0.5) <= 1e-15
-        assert result.subgroup.elements == (0, 2)
-        assert not result.proper
+        result = kb.dimension_bound(zq.ResidueSet.of(4, [2]))
+        assert abs(result.subgroup_bound - 0.5) <= 1e-15
+        assert result.subgroup == (0, 2)
+        assert not result.proper_inclusion
 
     def test_q8_proper(self):
-        result = kb.subgroup_bound(zq.ResidueSet.of(8, [2]))
-        assert abs(result.bound - (1 - math.log(4) / math.log(8))) <= 1e-15
-        assert result.proper
+        # B = {2} is symmetrized to {2, 6}, still a proper part of {2, 4, 6}
+        result = kb.dimension_bound(zq.ResidueSet.of(8, [2]))
+        assert abs(result.subgroup_bound - (1 - math.log(4) / math.log(8))) <= 1e-15
+        assert result.subgroup == (0, 2, 4, 6)
+        assert result.proper_inclusion
 
     def test_q5_whole_group(self):
-        result = kb.subgroup_bound(zq.ResidueSet.of(5, [1, 4]))
-        assert result.bound == 0.0
-        assert result.subgroup.order == 5
+        result = kb.dimension_bound(zq.ResidueSet.of(5, [1, 4]))
+        assert result.subgroup_bound == 0.0
+        assert len(result.subgroup) == 5
 
     def test_empty_convention(self):
-        assert kb.subgroup_bound(zq.ResidueSet.of(6, [])).bound == 1.0
+        result = kb.dimension_bound(zq.ResidueSet.of(6, []))
+        assert result.subgroup_bound == 1.0
+        assert result.subgroup == (0,)
+        assert not result.proper_inclusion
 
     def test_strict_gain_when_proper(self):
-        sub = kb.subgroup_bound(zq.ResidueSet.of(8, [2, 6]))
         dim = kb.dimension_bound(zq.ResidueSet.of(8, [2, 6]))
-        assert sub.proper
-        assert dim.bound >= sub.bound + 1e-6
+        assert dim.proper_inclusion
+        assert dim.bound >= dim.subgroup_bound + 1e-6
 
 
 class TestDefReform:

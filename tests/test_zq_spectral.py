@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specbound import kappa_bound as kb
 from specbound import zq_spectral as zq
 from specbound.errors import InvalidInputError
 
@@ -124,27 +127,74 @@ class TestWbBasis:
                 assert basis.dim == rank
 
 
+def q_valuation(n: int, q: int) -> tuple[int, int]:
+    """Reference: n = k * q**v with q not dividing k; returns (v, k).  n != 0."""
+    if n == 0:
+        raise InvalidInputError("q_valuation undefined at 0")
+    v, k = 0, int(n)
+    while k % q == 0:
+        k //= q
+        v += 1
+    return v, k
+
+
+def scalar_in_cb(n: int, b: zq.ResidueSet) -> bool:
+    """Reference: membership of one Python-int frequency, via ``q_valuation``."""
+    if n == 0:
+        return True
+    _, k = q_valuation(n, b.q)
+    return (k % b.q) in b.members
+
+
+def frequency_arrays(q: int):
+    """Lists of int64 frequencies mixing 0, small values of both signs,
+    multiples of high powers of q and values near +-2**62."""
+    top = int(math.log(2 ** 62, q))
+    power_multiples = st.integers(0, top).flatmap(lambda v: st.integers(
+        -(2 ** 62) // q ** v, 2 ** 62 // q ** v).map(lambda k: k * q ** v))
+    return st.lists(st.one_of(
+        st.just(0),
+        st.integers(-3 * q * q, 3 * q * q),
+        power_multiples,
+        st.integers(2 ** 62 - 1000, 2 ** 62),
+        st.integers(-(2 ** 62), -(2 ** 62) + 1000),
+    ), min_size=1, max_size=40)
+
+
 class TestArithmetic:
+    # q_valuation and scalar_in_cb above are the references for the array in_cb
     @pytest.mark.parametrize("n,q,expected", [
         (54, 3, (3, 2)),
         (7, 3, (0, 7)),
         (-18, 3, (2, -2)),
     ])
     def test_q_valuation(self, n, q, expected):
-        assert zq.q_valuation(n, q) == expected
+        assert q_valuation(n, q) == expected
 
     def test_q_valuation_zero(self):
         with pytest.raises(InvalidInputError):
-            zq.q_valuation(0, 3)
+            q_valuation(0, 3)
 
     @given(st.integers(min_value=-10**9, max_value=10**9).filter(lambda n: n != 0),
            st.integers(min_value=2, max_value=50))
     @settings(max_examples=200, deadline=None)
     def test_q_valuation_reconstructs(self, n, q):
-        v, k = zq.q_valuation(n, q)
+        v, k = q_valuation(n, q)
         assert n == k * q ** v
         assert k % q != 0
         assert v >= 0
+
+    @given(st.data(), st.integers(min_value=3, max_value=50), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_in_cb_matches_scalar_reference(self, data, q, symmetric):
+        members = data.draw(st.sets(st.integers(min_value=1, max_value=q - 1)))
+        b = zq.ResidueSet.of(q, members)
+        if symmetric:
+            b = zq.symmetrize(b)
+        n = np.array(data.draw(frequency_arrays(q)), dtype=np.int64)
+        expected = [scalar_in_cb(int(x), b) for x in n]
+        assert zq.in_cb(n, b).tolist() == expected
+        assert [bool(zq.in_cb(int(x), b)) for x in n] == expected
 
     def test_in_cb_examples(self):
         assert zq.in_cb(0, zq.ResidueSet.of(4, [2]))
@@ -163,20 +213,24 @@ class TestArithmetic:
         assert not zq.in_cb(-1, b)
         assert zq.in_cb(-4, b)
         sym = zq.symmetrize(b)
-        for n in range(-30, 31):
-            assert zq.in_cb(n, sym) == zq.in_cb(abs(n), sym)
+        n = np.arange(-30, 31)
+        assert np.array_equal(zq.in_cb(n, sym), zq.in_cb(np.abs(n), sym))
 
 
 class TestSubgroups:
-    # the subgroup generated by a divisor d of q is the multiples of d
+    # dimension_bound's subgroup: the multiples of the divisor gcd(B | {q}) of q
+    @staticmethod
+    def subgroup(q, members):
+        return kb.dimension_bound(zq.ResidueSet.of(q, members)).subgroup
+
     def test_q4(self):
-        assert [zq.Subgroup(4, d).elements for d in (4, 2, 1)] == [(0,), (0, 2), (0, 1, 2, 3)]
+        assert [self.subgroup(4, b) for b in ([], [2], [1, 3])] == [(0,), (0, 2), (0, 1, 2, 3)]
 
     def test_q6_orders(self):
-        assert [zq.Subgroup(6, d).order for d in (6, 3, 2, 1)] == [1, 2, 3, 6]
+        assert [len(self.subgroup(6, b)) for b in ([], [3], [2, 4], [1, 5])] == [1, 2, 3, 6]
 
     def test_prime(self):
-        assert [zq.Subgroup(5, d).order for d in (5, 1)] == [1, 5]
+        assert [len(self.subgroup(5, b)) for b in ([], [1, 4])] == [1, 5]
 
     @pytest.mark.parametrize("q,members,elements,proper", [
         (4, [2], (0, 2), False),
@@ -184,13 +238,9 @@ class TestSubgroups:
         (5, [1, 4], (0, 1, 2, 3, 4), True),
     ])
     def test_minimal_subgroup(self, q, members, elements, proper):
-        result = zq.minimal_subgroup_containing(zq.ResidueSet.of(q, members))
-        assert result.subgroup.elements == elements
+        result = kb.dimension_bound(zq.ResidueSet.of(q, members))
+        assert result.subgroup == elements
         assert result.proper_inclusion == proper
-
-    def test_minimal_subgroup_empty(self):
-        with pytest.raises(InvalidInputError):
-            zq.minimal_subgroup_containing(zq.ResidueSet.of(4, []))
 
 
 class TestCounterexampleMeasure:
@@ -219,7 +269,7 @@ class TestCounterexampleMeasure:
         q, l = 4, 1
         spec = zq.counterexample_measure(q, l)
         b = zq.ResidueSet.of(q, [l])
-        assert all(zq.in_cb(int(n), b) for n, _ in spec.items())
+        assert zq.in_cb(spec.frequencies, b).all()
 
     def test_q_unit_atoms(self):
         q, l = 4, 1
