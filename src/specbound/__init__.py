@@ -22,7 +22,6 @@ from .gv_martingale import (
     MartingaleSequence,
     QadicGrid,
     growth_check,
-    lp_norm,
     martingale_levels,
     phi_kernel_mass_sandwich,
     sample_on_grid,
@@ -52,9 +51,7 @@ from .zq_spectral import (
     ResidueSet,
     SubspaceBasis,
     counterexample_measure,
-    dft_zq,
     in_cb,
-    inverse_dft_zq,
     symmetrize,
     wb_basis,
 )

@@ -7,9 +7,10 @@ Each command returns its results and checks; ``main`` times the call and
 builds the one report envelope.  The envelope's config block lists only the
 options that were set (or have a parser default).
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
-violated precondition or empty range, 3 resource guard tripped or memory
-exhausted, 4 numerical failure.  JSON payloads are deterministic for a fixed
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error
+(including a verify option no selected suite reads), violated precondition,
+empty range or a report that cannot be written, 3 resource guard tripped or
+memory exhausted, 4 numerical failure.  JSON payloads are deterministic for a fixed
 config and seed except for the wall_time_s field.
 """
 
@@ -80,14 +81,7 @@ class ReportEnvelope:
         return all(c["passed"] for c in self.checks)
 
     def to_json(self) -> str:
-        payload = {
-            "version": self.version,
-            "config": self.config,
-            "results": self.results,
-            "checks": self.checks,
-            "wall_time_s": self.wall_time_s,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True, allow_nan=False,
                           default=_json_default)
 
 
@@ -212,21 +206,31 @@ def cmd_sweep(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
     return {"table": rows, "extra_columns": ["fan_consistency"]}, checks
 
 
+# the options each suite reads besides --seed: (RunConfig field, suite keyword, flag)
+SUITE_OPTIONS = {
+    "kappa": [("q_max", "q_max", "--q-max")],
+    "riesz-identities": [("q_max", "q_max", "--q-max")],
+    "martingale": [("q", "q", "--q"), ("a", "a", "--a"), ("levels", "depth", "--n"),
+                   ("p_values", "p_values", "--p"), ("subsets", "n_subsets", "--subsets")],
+}
+
+
 def cmd_verify(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
     suite = config.suite
     if suite not in set(verify.SUITES) | {"all"}:
         raise InvalidInputError(
             f"unknown suite {suite!r}; choose from {sorted(verify.SUITES)} or 'all'"
         )
+    selected = list(verify.SUITES) if suite == "all" else [suite]
+    read = {name for s in selected for name, _, _ in SUITE_OPTIONS[s]}
+    ignored = sorted({flag for options in SUITE_OPTIONS.values() for name, _, flag in options
+                      if name not in read and getattr(config, name) is not None})
+    if ignored:
+        raise InvalidInputError(f"suite {suite!r} does not read {', '.join(ignored)}")
     checks: list[verify.CheckResult] = []
-    if suite in ("kappa", "all"):
-        checks += verify.kappa_suite(seed=config.seed, **_given(q_max=config.q_max))
-    if suite in ("riesz-identities", "all"):
-        checks += verify.riesz_identity_suite(seed=config.seed, **_given(q_max=config.q_max))
-    if suite in ("martingale", "all"):
-        checks += verify.martingale_suite(seed=config.seed, **_given(
-            q=config.q, a=config.a, depth=config.levels, p_values=config.p_values,
-            n_subsets=config.subsets))
+    for s in selected:
+        checks += verify.SUITES[s](seed=config.seed, **_given(**{
+            keyword: getattr(config, name) for name, keyword, _ in SUITE_OPTIONS[s]}))
     results = {
         "suite": suite,
         "total": len(checks),
@@ -370,29 +374,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    common = dict(command=args.command, output_format=args.output_format,
+                  output=args.output, seed=args.seed)
     if args.command == "bound":
-        return RunConfig(command="bound", q=args.q, b=_parse_residues(args.b),
-                         output_format=args.output_format, output=args.output,
-                         seed=args.seed)
+        return RunConfig(q=args.q, b=_parse_residues(args.b), **common)
     if args.command == "riesz":
-        return RunConfig(command="riesz", q=args.q, a=args.a,
-                         entropy_level=args.entropy_level,
-                         output_format=args.output_format, output=args.output,
-                         seed=args.seed)
+        return RunConfig(q=args.q, a=args.a, entropy_level=args.entropy_level, **common)
     if args.command == "verify":
-        return RunConfig(command="verify", suite=args.suite, q=args.q, q_max=args.q_max,
-                         a=args.a, levels=args.n,
+        return RunConfig(suite=args.suite, q=args.q, q_max=args.q_max, a=args.a, levels=args.n,
                          p_values=_parse_p_list(args.p) if args.p else None,
-                         subsets=args.subsets,
-                         output_format=args.output_format, output=args.output,
-                         seed=args.seed)
+                         subsets=args.subsets, **common)
     if args.command == "sweep":
-        return RunConfig(command="sweep", a=args.a,
-                         q_range=_parse_range(args.q, args.step),
-                         even_only=args.even_only,
-                         entropy_level=args.entropy_level,
-                         output_format=args.output_format, output=args.output,
-                         seed=args.seed)
+        return RunConfig(a=args.a, q_range=_parse_range(args.q, args.step),
+                         even_only=args.even_only, entropy_level=args.entropy_level, **common)
     raise InvalidInputError(f"unknown command {args.command!r}")
 
 
@@ -435,7 +429,11 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    _emit(envelope, config)
+    try:
+        _emit(envelope, config)
+    except OSError as exc:
+        print(f"error: cannot write report to {config.output or 'stdout'}: {exc}", file=sys.stderr)
+        return 2
     return 0 if envelope.all_passed else 1
 
 

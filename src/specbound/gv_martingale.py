@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError, ResourceLimitError
-from .kappa_bound import FeasiblePolytope, kappa, power_mean
+from .kappa_bound import SLACK, FeasiblePolytope, kappa, power_mean
 from .spectrum import SparseSpectrum, centered_interval_masses, synthesize_on_grid
 from .zq_spectral import ResidueSet, in_cb, wb_basis
 
@@ -99,6 +99,10 @@ class MartingaleSequence:
             raise InvalidInputError(f"level {k} outside 1..{self.levels}")
         return self.class_values[k].reshape(self.grid.q, -1)
 
+    def differences(self, k: int) -> np.ndarray:
+        """Sibling differences: each child of a level-(k-1) atom minus the atom's value."""
+        return self.sibling_matrix(k) - self.class_values[k - 1][None, :]
+
 
 def martingale_levels(f: np.ndarray, grid: QadicGrid,
                       source: SparseSpectrum | None = None) -> MartingaleSequence:
@@ -118,11 +122,17 @@ def martingale_levels(f: np.ndarray, grid: QadicGrid,
     return MartingaleSequence(grid=grid, class_values=levels, source=source)
 
 
-def spectral_projection_check(spec: SparseSpectrum, grid: QadicGrid, k: int,
-                              seq: MartingaleSequence) -> float:
-    """Max deviation of the averaged level k of ``seq`` (built from ``spec`` on
-    ``grid``) from direct Fourier synthesis of the frequencies divisible by
-    q**(N-k).  Small residual validates both paths."""
+def _source(seq: MartingaleSequence) -> SparseSpectrum:
+    if seq.source is None:
+        raise PreconditionError("sequence carries no source spectrum to validate")
+    return seq.source
+
+
+def spectral_projection_check(seq: MartingaleSequence, k: int) -> float:
+    """Max deviation of the averaged level k of ``seq`` from direct Fourier
+    synthesis of its source's frequencies divisible by q**(N-k).  Small
+    residual validates both paths."""
+    spec, grid = _source(seq), seq.grid
     if not 0 <= k <= grid.levels:
         raise InvalidInputError(f"level {k} outside 0..{grid.levels}")
     divisor = grid.q ** (grid.levels - k)
@@ -147,25 +157,18 @@ def wb_membership_check(seq: MartingaleSequence, b: ResidueSet) -> float:
     Requires the source spectrum to lie in the restricted set (raises
     :class:`PreconditionError` naming the first offending frequency otherwise).
     """
-    if seq.source is None:
-        raise PreconditionError("sequence carries no source spectrum to validate")
-    _require_spectrum_in_cb(seq.source, b)
+    _require_spectrum_in_cb(_source(seq), b)
     basis = wb_basis(b)
     worst = 0.0
     for k in range(1, seq.levels + 1):
-        residual = basis.project_off(seq.sibling_matrix(k) - seq.class_values[k - 1][None, :])
+        residual = basis.project_off(seq.differences(k))
         worst = max(worst, float(np.max(np.sqrt(np.sum(residual ** 2, axis=0)))))
     return worst
 
 
-def lp_norm(values: np.ndarray, p: float, grid: QadicGrid) -> float:
-    """((1/q**N) * sum |g|**p)**(1/p) against the uniform grid measure."""
-    if not p >= 1.0:
-        raise InvalidInputError(f"p must be >= 1, got {p}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.size,):
-        raise InvalidInputError(f"expected a grid function of length {grid.size}")
-    return float(power_mean(values, p))
+def _global_bound(seq: MartingaleSequence, kappa_theta: float) -> float:
+    """q * e**(kappa(1/p)*N) * total mass: the global L_p bound of the growth chain."""
+    return seq.grid.q * math.exp(kappa_theta * seq.levels) * float(seq.class_values[0][0])
 
 
 class GrowthReport(NamedTuple):
@@ -178,14 +181,13 @@ class GrowthReport(NamedTuple):
     failures: tuple[str, ...]
 
 
-def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float,
-                 slack: float = 1e-9) -> GrowthReport:
+def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthReport:
     """Verify the L_p growth inequalities level by level and atom by atom.
 
     (i) per step:  ||f_k||_p <= e**kappa(1/p) * ||f_{k-1}||_p,
     (ii) per atom: the same inequality restricted to each parent atom's children,
     (iii) global:  ||f_N||_p <= q * e**(kappa(1/p)*N) * total mass.
-    All comparisons allow multiplicative ``slack`` plus a tiny absolute floor.
+    All comparisons allow multiplicative ``SLACK`` plus a tiny absolute floor.
     This chain is the engine of the dimension bound; a failure means a bug, not
     an unlucky input.
     """
@@ -209,21 +211,20 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float,
     for k in range(1, seq.levels + 1):
         lhs = norms[k]
         rhs = step_factor * norms[k - 1]
-        worst_step = min(worst_step, rhs * (1.0 + slack) + floor - lhs)
-        if lhs > rhs * (1.0 + slack) + floor:
+        worst_step = min(worst_step, rhs * (1.0 + SLACK) + floor - lhs)
+        if lhs > rhs * (1.0 + SLACK) + floor:
             failures.append(f"step k={k}: ||f_k||_p={lhs:.12g} > e^kappa*||f_(k-1)||_p={rhs:.12g}")
         local_lhs = power_mean(seq.sibling_matrix(k), p)
         local_rhs = step_factor * np.abs(seq.class_values[k - 1])
-        slacks = local_rhs * (1.0 + slack) + floor - local_lhs
+        slacks = local_rhs * (1.0 + SLACK) + floor - local_lhs
         worst_atom = min(worst_atom, float(slacks.min()))
         bad = np.flatnonzero(slacks < 0)
         for c in bad[:5]:
             failures.append(f"atom level={k - 1} class={int(c)}: localized growth violated")
 
-    mass = float(seq.class_values[0][0])
-    global_rhs = seq.grid.q * math.exp(kappa_theta * seq.levels) * mass
+    global_rhs = _global_bound(seq, kappa_theta)
     global_lhs = norms[seq.levels]
-    global_slack = global_rhs * (1.0 + slack) + floor - global_lhs
+    global_slack = global_rhs * (1.0 + SLACK) + floor - global_lhs
     if global_slack < 0:
         failures.append(f"global: ||f||_p={global_lhs:.12g} > q*e^(kappa*N)*mass={global_rhs:.12g}")
 
@@ -246,7 +247,7 @@ class SetAverageReport(NamedTuple):
 
 
 def set_average_check(seq: MartingaleSequence, subset: Sequence[int], p: float,
-                      b: ResidueSet, slack: float = 1e-9) -> SetAverageReport:
+                      b: ResidueSet) -> SetAverageReport:
     """Explicit-constant chain bounding the average of f over a grid subset.
 
     (1/q**N) * sum_{x in C} f(x) <= ||f||_p * (#C * q**-N)**((p-1)/p)
@@ -261,19 +262,16 @@ def set_average_check(seq: MartingaleSequence, subset: Sequence[int], p: float,
         raise InvalidInputError("subset indices outside the grid")
     # sort-based dedup: numpy's hash-based np.unique is ~50x slower on 10**6 ints
     subset = subset[np.diff(subset, prepend=-1) != 0]
-    f = seq.level_on_grid(seq.levels)
+    f = seq.class_values[seq.levels]
     n_grid = seq.grid.size
     average = float(np.sum(f[subset])) / n_grid
     density = subset.size / n_grid
-    hoelder = lp_norm(f, p, seq.grid) * density ** ((p - 1.0) / p)
-    polytope = FeasiblePolytope.from_residues(b)
-    kappa_theta = kappa(1.0 / p, polytope)
-    mass = float(seq.class_values[0][0])
-    growth = (seq.grid.q * math.exp(kappa_theta * seq.levels) * mass
-              * density ** ((p - 1.0) / p))
+    hoelder = float(power_mean(f, p)) * density ** ((p - 1.0) / p)
+    kappa_theta = kappa(1.0 / p, FeasiblePolytope.from_residues(b))
+    growth = _global_bound(seq, kappa_theta) * density ** ((p - 1.0) / p)
     floor = 1e-12 * max(1.0, float(np.max(np.abs(f))))
-    passed = (average <= hoelder * (1.0 + slack) + floor
-              and hoelder <= growth * (1.0 + slack) + floor)
+    passed = (average <= hoelder * (1.0 + SLACK) + floor
+              and hoelder <= growth * (1.0 + SLACK) + floor)
     return SetAverageReport(passed, average, hoelder, growth)
 
 

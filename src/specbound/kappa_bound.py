@@ -28,6 +28,8 @@ from .errors import InvalidInputError, PreconditionError, ResourceLimitError
 from .zq_spectral import ResidueSet, SubspaceBasis, symmetrize, wb_basis
 
 FEASIBILITY_TOL = 1e-9
+# multiplicative slack of every L_p growth comparison
+SLACK = 1e-9
 DEDUP_TOL = 1e-7
 # C(q, d) solves: admits the half-band B at q=20, C(20, 10) = 184756
 MAX_VERTEX_SUBSETS = 2 * 10 ** 5
@@ -187,12 +189,11 @@ def power_mean(values: np.ndarray, p: float) -> np.ndarray:
 def kappa(theta: float, polytope: FeasiblePolytope) -> float:
     """Growth exponent at theta in (0, 1], evaluated over the vertex set.
 
-    Computed in log-space (factoring out each vertex's largest summand) so
-    that small theta never overflows the 1/theta power.  All vertices are one
-    (n, q) array expression; the zeros left by clipping 1 + v are masked out
-    of the max and the sum, and their logarithm is never taken.  kappa(1) is
-    exactly 0: the zero-sum constraint makes every vertex objective log(1)
-    there.
+    Each vertex objective theta * log((1/q) * sum_j (1+v_j)**(1/theta)) is the
+    log of the 1/theta power mean of 1 + v, which :func:`power_mean` takes
+    with each vertex's largest entry factored out, so small theta never
+    overflows.  All vertices are one array expression.  kappa(1) is exactly
+    0: the zero-sum constraint makes every vertex objective log(1) there.
     """
     if not 0.0 < theta <= 1.0:
         raise InvalidInputError(f"theta must lie in (0, 1], got {theta}")
@@ -201,13 +202,8 @@ def kappa(theta: float, polytope: FeasiblePolytope) -> float:
     vertices = polytope.vertex_set
     if vertices.shape[0] == 0:
         return 0.0  # origin-only polytope
-    shifted = _clipped_shift(vertices)
-    positive = shifted > 0
-    logs = np.log(np.where(positive, shifted, 1.0))
-    # each row sums to q, so its top log is >= 0 and the masked exponents are <= 0
-    top = logs.max(axis=1, where=positive, initial=-np.inf)
-    total = np.sum(np.exp((logs - top[:, None]) / theta), axis=1, where=positive)
-    return float(np.max(top + theta * (np.log(total) - math.log(polytope.q))))
+    # each row of 1 + v sums to q, so every power mean is positive
+    return float(np.max(np.log(power_mean(_clipped_shift(vertices).T, 1.0 / theta))))
 
 
 class KappaPrime(NamedTuple):
@@ -296,8 +292,7 @@ def dimension_bound(b: ResidueSet) -> DimensionBound:
     )
 
 
-def def_reform_check(a: float, b_vec, p: float, polytope: FeasiblePolytope,
-                     slack: float = 1e-9) -> bool:
+def def_reform_check(a: float, b_vec, p: float, polytope: FeasiblePolytope) -> bool:
     """Single-step growth inequality for one admissible displacement.
 
     Checks ((1/q) * sum_j |a + b_j|**p)**(1/p) <= a * exp(kappa(1/p)) for a >= 0
@@ -320,4 +315,4 @@ def def_reform_check(a: float, b_vec, p: float, polytope: FeasiblePolytope,
         raise PreconditionError("vector entries must be >= -a")
     lhs = float(power_mean(a + b_vec, p))
     rhs = a * math.exp(kappa(1.0 / p, polytope))
-    return lhs <= rhs * (1.0 + slack) + 1e-15
+    return lhs <= rhs * (1.0 + SLACK) + 1e-15

@@ -33,6 +33,8 @@ FAN_CONSISTENCY_ALLOWANCE = 10.0  # see fan_consistency_bounded
 PEYRIERE_SLACK = 0.02
 ENTROPY_SLACK = 0.05
 _DERIVATIVE_BLOCK = 4096  # grid points per block of g_derivative_bound_check
+ENDPOINT_GRID = 1001  # phi grid of endpoint_optimality_gap
+CHEBYSHEV_POINTS = 100  # random amplitudes of chebyshev_product_relerr
 
 LOG2 = math.log(2.0)
 
@@ -135,13 +137,13 @@ def entropy_objective(q: int, phi: float | np.ndarray) -> float | np.ndarray:
     return np.sum(xlogx(np.clip(t, 0.0, None)), axis=-1)
 
 
-def endpoint_optimality_gap(q: int, num: int = 1001) -> float:
+def endpoint_optimality_gap(q: int) -> float:
     """max over an interior phi grid minus the endpoint value (<= 0 expected)."""
-    values = entropy_objective(q, np.linspace(-np.pi / q, np.pi / q, num))
+    values = entropy_objective(q, np.linspace(-np.pi / q, np.pi / q, ENDPOINT_GRID))
     return float(values[1:-1].max() - max(values[0], values[-1]))
 
 
-def log_integral(q: int, tol: float = 1e-9) -> float:
+def log_integral(q: int) -> float:
     """integral of log(cos^2 z) * sin(2z/q) over [pi/2, q*pi/4] for even q.
 
     The integrand blows up logarithmically at every z = pi/2 + k*pi; the range
@@ -165,7 +167,7 @@ def log_integral(q: int, tol: float = 1e-9) -> float:
 
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        total += tanh_sinh_full(integrand, a, b, tol=tol).value
+        total += tanh_sinh_full(integrand, a, b).value
     return total
 
 
@@ -182,13 +184,13 @@ def chebyshev_identity_residual(q: int) -> float:
     return abs(lhs - rhs)
 
 
-def chebyshev_product_relerr(q: int, num_points: int = 100, seed: int = 0) -> float:
+def chebyshev_product_relerr(q: int, seed: int = 0) -> float:
     """Max relative mismatch between 2**(2-q) * T_{q/2}(a)**2 and the node product
     prod_j |a - cos((2j+1)*pi/q)| at random a in (-1, 1)."""
     if q % 2 != 0 or q < 4:
         raise InvalidInputError(f"factorization check needs even q >= 4, got {q}")
     rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, size=num_points)
+    a = rng.uniform(-1.0, 1.0, size=CHEBYSHEV_POINTS)
     p = q // 2
     cheb = np.cos(p * np.arccos(a))
     lhs = 2.0 ** (2 - q) * cheb ** 2

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+CONJUGATE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SparseSpectrum:
@@ -65,8 +67,9 @@ class SparseSpectrum:
             return complex(self.coefficients[ix])
         return 0.0
 
-    def is_conjugate_symmetric(self, tol: float = 1e-12) -> bool:
-        """True iff c(-n) == conj(c(n)) for every frequency, within ``tol``.
+    def is_conjugate_symmetric(self) -> bool:
+        """True iff c(-n) == conj(c(n)) for every frequency, within
+        ``CONJUGATE_TOL`` relative to the largest coefficient.
 
         A frequency whose mirror -n is absent pairs with coefficient 0.  All
         mirrors are located by one ``searchsorted``; the gate fails closed, so
@@ -77,7 +80,7 @@ class SparseSpectrum:
         ix = np.minimum(np.searchsorted(freqs, -freqs), len(self) - 1)
         mirror = np.where(freqs[ix] == -freqs, coeffs[ix], 0.0)
         mismatch = float(np.max(np.abs(mirror - np.conj(coeffs)), initial=0.0))
-        return mismatch <= tol * scale
+        return mismatch <= CONJUGATE_TOL * scale
 
     def evaluate(self, x) -> np.ndarray:
         """Direct synthesis sum_n c_n exp(2*pi*i*n*x) at arbitrary points."""
@@ -131,14 +134,11 @@ def centered_interval_masses(spec: SparseSpectrum, m: int, radius: float) -> np.
 
 
 def _oscillating_masses(spec: SparseSpectrum, m: int, weights) -> np.ndarray:
-    """Interval masses of the nonzero frequencies at the m grid points, from each
-    term's mass ``weights(c_n, n)`` at the interval based at 0: one binning of
-    the frequencies mod m and one inverse FFT."""
+    """Interval masses of the nonzero frequencies at the m grid points: the grid
+    synthesis of each term's mass ``weights(c_n, n)`` at the interval based at 0."""
     if not spec.is_conjugate_symmetric():
         raise InvalidInputError("interval masses need a conjugate-symmetric spectrum")
-    freqs = spec.frequencies
-    nz = freqs != 0
-    g = np.zeros(m, dtype=complex)
-    if np.any(nz):
-        np.add.at(g, np.mod(freqs[nz], m), weights(spec.coefficients[nz], freqs[nz]))
-    return (np.fft.ifft(g) * m).real
+    nonzero = spec.frequencies != 0
+    freqs = spec.frequencies[nonzero]
+    terms = SparseSpectrum(freqs, weights(spec.coefficients[nonzero], freqs))
+    return synthesize_on_grid(terms, m).real

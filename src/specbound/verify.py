@@ -19,8 +19,13 @@ from . import kappa_bound as kb
 from . import riesz_products as rp
 from . import zq_spectral as zq
 from .errors import InvalidInputError, ResourceLimitError
+from .spectrum import SparseSpectrum, synthesize_on_grid
 
 FD_STEPS = (1e-2, 1e-3, 1e-4)
+FD_Q_MAX = 8  # largest q whose kappa'(1) gets the difference-quotient checks
+# vertex-subset solves, sum of C(q, d_B) over the symmetric B the kappa suite
+# enumerates: q_max 18 needs 2.1e7 (about 100 s), q_max 20 needs 1.6e8
+MAX_KAPPA_SUBSETS = 10 ** 8
 # subsets x grid points drawn by the set-average chain: the default 100 subsets
 # fit on every grid that gv.MAX_GRID admits
 MAX_SUBSET_POINTS = 100 * gv.MAX_GRID
@@ -74,9 +79,21 @@ def _worst(name: str, entries: list[tuple[float, str]], threshold: float,
 # kappa suite: polytope geometry, bound dominance, derivative sandwich
 # ---------------------------------------------------------------------------
 
-def kappa_suite(q_max: int = 10, seed: int = 0, fd_q_max: int = 8) -> list[CheckResult]:
+def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
+    """Polytope, bound and derivative checks for every symmetric B with q <= ``q_max``.
+
+    Raises :class:`ResourceLimitError` before any enumeration once the C(q, d_B)
+    vertex-subset solves of those B add up to over ``MAX_KAPPA_SUBSETS`` (1e8).
+    """
     if q_max < 3:
         raise InvalidInputError(f"kappa suite needs q_max >= 3, got {q_max}")
+    # d_B = 2k or 2k + 1 for the C((q-1)//2, k) sets of k reflection pairs, without or with q/2
+    solves = itertools.accumulate(
+        math.comb((q - 1) // 2, k) * (math.comb(q, 2 * k) + (q % 2 == 0) * math.comb(q, 2 * k + 1))
+        for q in range(3, q_max + 1) for k in range((q - 1) // 2 + 1))
+    if any(total > MAX_KAPPA_SUBSETS for total in solves):
+        raise ResourceLimitError(f"the kappa suite up to q_max={q_max} needs over "
+                                 f"{MAX_KAPPA_SUBSETS:.0e} vertex-subset solves")
     rng = np.random.default_rng(seed)
     feasibility: list[tuple[float, str]] = []
     membership: list[tuple[float, str]] = []
@@ -109,7 +126,7 @@ def kappa_suite(q_max: int = 10, seed: int = 0, fd_q_max: int = 8) -> list[Check
                 positivity.append((result.bound, tag))
             bounds[b.members] = result.bound
 
-            if q <= fd_q_max:
+            if q <= FD_Q_MAX:
                 quotients = [kb.kappa_left_derivative_fd(polytope, h) for h in FD_STEPS]
                 # by convexity the quotients rise toward kappa'(1) as h shrinks
                 chain = quotients + [result.kappa_prime_1]
@@ -153,8 +170,8 @@ def _counterexample_check(q: int = 4, l: int = 1) -> CheckResult:
     spec = zq.counterexample_measure(q, l)
     b = zq.ResidueSet.of(q, [l])
     restricted = bool(zq.in_cb(spec.frequencies, b).all())
-    profile = np.array([1.0 if r == l else 0.0 for r in range(q)], dtype=complex)
-    weights = zq.inverse_dft_zq(profile)
+    # the inverse transform on Z_q of the indicator of residue l
+    weights = np.exp(2j * np.pi * l * np.arange(q) / q) / q
     atoms = int(np.sum(np.abs(weights) > 1e-12))
     uniform = float(np.max(np.abs(np.abs(weights) - 1.0 / q)))
     # weights must be genuinely complex, not just off the non-negative cone
@@ -239,18 +256,14 @@ def _dftlemma_residual(seq: gv.MartingaleSequence) -> float:
     grid = seq.grid
     q = grid.q
     freqs = spec.frequencies
-    coeffs = spec.coefficients
     worst = 0.0
     for k in range(1, grid.levels + 1):
         step = q ** (grid.levels - k)
-        period = q ** k
         d = freqs // step
         exact = (np.mod(freqs, step) == 0) & (np.mod(d, q) != 0)
-        binned = np.zeros(period, dtype=complex)
-        np.add.at(binned, np.mod(d[exact], period), coeffs[exact])
-        synthesized = (np.fft.ifft(binned) * period).real.reshape(q, period // q)
-        actual = seq.sibling_matrix(k) - seq.class_values[k - 1][None, :]
-        worst = max(worst, float(np.max(np.abs(synthesized - actual))))
+        cofactors = SparseSpectrum(d[exact], spec.coefficients[exact])
+        synthesized = synthesize_on_grid(cofactors, q ** k).real.reshape(q, -1)
+        worst = max(worst, float(np.max(np.abs(synthesized - seq.differences(k)))))
     return worst
 
 
@@ -283,7 +296,7 @@ def martingale_suite(q: int = 3, a: float = 1.0, depth: int = 6,
         f - rp.partial_product_values(params, depth, grid.size)
     ))) / sup
 
-    projection = [(gv.spectral_projection_check(spec, grid, k, seq=seq) / sup, f"k={k}")
+    projection = [(gv.spectral_projection_check(seq, k) / sup, f"k={k}")
                   for k in range(grid.levels + 1)]
 
     direct_average = []
@@ -296,8 +309,7 @@ def martingale_suite(q: int = 3, a: float = 1.0, depth: int = 6,
 
     tree_sums = []
     for k in range(1, grid.levels + 1):
-        diffs = seq.sibling_matrix(k) - seq.class_values[k - 1][None, :]
-        tree_sums.append((float(np.max(np.abs(diffs.sum(axis=0)))) / sup, f"k={k}"))
+        tree_sums.append((float(np.max(np.abs(seq.differences(k).sum(axis=0)))) / sup, f"k={k}"))
 
     sibling_synthesis = _dftlemma_residual(seq) / sup
     membership = gv.wb_membership_check(seq, b) / sup

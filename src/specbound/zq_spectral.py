@@ -1,10 +1,10 @@
 """Fourier analysis on the cyclic group Z_q and arithmetic of restricted spectra.
 
-This module owns the small-q discrete Fourier transform, the symmetric residue
-sets B that parameterize which spectra are allowed, the real subspace of
-admissible sibling differences (zero-sum q-vectors whose transform is supported
-on B), and the elementwise membership predicate for the restricted frequency
-set C_B = {k*q**v : k mod q in B, v >= 0} | {0}.
+This module owns the symmetric residue sets B that parameterize which spectra
+are allowed, the real subspace of admissible sibling differences (zero-sum
+q-vectors whose transform on Z_q, ``np.fft.fft``, is supported on B), and the
+elementwise membership predicate for the restricted frequency set
+C_B = {k*q**v : k mod q in B, v >= 0} | {0}.
 """
 
 from __future__ import annotations
@@ -53,36 +53,6 @@ class ResidueSet:
 def symmetrize(b: ResidueSet) -> ResidueSet:
     """Close ``b`` under the reflection m -> q - m.  Idempotent."""
     return ResidueSet.of(b.q, b.members | {b.q - m for m in b.members})
-
-
-def dft_zq(v, q: int | None = None) -> np.ndarray:
-    """Forward transform on Z_q: vhat(m) = sum_j exp(-2*pi*i*m*j/q) * v_j.
-
-    Unnormalized; ``inverse_dft_zq`` divides by q so the round trip is the
-    identity.  Direct O(q**2) summation -- q stays small in this package.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise InvalidInputError("dft_zq expects a 1-d vector")
-    n = v.shape[0]
-    if q is not None and q != n:
-        raise InvalidInputError(f"vector length {n} does not match q={q}")
-    j = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(j, j) / n)
-    return kernel @ v
-
-
-def inverse_dft_zq(vhat, q: int | None = None) -> np.ndarray:
-    """Inverse of :func:`dft_zq`: v_j = (1/q) * sum_m exp(+2*pi*i*m*j/q) * vhat(m)."""
-    vhat = np.asarray(vhat, dtype=complex)
-    if vhat.ndim != 1:
-        raise InvalidInputError("inverse_dft_zq expects a 1-d vector")
-    n = vhat.shape[0]
-    if q is not None and q != n:
-        raise InvalidInputError(f"vector length {n} does not match q={q}")
-    j = np.arange(n)
-    kernel = np.exp(2j * np.pi * np.outer(j, j) / n)
-    return kernel @ vhat / n
 
 
 @dataclass(frozen=True)

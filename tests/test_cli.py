@@ -172,6 +172,32 @@ class TestVerifyCommand:
         assert err.startswith("resource guard: ")
         assert time.monotonic() - start < 1.0
 
+    @pytest.mark.parametrize("suite,option", [
+        ("kappa", ["--q", "5"]),
+        ("riesz-identities", ["--subsets", "10"]),
+        ("martingale", ["--q-max", "30"]),
+    ])
+    def test_option_no_suite_reads_is_usage_error(self, capsys, suite, option):
+        code, out, err = run_main(["verify", "--suite", suite] + option, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and option[0] in err
+
+    def test_all_suites_read_every_option(self, capsys):
+        code, data = payload(["verify", "--suite", "all", "--q-max", "5", "--q", "3",
+                              "--a", "0.5", "--n", "3", "--p", "2", "--subsets", "3"], capsys)
+        assert code == 0
+        assert data["results"]["failed"] == 0
+
+    def test_kappa_work_budget_exit_code(self, capsys):
+        # every symmetric B with q <= 24 needs about 1e10 vertex-subset solves
+        start = time.monotonic()
+        code, out, err = run_main(["verify", "--suite", "kappa", "--q-max", "24"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource guard: ")
+        assert time.monotonic() - start < 1.0
+
     def test_non_finite_p_rejected(self, capsys):
         code, _, err = run_main(["verify", "--suite", "martingale", "--p", "1,nan"], capsys)
         assert code == 2
@@ -246,6 +272,18 @@ class TestEnvelope:
         assert out == ""
         written = json.loads((tmp_path / "report.json").read_text())
         assert abs(written["results"]["table"][0]["bound"] - 0.5) <= 1e-12
+
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        # a regular file where the report's directory should be
+        blocker = tmp_path / "report"
+        blocker.write_text("")
+        code, out, err = run_main(["bound", "--q", "4", "--b", "2",
+                                   "--output", str(blocker / "r.json")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write report to {blocker / 'r.json'}: ")
+        assert err.count("\n") == 1
 
 
 def test_console_entry_point():

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from specbound import gv_martingale as gv
 from specbound import riesz_products as rp
 from specbound import verify
 from specbound import zq_spectral as zq
+from specbound.errors import ResourceLimitError
 
 
 class TestSymmetricEnumeration:
@@ -55,6 +57,16 @@ class TestSuites:
         one = verify.martingale_suite(q=3, a=0.8, depth=4, seed=42, n_subsets=10)
         two = verify.martingale_suite(q=3, a=0.8, depth=4, seed=42, n_subsets=10)
         assert [c.as_dict() for c in one] == [c.as_dict() for c in two]
+
+    def test_kappa_budget_counts_every_subset_solve(self, monkeypatch):
+        # the closed-form total must equal C(q, d_B) summed over the sets the suite enumerates
+        total = sum(math.comb(q, zq.wb_basis(b).dim) for q in range(3, 8)
+                    for b in verify.symmetric_residue_sets(q, nonempty=False))
+        monkeypatch.setattr(verify, "MAX_KAPPA_SUBSETS", total - 1)
+        with pytest.raises(ResourceLimitError):
+            verify.kappa_suite(q_max=7)
+        monkeypatch.setattr(verify, "MAX_KAPPA_SUBSETS", total)
+        assert all(c.passed for c in verify.kappa_suite(q_max=7))
 
     def test_check_names_are_namespaced(self):
         for c in verify.kappa_suite(q_max=5):

@@ -10,32 +10,6 @@ from specbound import zq_spectral as zq
 from specbound.errors import InvalidInputError
 
 
-class TestDft:
-    def test_delta_transforms_to_constant(self):
-        assert np.allclose(zq.dft_zq([1, 0, 0, 0]), np.ones(4))
-
-    def test_alternating_vector_q4(self):
-        # direct 4-term sums: only m=2 survives
-        assert np.allclose(zq.dft_zq([1, -1, 1, -1]), [0, 0, 4, 0], atol=1e-12)
-
-    def test_character_orthogonality_q3(self):
-        vhat = zq.dft_zq(np.exp(2j * np.pi * np.arange(3) / 3))
-        assert np.allclose(vhat, [0, 3, 0], atol=1e-12)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        for q in (3, 4, 5, 8, 13):
-            v = rng.normal(size=q) + 1j * rng.normal(size=q)
-            back = zq.inverse_dft_zq(zq.dft_zq(v))
-            assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            zq.dft_zq([1, 2, 3], q=4)
-        with pytest.raises(InvalidInputError):
-            zq.inverse_dft_zq([1, 2, 3], q=5)
-
-
 class TestResidueSet:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -108,7 +82,7 @@ class TestWbBasis:
                     assert np.max(np.abs(gram - np.eye(basis.dim))) <= 1e-12
                     assert np.max(np.abs(basis.columns.sum(axis=0))) <= 1e-12
                 for col in basis.columns.T:
-                    vhat = zq.dft_zq(col)
+                    vhat = np.fft.fft(col)
                     norm = np.linalg.norm(col)
                     outside = [m for m in range(q) if m not in members]
                     assert np.max(np.abs(vhat[outside])) <= 1e-12 * max(norm, 1.0)
@@ -274,7 +248,7 @@ class TestCounterexampleMeasure:
     def test_q_unit_atoms(self):
         q, l = 4, 1
         profile = np.array([1.0 if r == l else 0.0 for r in range(q)], dtype=complex)
-        weights = zq.inverse_dft_zq(profile)
+        weights = np.fft.ifft(profile)
         assert np.allclose(np.abs(weights), 1.0 / q)
         # weights are genuinely complex: the measure is not non-negative
         assert np.max(np.abs(weights.imag)) > 0.1 / q
