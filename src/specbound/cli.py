@@ -143,6 +143,7 @@ def cmd_bound(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
         "proper_inclusion": result.proper_inclusion,
         "witness_vertex": list(result.witness_vertex),
         "vertex_count": result.vertex_count,
+        "vertex_source": result.vertex_source,
         "symmetrized": result.symmetrized,
     }
     checks = [

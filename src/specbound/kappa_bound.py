@@ -7,10 +7,13 @@ subspace attached to a residue set B.  Both quantities of interest,
     kappa'(1)    = -(1/q) * max over feasible v of sum_j (1+v_j) * log(1+v_j),
 
 are maxima of convex functions over a compact polytope, hence attained at
-extreme points; the module enumerates those points exhaustively (active-set
-over coordinate subsets) and evaluates the objectives there.  The resulting
-certified lower bound for the dimension of any admissible non-negative measure
-is 1 + kappa'(1)/log q, compared against the coarser subgroup bound
+extreme points; the module enumerates those points by solving for each
+candidate set of active constraints and evaluates the objectives there.  For a
+band B = u*{+-1, ..., +-r} (gcd(u, q) = 1, 2r < q) the candidates are exactly
+the vertices' active sets, given by Gale's evenness condition; for every other
+B they are all C(q, d) coordinate subsets.  The resulting certified lower
+bound for the dimension of any admissible non-negative measure is
+1 + kappa'(1)/log q, compared against the coarser subgroup bound
 1 - log|H|/log q.
 """
 
@@ -19,19 +22,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError, ResourceLimitError
+from .errors import InvalidInputError, NumericalError, PreconditionError, ResourceLimitError
 from .zq_spectral import ResidueSet, SubspaceBasis, symmetrize, wb_basis
 
 FEASIBILITY_TOL = 1e-9
 # multiplicative slack of every L_p growth comparison
 SLACK = 1e-9
 DEDUP_TOL = 1e-7
-# C(q, d) solves: admits the half-band B at q=20, C(20, 10) = 184756
+# active-set solves: C(q, d), or the Gale count for a band; admits the
+# half-band at q=28 (155040 Gale solves) and C(20, 10) = 184756 subsets
 MAX_VERTEX_SUBSETS = 2 * 10 ** 5
 # floats in one stacked (n, d, d) solve: large enough to amortize the call,
 # small enough that the chunk temporaries stay well under a megabyte
@@ -39,10 +43,15 @@ _SOLVE_FLOATS = 2 ** 14
 
 
 class FeasiblePolytope:
-    """{v = basis @ t : v_j >= -1 for all j}; bounded and containing the origin."""
+    """{v = basis @ t : v_j >= -1 for all j}; bounded and containing the origin.
 
-    def __init__(self, basis: SubspaceBasis):
+    ``residues`` is the residue set the basis was built from, when known; a
+    polytope without one is always enumerated exhaustively.
+    """
+
+    def __init__(self, basis: SubspaceBasis, residues: ResidueSet | None = None):
         self.basis = basis
+        self.residues = residues
 
     @property
     def q(self) -> int:
@@ -52,7 +61,17 @@ class FeasiblePolytope:
     @cache
     def from_residues(cls, b: ResidueSet) -> "FeasiblePolytope":
         """The polytope of ``b``, shared per process so each B is enumerated once."""
-        return cls(wb_basis(b))
+        return cls(wb_basis(b), b)
+
+    @cached_property
+    def band(self) -> tuple[int, int] | None:
+        """(u, r) with B = u*{+-1, ..., +-r} mod q and gcd(u, q) = 1, or None."""
+        return None if self.residues is None else band_multiplier(self.residues)
+
+    @property
+    def vertex_source(self) -> str:
+        """Which active sets are solved: "gale" for a band, else "exhaustive"."""
+        return "exhaustive" if self.band is None else "gale"
 
     @cached_property
     def vertex_set(self) -> np.ndarray:
@@ -61,44 +80,111 @@ class FeasiblePolytope:
 
 
 def polytope_vertices(polytope: FeasiblePolytope) -> np.ndarray:
-    """Enumerate the extreme points by exhausting active coordinate subsets.
+    """Enumerate the extreme points by solving for their active constraint sets.
 
     Every vertex of a d-dimensional polytope activates at least d of the q
     constraints v_j >= -1, so solving (M t)_j = -1 on each d-subset of rows
     with an invertible submatrix, then filtering by global feasibility and
-    deduplicating, yields exactly the vertex set.
+    deduplicating, yields exactly the vertex set.  For a band (see
+    :attr:`FeasiblePolytope.band`) the candidate sets are only the Gale
+    evenness sets of :func:`gale_active_sets`, one per vertex; every other
+    polytope tries all C(q, d) subsets in ``combinations`` order.
 
-    The subsets are taken in ``combinations`` order, a chunk at a time, and
-    each chunk's submatrices are solved as one stack.  Exactly singular
-    submatrices (determinant 0) are dropped before the solve; near-singular
-    ones are rejected by a residual check at ``FEASIBILITY_TOL`` rather than a
-    condition estimate.  Solutions within ``DEDUP_TOL`` of each other in the
-    max norm are one vertex, represented by the first seen in subset order
-    (see :func:`_distinct_rows`).  Rows come back sorted lexicographically by
-    their ``DEDUP_TOL``-rounded coordinates, so the order does not depend on
-    round-off.  Raises :class:`ResourceLimitError` before any solve when
-    C(q, d) exceeds ``MAX_VERTEX_SUBSETS``.
+    Both sources are solved the same way, a chunk at a time, each chunk's
+    submatrices as one stack.  Exactly singular submatrices (determinant 0)
+    are dropped before the solve; near-singular ones are rejected by a
+    residual check at ``FEASIBILITY_TOL`` rather than a condition estimate.
+    Solutions within ``DEDUP_TOL`` of each other in the max norm are one
+    vertex, represented by the first seen in subset order (see
+    :func:`_distinct_rows`).  Rows come back sorted lexicographically by their
+    ``DEDUP_TOL``-rounded coordinates, so the order does not depend on
+    round-off.  Raises :class:`ResourceLimitError` before any set is built
+    when the number of solves exceeds ``MAX_VERTEX_SUBSETS``, and
+    :class:`NumericalError` when a Gale set fails a test or two of their
+    solutions merge, since Gale's theorem makes each set a distinct vertex.
     """
     m = polytope.basis.columns
     q, d = m.shape
     if d > q:
         raise InvalidInputError(f"subspace dimension {d} exceeds ambient dimension {q}")
-    subsets = math.comb(q, d)
-    if subsets > MAX_VERTEX_SUBSETS:
+    band = polytope.band
+    solves = math.comb(q, d) if band is None else gale_vertex_count(q, band[1])
+    if solves > MAX_VERTEX_SUBSETS:
+        work = f"C({q}, {d}) = {solves}" if band is None else f"{solves} Gale-evenness"
         raise ResourceLimitError(
-            f"vertex enumeration needs C({q}, {d}) = {subsets} solves, "
-            f"over the {MAX_VERTEX_SUBSETS:.0e} budget"
+            f"vertex enumeration needs {work} solves, over the {MAX_VERTEX_SUBSETS:.0e} budget"
         )
     if d == 0:
         return _read_only(np.zeros((0, q)))
-    stream = combinations(range(q), d)
     chunk = max(1, _SOLVE_FLOATS // (d * d))
+    if band is None:
+        stream = combinations(range(q), d)
+        chunks = (np.fromiter(islice(stream, chunk), dtype=(np.intp, (d,)))
+                  for _ in range(0, solves, chunk))
+    else:
+        sets = gale_active_sets(q, *band)
+        chunks = (sets[lo:lo + chunk] for lo in range(0, solves, chunk))
     found = []
-    while len(idx := np.fromiter(islice(stream, chunk), dtype=(np.intp, (d,)))):
+    for idx in chunks:
         v = _feasible_solutions(m, idx)
-        found.append(v[_first_per_key(_dedup_keys(v))])  # keeps the candidate list short
+        if band is None:  # repeated solves of degenerate vertices; Gale sets have none
+            v = v[_first_per_key(_dedup_keys(v))]
+        found.append(v)
     v = _distinct_rows(np.concatenate(found))
+    if band is not None and len(v) != solves:
+        raise NumericalError(
+            f"Gale evenness gives {solves} vertices for q={q}, d={d}; the solves kept {len(v)}"
+        )
     return _read_only(v[np.lexsort(_dedup_keys(v).T[::-1])])
+
+
+def band_multiplier(b: ResidueSet) -> tuple[int, int] | None:
+    """(u, r) with B = u*{+-1, ..., +-r} mod q, u the least unit that works, or None.
+
+    Such a B has 2r members, 2r < q, and never contains q/2.  The empty set
+    is not a band.
+    """
+    q = b.q
+    r, odd = divmod(len(b.members), 2)
+    if r == 0 or odd:
+        return None
+    for u in b.sorted_members:
+        if math.gcd(u, q) == 1 and {u * k % q for k in range(-r, r + 1) if k} == b.members:
+            return u, r
+    return None
+
+
+def gale_vertex_count(q: int, r: int) -> int:
+    """q/(q-r) * C(q-r, r), the vertex count of the polytope of a band {+-1, ..., +-r}."""
+    return math.comb(q - r, r) + math.comb(q - r - 1, r - 1)
+
+
+def _combination_rows(n: int, k: int) -> np.ndarray:
+    count = math.comb(n, k)
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.intp, count=count * k)
+    return flat.reshape(count, k)
+
+
+def gale_active_sets(q: int, u: int, r: int) -> np.ndarray:
+    """Active sets of the vertices of the polytope of u*{+-1, ..., +-r}, shape (n, 2r).
+
+    For u = 1 the constraint normals (cos 2 pi j m/q, sin 2 pi j m/q),
+    m = 1..r, lie on the trigonometric moment curve, so their convex hull is
+    the cyclic polytope C(q, 2r) and the feasible polytope is its polar.  By
+    Gale's evenness condition (Gale 1963; Ziegler, *Lectures on Polytopes*,
+    section 0) the vertices' active sets are exactly the unions of r disjoint
+    cyclically adjacent pairs {i, i+1 mod q}: C(q-r, r) whose pair starts
+    i_k = c_k + k come from increasing c in 0..q-r-1, and C(q-r-1, r-1) that
+    use the pair {q-1, 0}.  Row j of u*B's constraints is row u*j of B's, so
+    the sets are mapped by j -> u^-1 j.  Each row is sorted, so it selects
+    the same submatrix as the equal subset in ``combinations``.
+    """
+    inside = _combination_rows(q - r, r) + np.arange(r)
+    wrapping = _combination_rows(q - r - 1, r - 1) + np.arange(1, r)
+    wrapping = np.column_stack((wrapping, np.full(len(wrapping), q - 1)))
+    starts = np.concatenate((inside, wrapping))
+    pairs = np.concatenate((starts, (starts + 1) % q), axis=1)
+    return np.sort(pairs * pow(u, -1, q) % q, axis=1)
 
 
 def _feasible_solutions(m: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -257,6 +343,7 @@ class DimensionBound:
     delta: float       # bound - subgroup_bound
     witness_vertex: tuple[float, ...]
     vertex_count: int
+    vertex_source: str  # "gale" or "exhaustive", see FeasiblePolytope.vertex_source
     symmetrized: bool  # True when the input had to be closed under reflection
 
 
@@ -288,6 +375,7 @@ def dimension_bound(b: ResidueSet) -> DimensionBound:
         delta=bound - subgroup_bound,
         witness_vertex=tuple(float(x) for x in kp.witness),
         vertex_count=len(polytope.vertex_set),
+        vertex_source=polytope.vertex_source,
         symmetrized=was_symmetrized,
     )
 

@@ -82,18 +82,6 @@ class SparseSpectrum:
         mismatch = float(np.max(np.abs(mirror - np.conj(coeffs)), initial=0.0))
         return mismatch <= CONJUGATE_TOL * scale
 
-    def evaluate(self, x) -> np.ndarray:
-        """Direct synthesis sum_n c_n exp(2*pi*i*n*x) at arbitrary points."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape, dtype=complex)
-        # chunk over frequencies to bound the outer-product workspace
-        step = max(1, int(2_000_000 // max(1, x.size)))
-        for lo in range(0, len(self), step):
-            f = self.frequencies[lo:lo + step]
-            c = self.coefficients[lo:lo + step]
-            out += np.exp(2j * np.pi * np.outer(x, f)) @ c
-        return out
-
 
 def synthesize_on_grid(spec: SparseSpectrum, m: int) -> np.ndarray:
     """Values sum_n c_n exp(2*pi*i*n*j/m) for j = 0..m-1, computed exactly.

@@ -17,6 +17,11 @@ def run_main(argv, capsys):
     return code, captured.out, captured.err
 
 
+def half_band(q):
+    h = q // 4
+    return ",".join(str(m) for m in [*range(1, h + 1), *range(q - h, q)])
+
+
 def payload(argv, capsys):
     code, out, _ = run_main(argv + ["--format", "json"], capsys)
     return code, json.loads(out)
@@ -50,13 +55,24 @@ class TestBoundCommand:
         assert code == 2
 
     def test_vertex_enumeration_guard_exit_code(self, capsys):
-        start = time.monotonic()
-        code, _, err = run_main(["bound", "--q", "40", "--b",
-                                 "1,2,3,4,5,6,7,8,9,10,30,31,32,33,34,35,36,37,38,39"],
-                                capsys)
-        assert code == 3
-        assert "resource" in err.lower()
-        assert time.monotonic() - start < 1.0
+        # half-bands at q=32 (980628 Gale solves) and q=40, refused before any set is built
+        for q in (32, 40):
+            start = time.monotonic()
+            code, _, err = run_main(["bound", "--q", str(q), "--b", half_band(q)], capsys)
+            assert code == 3
+            assert "resource" in err.lower()
+            assert time.monotonic() - start < 1.0
+
+    def test_half_band_q24(self, capsys):
+        code, data = payload(["bound", "--q", "24", "--b", half_band(24)], capsys)
+        assert code == 0
+        assert data["results"]["vertex_count"] == 24752
+        assert data["results"]["vertex_source"] == "gale"
+
+    def test_vertex_source(self, capsys):
+        for b, source in (("1,3", "gale"), ("2", "exhaustive")):
+            _, data = payload(["bound", "--q", "4", "--b", b], capsys)
+            assert data["results"]["vertex_source"] == source
 
     def test_csv_schema_with_empty_comparison_columns(self, capsys):
         code, out, _ = run_main(["bound", "--q", "4", "--b", "2", "--format", "csv"],

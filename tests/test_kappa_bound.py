@@ -8,7 +8,8 @@ import pytest
 from specbound import kappa_bound as kb
 from specbound import zq_spectral as zq
 from specbound.verify import symmetric_residue_sets
-from specbound.errors import InvalidInputError, PreconditionError, ResourceLimitError
+from specbound.errors import (InvalidInputError, NumericalError, PreconditionError,
+                              ResourceLimitError)
 
 LOG2 = math.log(2.0)
 
@@ -76,14 +77,18 @@ class TestVertices:
         assert not first.vertex_set.flags.writeable
 
     def test_subset_budget_guard(self):
-        # q=40 half-band: C(40, 20) ~ 1.4e11 subsets, refused before any solve
+        # q=40 half-band: 40060020 Gale solves, refused before any set is built
         members = [*range(1, 11), *range(30, 40)]
-        p = polytope(40, members)
+        with pytest.raises(ResourceLimitError, match=r"40060020 Gale-evenness solves"):
+            kb.polytope_vertices(polytope(40, members))
+        # with 20 added it is no band: C(40, 21) ~ 1.3e11 subsets, refused the same way
+        p = polytope(40, [*members, 20])
+        assert p.band is None
         assert math.comb(40, p.basis.dim) > kb.MAX_VERTEX_SUBSETS
-        with pytest.raises(ResourceLimitError, match=r"C\(40, 20\)"):
+        with pytest.raises(ResourceLimitError, match=r"C\(40, 21\)"):
             kb.polytope_vertices(p)
-        # the largest half-band in use, q=20, stays inside the budget
-        assert math.comb(20, 10) <= kb.MAX_VERTEX_SUBSETS
+        # the budget admits the half-band at q=28 but not at q=32
+        assert kb.gale_vertex_count(28, 7) <= kb.MAX_VERTEX_SUBSETS < kb.gale_vertex_count(32, 8)
 
     def test_pairwise_distinct(self):
         vs = polytope(8, [1, 3, 5, 7]).vertex_set
@@ -125,6 +130,74 @@ class TestVertices:
         keys = [tuple(np.rint(v / kb.DEDUP_TOL).astype(int)) for v in vs]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+def bands(q):
+    """Every band u*{+-1, ..., +-r} with 2r < q and gcd(u, q) = 1, each once."""
+    found = {frozenset(u * k % q for k in range(-r, r + 1) if k)
+             for r in range(1, (q + 1) // 2) for u in range(1, q) if math.gcd(u, q) == 1}
+    return [zq.ResidueSet(q, members) for members in sorted(found, key=sorted)]
+
+
+def half_band(q):
+    h = q // 4
+    return zq.ResidueSet.of(q, [*range(1, h + 1), *range(q - h, q)])
+
+
+class TestGaleEvenness:
+    @pytest.mark.parametrize("q,members,expected", [
+        (12, [1, 11], (1, 1)),
+        (12, [5, 7], (5, 1)),
+        (12, [1, 2, 10, 11], (1, 2)),
+        (7, [2, 3, 4, 5], (2, 2)),   # 2*{+-1, +-2} = {2, 4, 5, 3}
+        (9, range(1, 9), (1, 4)),    # every residue: the simplex
+        (12, [2, 10], None),         # 2*{+-1}, but 2 is no unit mod 12
+        (15, [3, 6, 9, 12], None),
+        (12, [1, 3, 9, 11], None),   # no unit maps {+-1, +-2} onto it
+        (8, [1, 4, 7], None),        # contains q/2
+        (8, [], None),
+    ])
+    def test_band_multiplier(self, q, members, expected):
+        assert kb.band_multiplier(zq.ResidueSet.of(q, members)) == expected
+
+    def test_matches_exhaustive_enumeration(self):
+        # every band and unit multiple with q <= 16, and the half-bands at q = 18 and 20
+        cases = [b for q in range(3, 17) for b in bands(q)] + [half_band(18), half_band(20)]
+        for b in cases:
+            gale = kb.FeasiblePolytope.from_residues(b)
+            exhaustive = kb.FeasiblePolytope(zq.wb_basis(b))
+            assert (gale.vertex_source, exhaustive.vertex_source) == ("gale", "exhaustive")
+            np.testing.assert_array_equal(kb._dedup_keys(gale.vertex_set),
+                                          kb._dedup_keys(exhaustive.vertex_set), err_msg=str(b))
+            assert kb.kappa_prime_1(gale).value == kb.kappa_prime_1(exhaustive).value, b
+
+    def test_vertex_count_formula(self):
+        for b in [b for q in range(3, 17) for b in bands(q)] + [half_band(q) for q in (18, 20, 24)]:
+            q, (u, r) = b.q, kb.band_multiplier(b)
+            count = len(kb.FeasiblePolytope.from_residues(b).vertex_set)
+            assert count == kb.gale_vertex_count(q, r), b
+            assert (q - r) * count == q * math.comb(q - r, r), b
+
+    def test_active_sets_are_adjacent_pair_unions(self):
+        sets = kb.gale_active_sets(10, 3, 2)
+        assert sets.shape == (kb.gale_vertex_count(10, 2), 4)
+        assert len({tuple(row) for row in sets}) == len(sets)
+        for row in sets:
+            band_rows = sorted(3 * j % 10 for j in row)  # back to the band {+-1, +-2}
+            gaps = np.diff([*band_rows, band_rows[0] + 10])
+            # two pairs {i, i+1}: starting at the right element, steps 1, x, 1, y
+            assert any(gaps[k] == 1 and gaps[(k + 2) % 4] == 1 for k in range(2)), row
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda v: v[:-1],                              # a solve is dropped
+        lambda v: np.concatenate((v[:-1], v[:1])),    # two rows merge
+    ])
+    def test_fails_closed(self, monkeypatch, corrupt):
+        solve = kb._feasible_solutions
+        monkeypatch.setattr(kb, "_feasible_solutions", lambda m, idx: corrupt(solve(m, idx)))
+        b = half_band(16)
+        with pytest.raises(NumericalError, match="Gale evenness gives 660 vertices"):
+            kb.polytope_vertices(kb.FeasiblePolytope(zq.wb_basis(b), b))
 
 
 class TestCompletenessOracle:
