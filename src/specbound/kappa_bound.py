@@ -124,18 +124,21 @@ def polytope_vertices(polytope: FeasiblePolytope) -> np.ndarray:
     else:
         sets = gale_active_sets(q, *band)
         chunks = (sets[lo:lo + chunk] for lo in range(0, solves, chunk))
+    # repeated solves of degenerate vertices are dropped chunk by chunk, to
+    # bound memory; one chunk is left to _distinct_rows, and Gale sets have none
+    per_chunk = band is None and solves > chunk
     found = []
     for idx in chunks:
         v = _feasible_solutions(m, idx)
-        if band is None:  # repeated solves of degenerate vertices; Gale sets have none
-            v = v[_first_per_key(_dedup_keys(v))]
+        if per_chunk:
+            v = v[np.sort(_first_per_key(_dedup_keys(v)))]
         found.append(v)
     v = _distinct_rows(np.concatenate(found))
     if band is not None and len(v) != solves:
         raise NumericalError(
             f"Gale evenness gives {solves} vertices for q={q}, d={d}; the solves kept {len(v)}"
         )
-    return _read_only(v[np.lexsort(_dedup_keys(v).T[::-1])])
+    return _read_only(v)
 
 
 def band_multiplier(b: ResidueSet) -> tuple[int, int] | None:
@@ -204,47 +207,51 @@ def _dedup_keys(v: np.ndarray) -> np.ndarray:
 
 
 def _first_per_key(keys: np.ndarray) -> np.ndarray:
-    """Indices, ascending, of the first row of each distinct key row."""
+    """Index of the first row of each distinct key row, in lexicographic key order."""
     order = np.lexsort(keys.T[::-1])  # stable, so each run of equal keys starts at its first row
     new = np.ones(len(order), dtype=bool)
     new[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
-    return np.sort(order[new])
+    return order[new]
 
 
 def _distinct_rows(v: np.ndarray) -> np.ndarray:
     """Greedy dedup in row order: a row closer than ``DEDUP_TOL`` (max norm)
-    to an earlier kept row is dropped.
+    to an earlier kept row is dropped.  The kept rows come back sorted
+    lexicographically by their ``DEDUP_TOL``-rounded keys.
 
-    Rows with equal rounded keys merge into the first of them.  Pairs closer
-    than the tolerance with different keys (they straddle a rounding
+    Rows with equal rounded keys merge into the first of them; the one stable
+    sort of the keys that finds those also gives the output order.  Pairs
+    closer than the tolerance with different keys (they straddle a rounding
     boundary) are found as runs of small gaps in a sorted 1-D projection and
     settled by the greedy rule, in row order, within each run.  This is the
     pairwise greedy rule whenever each cluster of near-copies is narrower than
     ``DEDUP_TOL``, as the ~1e-14 spread of repeated vertex solves is.
     """
-    v = v[_first_per_key(_dedup_keys(v))]
+    firsts = _first_per_key(_dedup_keys(v))
+    rows = np.sort(firsts)
+    u = v[rows]
     # positive weights summing to 1, so |w.(x - y)| <= max|x - y| and a close
     # pair has a close projection; a transcendental ratio keeps them generic,
     # so that distinct vertices rarely project close together
-    w = np.exp(-np.arange(v.shape[1]) / np.pi)
-    proj = v @ (w / w.sum())
+    w = np.exp(-np.arange(u.shape[1]) / np.pi)
+    proj = u @ (w / w.sum())
     order = np.argsort(proj, kind="stable")
     # twice the tolerance leaves room for round-off in the projection
     small = np.diff(proj[order]) < 2.0 * DEDUP_TOL
     starts = np.flatnonzero(np.concatenate(([True], ~small)))
-    lengths = np.diff(starts, append=len(v))
+    lengths = np.diff(starts, append=len(u))
     keep = np.ones(len(v), dtype=bool)
     for start, length in zip(starts[lengths > 1], lengths[lengths > 1]):
         run = np.sort(order[start:start + length])
-        block = v[run]
+        block = u[run]
         near = np.abs(block[:, None, :] - block[None, :, :]).max(axis=2) < DEDUP_TOL
         kept: list[int] = []
         for i in range(length):
             if near[i, kept].any():
-                keep[run[i]] = False
+                keep[rows[run[i]]] = False
             else:
                 kept.append(i)
-    return v[keep]
+    return v[firsts[keep[firsts]]]
 
 
 def _read_only(vertices: np.ndarray) -> np.ndarray:

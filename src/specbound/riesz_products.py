@@ -32,7 +32,9 @@ FAN_CONSISTENCY_ALLOWANCE = 10.0  # see fan_consistency_bounded
 # entropy proxy, in the certified_below_* checks of the riesz table
 PEYRIERE_SLACK = 0.02
 ENTROPY_SLACK = 0.05
-_DERIVATIVE_BLOCK = 4096  # grid points per block of g_derivative_bound_check
+# grid points per block of g_derivative_bound_check: its (21, block) buffers
+# take 21 * 2048 * 8 bytes = 344 kB each, whatever the grid size
+_DERIVATIVE_BLOCK = 2048
 ENDPOINT_GRID = 1001  # phi grid of endpoint_optimality_gap
 CHEBYSHEV_POINTS = 100  # random amplitudes of chebyshev_product_relerr
 
@@ -327,21 +329,52 @@ def g_derivative_bound_check(x_points: int = 100_000) -> DerivativeBoundReport:
         |-a*sin(x) - a*sin(x)*log(1 + a*cos(x))| stays <= 2;
     (2) L = sup on [0, pi/2] of sin(x) * (1 + log(1 + cos(x))) lands in [1.2, 1.25].
     Points where 1 + a*cos(x) vanishes are assigned their limit value 0.
+
+    Both grids hold ``x_points`` points, spaced as by ``np.linspace``, and are
+    walked together in blocks of ``_DERIVATIVE_BLOCK`` points, so neither is
+    ever built whole.  Each block's (21, block) derivative goes into two
+    reused float buffers and one mask, so memory is O(21 * block) at any
+    ``x_points``.  Every point takes the same operations, in the same order,
+    as the whole-grid evaluation, and maxima are exact, so both results equal
+    the whole-grid ones.
     """
+    if x_points < 1:
+        raise InvalidInputError(f"grid size must be >= 1, got {x_points}")
     a = np.linspace(-1.0, 1.0, 21)[:, None]
-    x = np.linspace(0.0, 2.0 * np.pi, x_points)
-    sup = 0.0
-    # all amplitudes at once on a block of x: the (21, block) temporaries stay
-    # small, where whole-grid ones would raise the peak memory of the run
+    neg_a = -a
+    tiny = np.finfo(float).tiny
+    t_buf = np.empty((a.shape[0], _DERIVATIVE_BLOCK))
+    log_buf = np.empty_like(t_buf)
+    positive_buf = np.empty(t_buf.shape, dtype=bool)
+    sup = lipschitz = 0.0  # both maxima are >= 0: each grid contains x = 0
     for lo in range(0, x_points, _DERIVATIVE_BLOCK):
-        xs = x[lo:lo + _DERIVATIVE_BLOCK]
-        t = 1.0 + a * np.cos(xs)
-        inner = np.where(t > 0, 1.0 + np.log(np.maximum(t, np.finfo(float).tiny)), 0.0)
-        deriv = np.where(t > 0, -a * np.sin(xs) * inner, 0.0)
-        sup = max(sup, float(np.max(np.abs(deriv))))
-    half = np.linspace(0.0, np.pi / 2.0, x_points)
-    lipschitz = float(np.max(np.sin(half) * (1.0 + np.log1p(np.cos(half)))))
+        hi = min(lo + _DERIVATIVE_BLOCK, x_points)
+        xs = _linspace_block(2.0 * np.pi, x_points, lo, hi)
+        t, inner, positive = t_buf[:, :hi - lo], log_buf[:, :hi - lo], positive_buf[:, :hi - lo]
+        np.multiply(a, np.cos(xs), out=t)
+        np.add(1.0, t, out=t)  # t = 1 + a*cos(x)
+        np.greater(t, 0.0, out=positive)
+        np.maximum(t, tiny, out=inner)
+        np.log(inner, out=inner)
+        np.add(1.0, inner, out=inner)  # 1 + log(t) wherever t > 0
+        np.multiply(neg_a, np.sin(xs), out=t)
+        np.multiply(t, inner, out=t)
+        np.abs(t, out=t)
+        sup = max(sup, float(np.max(t, where=positive, initial=0.0)))
+        half = _linspace_block(np.pi / 2.0, x_points, lo, hi)
+        lipschitz = max(lipschitz, float(np.max(np.sin(half) * (1.0 + np.log1p(np.cos(half))))))
     return DerivativeBoundReport(sup, lipschitz)
+
+
+def _linspace_block(stop: float, num: int, lo: int, hi: int) -> np.ndarray:
+    # points lo..hi-1 of np.linspace(0.0, stop, num), computed as it computes
+    # them: k * step + 0.0, with the last point set to stop
+    points = np.arange(lo, hi, dtype=float)
+    if num > 1:
+        points *= stop / (num - 1)
+        if hi == num:
+            points[-1] = stop
+    return points
 
 
 def entropy_dimension_estimate(params: RieszParams, depth: int, level: int) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,8 +406,10 @@ class TestDerivativeBounds:
         # the global sup is attained on the |a| = 1 slice
         assert abs(report.sup_estimate - report.lipschitz_constant) <= 1e-9
 
-    @pytest.mark.parametrize("x_points", [100_000, 4097, 5, 1])
+    @pytest.mark.parametrize("x_points", [100_000, 4097, 5, 1, 2, 2047, 2048, 2049])
     def test_matches_per_amplitude_loop(self, x_points):
+        # whole np.linspace grids, one amplitude at a time: block edges, a
+        # short last block and the one-point grid give the same maxima
         x = np.linspace(0.0, 2.0 * np.pi, x_points)
         sup = 0.0
         for a in np.linspace(-1.0, 1.0, 21):
@@ -414,7 +417,33 @@ class TestDerivativeBounds:
             inner = np.where(t > 0, 1.0 + np.log(np.maximum(t, np.finfo(float).tiny)), 0.0)
             deriv = np.where(t > 0, -a * np.sin(x) * inner, 0.0)
             sup = max(sup, float(np.max(np.abs(deriv))))
-        assert rp.g_derivative_bound_check(x_points).sup_estimate == sup
+        half = np.linspace(0.0, np.pi / 2.0, x_points)
+        lipschitz = float(np.max(np.sin(half) * (1.0 + np.log1p(np.cos(half)))))
+        assert rp.g_derivative_bound_check(x_points) == (sup, lipschitz)
+
+    @pytest.mark.parametrize("num", [1, 2, 26, 2049, 100_000])
+    def test_blocks_tile_the_linspace_grid(self, num):
+        # at num = 26, (num - 1) * step rounds away from stop: the last point is set
+        for stop in (2.0 * np.pi, np.pi / 2.0):
+            size = rp._DERIVATIVE_BLOCK
+            blocks = [rp._linspace_block(stop, num, lo, min(lo + size, num))
+                      for lo in range(0, num, size)]
+            np.testing.assert_array_equal(np.concatenate(blocks), np.linspace(0.0, stop, num))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(InvalidInputError):
+            rp.g_derivative_bound_check(0)
+
+    def test_memory_stays_bounded(self):
+        # the two 1e5-point grids alone take 1.6 MB; the blocked walk keeps
+        # its (21, block) buffers and per-block points below 1 MB
+        tracemalloc.start()
+        try:
+            rp.g_derivative_bound_check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
 
 class TestEntropyEstimate:

@@ -22,6 +22,19 @@ class TestSparseSpectrum:
         with pytest.raises(InvalidInputError):
             SparseSpectrum(np.array([1, 1]), np.array([1.0, 2.0]))
 
+    def test_unsorted_input_comes_back_sorted(self):
+        spec = SparseSpectrum(np.array([3, -2, 0, 7]), np.array([1.0, 0.5j, 2.0, -1.0]))
+        np.testing.assert_array_equal(spec.frequencies, [-2, 0, 3, 7])
+        np.testing.assert_array_equal(spec.coefficients, [0.5j, 2.0, 1.0, -1.0])
+        # -5e18 - 5e18 wraps to a positive int64, so a difference would call this sorted
+        spec = SparseSpectrum(np.array([5 * 10 ** 18, -5 * 10 ** 18]), np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(spec.frequencies, [-5 * 10 ** 18, 5 * 10 ** 18])
+
+    @pytest.mark.parametrize("freqs", [[-1, 1, 1, 4], [4, 1, -1, 1]])
+    def test_duplicates_raise_sorted_or_not(self, freqs):
+        with pytest.raises(InvalidInputError, match="duplicate"):
+            SparseSpectrum(np.array(freqs), np.ones(len(freqs)))
+
     def test_coefficient_lookup(self):
         spec = SparseSpectrum.from_dict({5: 1.0 + 2.0j})
         assert spec.coefficient(5) == 1.0 + 2.0j
