@@ -1,4 +1,4 @@
-"""Dimension bounds via convex maximization over a vertex-enumerated polytope.
+"""Dimension bounds via convex maximization over the vertices of a polytope.
 
 The feasible region is {v in W : v_j >= -1} where W is the admissible-difference
 subspace attached to a residue set B.  Both quantities of interest,
@@ -7,12 +7,15 @@ subspace attached to a residue set B.  Both quantities of interest,
     kappa'(1)    = -(1/q) * max over feasible v of sum_j (1+v_j) * log(1+v_j),
 
 are maxima of convex functions over a compact polytope, hence attained at
-extreme points; the module enumerates those points by solving for each
-candidate set of active constraints and evaluates the objectives there.  For a
-band B = u*{+-1, ..., +-r} (gcd(u, q) = 1, 2r < q) the candidates are exactly
-the vertices' active sets, given by Gale's evenness condition; for every other
-B they are all C(q, d) coordinate subsets.  The resulting certified lower
-bound for the dimension of any admissible non-negative measure is
+extreme points.  For a band B = u*{+-1, ..., +-r} (gcd(u, q) = 1, 2r < q)
+Gale's evenness condition names the vertices' active sets and each vertex is a
+normalized product of sines (:func:`band_vertices`).  The polytope of every B
+is invariant under the dihedral group j -> c +- j of Z_q, and both objectives
+are symmetric functions of the coordinates, so for a band they are maximized
+over one vertex per dihedral orbit: one per bracelet of the gaps between its r
+active pairs (:func:`bracelets`).  Every other B has its vertices enumerated
+by solving for all C(q, d) candidate active sets.  The resulting certified
+lower bound for the dimension of any admissible non-negative measure is
 1 + kappa'(1)/log q, compared against the coarser subgroup bound
 1 - log|H|/log q.
 """
@@ -22,24 +25,36 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, combinations, islice
-from typing import NamedTuple
+from itertools import chain, combinations, islice, repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError, PreconditionError, ResourceLimitError
-from .zq_spectral import ResidueSet, SubspaceBasis, symmetrize, wb_basis
+from .zq_spectral import MAX_ARRAY_FLOATS, ResidueSet, SubspaceBasis, symmetrize, wb_basis
 
 FEASIBILITY_TOL = 1e-9
 # multiplicative slack of every L_p growth comparison
 SLACK = 1e-9
 DEDUP_TOL = 1e-7
-# active-set solves: C(q, d), or the Gale count for a band; admits the
-# half-band at q=28 (155040 Gale solves) and C(20, 10) = 184756 subsets
+# d-subset solves of an exhaustive enumeration, C(q, d), checked before any
+# subset is built: admits C(20, 10) = 184756.  Bands solve nothing; their
+# vertex set is budgeted in floats (rows x q) by MAX_ARRAY_FLOATS instead
 MAX_VERTEX_SUBSETS = 2 * 10 ** 5
+# dihedral orbits of a band's vertices, counted by Burnside's lemma before any
+# is generated: admits the half-band at q=40 (502303), not at q=44 (2934559)
+MAX_BAND_ORBITS = 10 ** 6
+# log-sine terms summed over those orbits, orbits x r x q: the same guard for
+# wide bands, whose few orbits each cost r terms per coordinate (the q=40
+# half-band sums 2.0e8)
+MAX_BAND_TERMS = 10 ** 9
 # floats in one stacked (n, d, d) solve: large enough to amortize the call,
-# small enough that the chunk temporaries stay well under a megabyte
-_SOLVE_FLOATS = 2 ** 14
+# small enough that each chunk temporary (64 KiB) stays under the 128 KiB at
+# which glibc's malloc maps fresh memory instead of reusing its heap
+_SOLVE_FLOATS = 2 ** 13
+# floats in one (n, q) chunk of closed-form vertices: 128 KiB per array, the
+# fastest of 2^12..2^16 on the q=40 half-band
+_VERTEX_FLOATS = 2 ** 14
 
 
 class FeasiblePolytope:
@@ -70,7 +85,7 @@ class FeasiblePolytope:
 
     @property
     def vertex_source(self) -> str:
-        """Which active sets are solved: "gale" for a band, else "exhaustive"."""
+        """Where the vertices come from: "gale" (closed form) for a band, else "exhaustive"."""
         return "exhaustive" if self.band is None else "gale"
 
     @cached_property
@@ -78,67 +93,77 @@ class FeasiblePolytope:
         """Extreme points, shape (n, q), in :func:`polytope_vertices` order; read-only."""
         return polytope_vertices(self)
 
+    @cached_property
+    def orbit_vertices(self) -> np.ndarray | None:
+        """One vertex per dihedral orbit of a band whose orbits fit in one
+        chunk, read-only, else None.  Kept because the checks evaluate kappa
+        of one polytope many times; larger bands are streamed every time."""
+        if self.band is None or band_orbit_count(self.q, self.band[1]) * self.q > _VERTEX_FLOATS:
+            return None
+        return _read_only(next(_orbit_chunks(self)))
+
 
 def polytope_vertices(polytope: FeasiblePolytope) -> np.ndarray:
-    """Enumerate the extreme points by solving for their active constraint sets.
+    """The extreme points, sorted lexicographically by their ``DEDUP_TOL``-rounded coordinates.
 
-    Every vertex of a d-dimensional polytope activates at least d of the q
-    constraints v_j >= -1, so solving (M t)_j = -1 on each d-subset of rows
-    with an invertible submatrix, then filtering by global feasibility and
-    deduplicating, yields exactly the vertex set.  For a band (see
-    :attr:`FeasiblePolytope.band`) the candidate sets are only the Gale
-    evenness sets of :func:`gale_active_sets`, one per vertex; every other
-    polytope tries all C(q, d) subsets in ``combinations`` order.
+    The order does not depend on round-off.  For a band (see
+    :attr:`FeasiblePolytope.band`) the vertices are the closed forms of
+    :func:`band_vertices` on the Gale evenness sets of
+    :func:`gale_pair_starts`, one per vertex; :class:`ResourceLimitError` is
+    raised before any is evaluated when their rows x q floats exceed
+    ``MAX_ARRAY_FLOATS``.
 
-    Both sources are solved the same way, a chunk at a time, each chunk's
+    Every other polytope is enumerated exhaustively.  Every vertex of a
+    d-dimensional polytope activates at least d of the q constraints
+    v_j >= -1, so solving (M t)_j = -1 on each d-subset of rows with an
+    invertible submatrix, then filtering by global feasibility and
+    deduplicating, yields exactly the vertex set.  All C(q, d) subsets are
+    solved in ``combinations`` order, a chunk at a time, each chunk's
     submatrices as one stack.  Exactly singular submatrices (determinant 0)
     are dropped before the solve; near-singular ones are rejected by a
     residual check at ``FEASIBILITY_TOL`` rather than a condition estimate.
     Solutions within ``DEDUP_TOL`` of each other in the max norm are one
     vertex, represented by the first seen in subset order (see
-    :func:`_distinct_rows`).  Rows come back sorted lexicographically by their
-    ``DEDUP_TOL``-rounded coordinates, so the order does not depend on
-    round-off.  Raises :class:`ResourceLimitError` before any set is built
-    when the number of solves exceeds ``MAX_VERTEX_SUBSETS``, and
-    :class:`NumericalError` when a Gale set fails a test or two of their
-    solutions merge, since Gale's theorem makes each set a distinct vertex.
+    :func:`_distinct_rows`).  Raises :class:`ResourceLimitError` before any
+    subset is built when C(q, d) exceeds ``MAX_VERTEX_SUBSETS``.
     """
     m = polytope.basis.columns
     q, d = m.shape
     if d > q:
         raise InvalidInputError(f"subspace dimension {d} exceeds ambient dimension {q}")
     band = polytope.band
-    solves = math.comb(q, d) if band is None else gale_vertex_count(q, band[1])
+    if band is not None:
+        count = gale_vertex_count(q, band[1])
+        if count * q > MAX_ARRAY_FLOATS:
+            raise ResourceLimitError(
+                f"the vertex set needs {count} Gale-evenness vertices x {q} coordinates, "
+                f"over the {MAX_ARRAY_FLOATS:.0e}-float budget"
+            )
+        starts = gale_pair_starts(q, band[1])
+        per = max(1, _VERTEX_FLOATS // q)
+        v = np.concatenate([band_vertices(polytope, starts[lo:lo + per])
+                            for lo in range(0, count, per)])
+        return _read_only(v[np.lexsort(_dedup_keys(v).T[::-1])])
+    solves = math.comb(q, d)
     if solves > MAX_VERTEX_SUBSETS:
-        work = f"C({q}, {d}) = {solves}" if band is None else f"{solves} Gale-evenness"
         raise ResourceLimitError(
-            f"vertex enumeration needs {work} solves, over the {MAX_VERTEX_SUBSETS:.0e} budget"
+            f"vertex enumeration needs C({q}, {d}) = {solves} solves, "
+            f"over the {MAX_VERTEX_SUBSETS:.0e} budget"
         )
     if d == 0:
         return _read_only(np.zeros((0, q)))
     chunk = max(1, _SOLVE_FLOATS // (d * d))
-    if band is None:
-        stream = combinations(range(q), d)
-        chunks = (np.fromiter(islice(stream, chunk), dtype=(np.intp, (d,)))
-                  for _ in range(0, solves, chunk))
-    else:
-        sets = gale_active_sets(q, *band)
-        chunks = (sets[lo:lo + chunk] for lo in range(0, solves, chunk))
+    stream = combinations(range(q), d)
     # repeated solves of degenerate vertices are dropped chunk by chunk, to
-    # bound memory; one chunk is left to _distinct_rows, and Gale sets have none
-    per_chunk = band is None and solves > chunk
+    # bound memory; a single chunk is left to _distinct_rows
+    per_chunk = solves > chunk
     found = []
-    for idx in chunks:
-        v = _feasible_solutions(m, idx)
+    for lo in range(0, solves, chunk):
+        v = _feasible_solutions(m, _rows(stream, min(chunk, solves - lo), d))
         if per_chunk:
-            v = v[np.sort(_first_per_key(_dedup_keys(v)))]
+            v = v[_ascending(_first_per_key(_dedup_keys(v)), len(v))]
         found.append(v)
-    v = _distinct_rows(np.concatenate(found))
-    if band is not None and len(v) != solves:
-        raise NumericalError(
-            f"Gale evenness gives {solves} vertices for q={q}, d={d}; the solves kept {len(v)}"
-        )
-    return _read_only(v)
+    return _read_only(_distinct_rows(np.concatenate(found)))
 
 
 def band_multiplier(b: ResidueSet) -> tuple[int, int] | None:
@@ -162,14 +187,17 @@ def gale_vertex_count(q: int, r: int) -> int:
     return math.comb(q - r, r) + math.comb(q - r - 1, r - 1)
 
 
+def _rows(stream, n: int, k: int) -> np.ndarray:
+    """The next ``n`` length-``k`` integer tuples of ``stream``, as an (n, k) array."""
+    return np.fromiter(chain.from_iterable(islice(stream, n)), np.intp, count=n * k).reshape(n, k)
+
+
 def _combination_rows(n: int, k: int) -> np.ndarray:
-    count = math.comb(n, k)
-    flat = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.intp, count=count * k)
-    return flat.reshape(count, k)
+    return _rows(combinations(range(n), k), math.comb(n, k), k)
 
 
-def gale_active_sets(q: int, u: int, r: int) -> np.ndarray:
-    """Active sets of the vertices of the polytope of u*{+-1, ..., +-r}, shape (n, 2r).
+def gale_pair_starts(q: int, r: int) -> np.ndarray:
+    """Active sets of the vertices of a band's polytope, as pair starts, shape (n, r).
 
     For u = 1 the constraint normals (cos 2 pi j m/q, sin 2 pi j m/q),
     m = 1..r, lie on the trigonometric moment curve, so their convex hull is
@@ -178,16 +206,209 @@ def gale_active_sets(q: int, u: int, r: int) -> np.ndarray:
     section 0) the vertices' active sets are exactly the unions of r disjoint
     cyclically adjacent pairs {i, i+1 mod q}: C(q-r, r) whose pair starts
     i_k = c_k + k come from increasing c in 0..q-r-1, and C(q-r-1, r-1) that
-    use the pair {q-1, 0}.  Row j of u*B's constraints is row u*j of B's, so
-    the sets are mapped by j -> u^-1 j.  Each row is sorted, so it selects
-    the same submatrix as the equal subset in ``combinations``.
+    use the pair {q-1, 0}.  Each row lists its r starts i_k increasing.  For
+    u*B the starts are positions in the frame x = u*j mod q: row j of u*B's
+    constraints is row u*j of B's.
     """
     inside = _combination_rows(q - r, r) + np.arange(r)
     wrapping = _combination_rows(q - r - 1, r - 1) + np.arange(1, r)
     wrapping = np.column_stack((wrapping, np.full(len(wrapping), q - 1)))
-    starts = np.concatenate((inside, wrapping))
-    pairs = np.concatenate((starts, (starts + 1) % q), axis=1)
-    return np.sort(pairs * pow(u, -1, q) % q, axis=1)
+    return np.concatenate((inside, wrapping))
+
+
+def _sine_products(q: int, u: int, starts: np.ndarray) -> np.ndarray:
+    """1 + v for the band vertex with active pairs {s, s+1} at each row of ``starts``."""
+    k = np.arange(q)
+    with np.errstate(divide="ignore"):
+        # log|sin(pi k/q)|, computed on 0 <= k <= q/2 so that it is exactly
+        # symmetric under k -> q - k, and -inf at k = 0
+        log_sine = np.log(np.sin(np.pi * np.where(2 * k <= q, k, q - k) / q))
+    # the pair {s, s+1} contributes pair[(x - s) mod q] at frame position x;
+    # doubled, the table takes q + x - s in 1..2q-1 without a modulus
+    pair = log_sine + log_sine[k - 1]
+    pair = np.concatenate((pair, pair))
+    shift = q + k
+    logs = pair[shift - starts[:, :1]]
+    for i in range(1, starts.shape[1]):
+        logs += pair[shift - starts[:, i:i + 1]]
+    p = np.exp(logs - logs.max(axis=1, keepdims=True))
+    p *= q / p.sum(axis=1, keepdims=True)
+    return p[:, u * k % q]
+
+
+def band_vertices(polytope: FeasiblePolytope, starts: np.ndarray) -> np.ndarray:
+    """The vertices of a band's polytope with active pairs at each row of ``starts``, shape (n, q).
+
+    Take B = u*{+-1, ..., +-r} and r disjoint pairs S = {s, s+1} in the frame
+    x = u*j mod q.  The vertex active on S has 1 + v a real trigonometric
+    polynomial of degree r in x, of mean 1, vanishing on S.  Up to scale that
+    is prod_{s in S} sin(pi*(x - s)/q), and adjacent pairs make it one-signed
+    on Z_q.  So
+
+        1 + v_j = q * P_j / sum_i P_i,  P_j = prod_{s in S} |sin(pi*(u*j - s)/q)|,
+
+    summed in log space from one table of pair terms (r per coordinate) and
+    normalized by each row's largest P_j.  Active coordinates come out exactly
+    -1.  Each row must lie in the subspace and the polytope to
+    ``FEASIBILITY_TOL`` (times its largest entry, at least 1), or
+    :class:`NumericalError` is raised.
+    """
+    v = _sine_products(polytope.q, polytope.band[0], starts) - 1.0
+    m = polytope.basis.columns
+    off = np.abs(v - (v @ m) @ m.T).max(axis=1, initial=0.0)
+    scale = np.abs(v).max(axis=1, initial=1.0)
+    # written so that NaN fails
+    if not ((off / scale).max(initial=0.0) <= FEASIBILITY_TOL
+            and v.min(initial=0.0) >= -1.0 - FEASIBILITY_TOL):
+        raise NumericalError(
+            f"a closed-form band vertex for q={polytope.q} fails the subspace or "
+            f"feasibility test at {FEASIBILITY_TOL:.0e}"
+        )
+    return v
+
+
+def band_orbit_count(q: int, r: int) -> int:
+    """Dihedral orbits of the vertices of a band's polytope, by Burnside's lemma.
+
+    A vertex is given by the gaps g_1, ..., g_r >= 0 between its r active
+    pairs, with sum q - 2r; rotations and reflections of Z_q rotate and reverse
+    that sequence, so the orbits are its bracelets.  Of the r rotations, the
+    one by k fixes the sequences of period c = gcd(k, r), which exist when
+    r/c divides q - 2r.  A reversal fixes the palindromes: for odd r, a middle
+    gap and m = (r-1)/2 mirrored pairs; for even r, either two middle gaps and
+    m = r/2 - 1 pairs, or r/2 pairs.  Sums over the mirrored pairs' total
+    s <= (q - 2r)/2 collapse by the hockey-stick identity.
+    """
+    n = q - 2 * r
+    fixed = sum(_compositions(n * c // r, c)
+                for c in map(math.gcd, range(r), repeat(r)) if n * c % r == 0)
+    half = n // 2
+    if r % 2:
+        m = (r - 1) // 2
+        fixed += r * math.comb(half + m, m)
+    else:
+        m = r // 2 - 1
+        # sum over s of (n - 2s + 1) * C(s + m - 1, m - 1)
+        fixed += r // 2 * ((n + 1) * math.comb(half + m, m) - 2 * m * math.comb(half + m, m + 1))
+        if n % 2 == 0:
+            fixed += r // 2 * _compositions(half, r // 2)
+    return fixed // (2 * r)
+
+
+def _compositions(total: int, parts: int) -> int:
+    # sequences of parts >= 1 integers >= 0 with the given total
+    return math.comb(total + parts - 1, parts - 1)
+
+
+def bracelets(parts: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Each sequence of ``parts`` integers >= 0 with sum ``total``, up to
+    rotation and reversal, once: its lexicographically least form, in
+    lexicographic order.
+
+    Sawada's bracelet generator (Sawada, "Generating bracelets in constant
+    amortized time", SIAM J. Comput. 31, 2001) with the sum fixed, iterative
+    so that its depth is not limited by the recursion limit.  It extends
+    prenecklaces a_1..a_t as the Fredricksen-Kessler-Maiorana algorithm does
+    (a_t >= a_{t-p}, p the period of the longest Lyndon prefix; a necklace
+    when p divides the length) and prunes a prefix as soon as a rotation of
+    its reversal is smaller.  Only rotations of the reversal that start with
+    a run of a_1 as long as the leading one can be: each time such a run ends
+    at t, a_1..a_t is compared with its own reversal.  A palindromic a_1..a_t
+    leaves a_{t+1}..a_n to be compared with its reversal, which the flag
+    ``rs`` tracks once both halves are set.  A prefix is also pruned when the
+    remaining parts, each at least a_1, cannot meet the sum.
+    """
+    n, k = parts, total
+    if n == 1:
+        yield (k,)
+        return
+    a = [0] * (n + 1)
+    # state after a_t is set: Lyndon period, lengths of the leading and
+    # trailing runs of a_1, end of the last palindromic prefix, whether the
+    # reversal is smaller on the part compared so far, and the running sum
+    period = [1] * (n + 1)
+    lead = [1] * (n + 1)
+    trail = [1] * (n + 1)
+    pal = [1] * (n + 1)
+    smaller = [False] * (n + 1)
+    acc = [0] * (n + 1)
+    for first in range(k // n + 1):
+        a[1] = acc[1] = first
+        t, x = 2, None
+        while t > 1:
+            p = period[t - 1]
+            ref = a[t - p]
+            top = k - acc[t - 1] - (n - t) * first
+            if x is None:
+                x = ref if t < n or ref > top else top
+            if x > top:
+                t -= 1
+                x = a[t] + 1
+                continue
+            a[t] = x
+            if x == first:
+                v = trail[t - 1] + 1
+                u = t if lead[t - 1] == t - 1 else lead[t - 1]
+            else:
+                v, u = 0, lead[t - 1]
+            r, rs = pal[t - 1], smaller[t - 1]
+            if v == u:
+                for j in range(u + 1, (t + 1) // 2 + 1):
+                    if a[j] != a[t + 1 - j]:
+                        break
+                else:
+                    j = 0  # a_1..a_t is a palindrome
+                if not j:
+                    r, rs = t, False
+                elif a[j] > a[t + 1 - j]:
+                    x += 1
+                    continue
+            if 2 * t > n + r and x != a[n + 1 + r - t]:
+                rs = x < a[n + 1 + r - t]
+            if t == n:
+                if not rs and n % (p if x == ref else t) == 0:
+                    yield tuple(a[1:])
+                t -= 1
+                x = a[t] + 1
+                continue
+            period[t] = p if x == ref else t
+            lead[t], trail[t], pal[t], smaller[t] = u, v, r, rs
+            acc[t] = acc[t - 1] + x
+            t, x = t + 1, None
+
+
+def _representatives(polytope: FeasiblePolytope) -> Iterator[np.ndarray]:
+    """Chunks of vertices that meet every orbit of the dihedral group: for a
+    band one vertex per orbit, for any other polytope its vertex set."""
+    if polytope.band is None:
+        if len(polytope.vertex_set):
+            yield polytope.vertex_set
+    elif polytope.orbit_vertices is not None:
+        yield polytope.orbit_vertices
+    else:
+        yield from _orbit_chunks(polytope)
+
+
+def _orbit_chunks(polytope: FeasiblePolytope) -> Iterator[np.ndarray]:
+    """One vertex per dihedral orbit of a band, a chunk at a time.
+
+    The pairs start at 0 and follow each other at the gaps of one bracelet.
+    Raises :class:`ResourceLimitError` before any is generated when the
+    Burnside count exceeds ``MAX_BAND_ORBITS`` or its log-sine terms exceed
+    ``MAX_BAND_TERMS``.
+    """
+    q, r = polytope.q, polytope.band[1]
+    count = band_orbit_count(q, r)
+    if count > MAX_BAND_ORBITS or count * r * q > MAX_BAND_TERMS:
+        raise ResourceLimitError(
+            f"the band needs {count} dihedral-orbit vertices of {r} pairs x {q} coordinates, "
+            f"over the {MAX_BAND_ORBITS:.0e}-orbit or {MAX_BAND_TERMS:.0e}-term budget"
+        )
+    gaps = bracelets(r, q - 2 * r)
+    per = max(1, _VERTEX_FLOATS // q)
+    for lo in range(0, count, per):
+        g = _rows(gaps, min(per, count - lo), r)
+        yield band_vertices(polytope, np.cumsum(g, axis=1) - g + 2 * np.arange(r))
 
 
 def _feasible_solutions(m: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -214,6 +435,13 @@ def _first_per_key(keys: np.ndarray) -> np.ndarray:
     return order[new]
 
 
+def _ascending(indices: np.ndarray, n: int) -> np.ndarray:
+    """The distinct ``indices`` (all below n) in increasing order, in O(n) without a sort."""
+    keep = np.zeros(n, dtype=bool)
+    keep[indices] = True
+    return np.flatnonzero(keep)
+
+
 def _distinct_rows(v: np.ndarray) -> np.ndarray:
     """Greedy dedup in row order: a row closer than ``DEDUP_TOL`` (max norm)
     to an earlier kept row is dropped.  The kept rows come back sorted
@@ -228,7 +456,7 @@ def _distinct_rows(v: np.ndarray) -> np.ndarray:
     ``DEDUP_TOL``, as the ~1e-14 spread of repeated vertex solves is.
     """
     firsts = _first_per_key(_dedup_keys(v))
-    rows = np.sort(firsts)
+    rows = _ascending(firsts, len(v))
     u = v[rows]
     # positive weights summing to 1, so |w.(x - y)| <= max|x - y| and a close
     # pair has a close projection; a transcendental ratio keeps them generic,
@@ -280,23 +508,24 @@ def power_mean(values: np.ndarray, p: float) -> np.ndarray:
 
 
 def kappa(theta: float, polytope: FeasiblePolytope) -> float:
-    """Growth exponent at theta in (0, 1], evaluated over the vertex set.
+    """Growth exponent at theta in (0, 1], maximized over the vertices.
 
     Each vertex objective theta * log((1/q) * sum_j (1+v_j)**(1/theta)) is the
     log of the 1/theta power mean of 1 + v, which :func:`power_mean` takes
     with each vertex's largest entry factored out, so small theta never
-    overflows.  All vertices are one array expression.  kappa(1) is exactly
-    0: the zero-sum constraint makes every vertex objective log(1) there.
+    overflows.  It is symmetric in the coordinates, so the maximum is taken
+    over the dihedral-orbit representatives of :func:`_representatives`, a
+    chunk at a time.  kappa(1) is exactly 0: the zero-sum constraint makes
+    every vertex objective log(1) there.
     """
     if not 0.0 < theta <= 1.0:
         raise InvalidInputError(f"theta must lie in (0, 1], got {theta}")
     if theta == 1.0:
         return 0.0
-    vertices = polytope.vertex_set
-    if vertices.shape[0] == 0:
-        return 0.0  # origin-only polytope
-    # each row of 1 + v sums to q, so every power mean is positive
-    return float(np.max(np.log(power_mean(_clipped_shift(vertices).T, 1.0 / theta))))
+    # each row of 1 + v sums to q, so every power mean is positive; an
+    # origin-only polytope has no vertex and gives 0
+    return max((float(np.max(np.log(power_mean(_clipped_shift(v).T, 1.0 / theta))))
+                for v in _representatives(polytope)), default=0.0)
 
 
 class KappaPrime(NamedTuple):
@@ -308,20 +537,51 @@ def kappa_prime_1(polytope: FeasiblePolytope) -> KappaPrime:
     """Left derivative of kappa at 1: -(1/q) * max_v sum_j (1+v_j)*log(1+v_j).
 
     The objective is convex (affine maps composed with t*log(t), extended by
-    0 at t=0), so the maximum over the polytope is attained at a vertex.  Ties
-    are broken toward the first vertex in the vertex set's order, which is
-    lexicographic in the ``DEDUP_TOL``-rounded coordinates, so round-off in
-    the solves cannot change the witness.
+    0 at t=0), so the maximum over the polytope is attained at a vertex, and
+    symmetric in the coordinates, so it is taken over the dihedral-orbit
+    representatives of :func:`_representatives`.  The witness is the first
+    vertex tied with the maximum (to 1e-12 relative) in lexicographic order of
+    the ``DEDUP_TOL``-rounded coordinates, so round-off in the vertices cannot
+    change it; for a band :func:`_first_image` finds it without expanding any
+    orbit.
     """
-    vertices = polytope.vertex_set
     q = polytope.q
-    if vertices.shape[0] == 0:
+    top = -math.inf
+    # the vertices within the tie tolerance of the maximum so far, and their objectives
+    rows, values = np.zeros((0, q)), np.zeros(0)
+    for v in _representatives(polytope):
+        objective = xlogx(_clipped_shift(v)).sum(axis=1)
+        top = max(top, float(objective.max()))
+        rows, values = np.concatenate((rows, v)), np.concatenate((values, objective))
+        tied = values >= top - 1e-12 * max(1.0, abs(top))
+        rows, values = rows[tied], values[tied]
+    if not len(rows):
         return KappaPrime(0.0, np.zeros(q))
-    objective = xlogx(_clipped_shift(vertices)).sum(axis=1)
-    top = float(objective.max())
-    tied = np.flatnonzero(objective >= top - 1e-12 * max(1.0, abs(top)))
-    witness = vertices[tied[0]]
-    return KappaPrime(-top / q, witness.copy())
+    # a vertex set is already in rounded-lexicographic order
+    witness = rows[0].copy() if polytope.band is None else _first_image(rows)
+    return KappaPrime(-top / q, witness)
+
+
+def _first_image(rows: np.ndarray) -> np.ndarray:
+    """The member of the rows' dihedral orbits first in ``DEDUP_TOL``-rounded lexicographic order.
+
+    That member starts with an active coordinate v_a = -1, so the candidates
+    are the 4r images j -> v[(a +- j) mod q] of each row over its active a.
+    They are compared one coordinate at a time, so no orbit is expanded into
+    rows.
+    """
+    q = rows.shape[1]
+    keys = _dedup_keys(rows)
+    row, start = np.nonzero(rows == -1.0)
+    row, start = np.repeat(row, 2), np.repeat(start, 2)
+    step = 1 - 2 * (np.arange(len(row)) % 2)
+    for j in range(q):
+        if len(row) == 1:
+            break
+        column = keys[row, (start + step * j) % q]
+        first = column == column.min()
+        row, start, step = row[first], start[first], step[first]
+    return rows[row[0], (start[0] + step[0] * np.arange(q)) % q]
 
 
 def kappa_left_derivative_fd(polytope: FeasiblePolytope, h: float) -> float:
@@ -364,7 +624,7 @@ def dimension_bound(b: ResidueSet) -> DimensionBound:
     was_symmetrized = b_sym.members != b.members
     polytope = FeasiblePolytope.from_residues(b_sym)
     kp = kappa_prime_1(polytope)
-    q = b_sym.q
+    q, band = b_sym.q, polytope.band
     raw = 1.0 + kp.value / math.log(q)
     bound = min(1.0, max(0.0, raw))
     g = math.gcd(q, *b_sym.members)
@@ -381,7 +641,7 @@ def dimension_bound(b: ResidueSet) -> DimensionBound:
         proper_inclusion=b_sym.members != set(subgroup[1:]),
         delta=bound - subgroup_bound,
         witness_vertex=tuple(float(x) for x in kp.witness),
-        vertex_count=len(polytope.vertex_set),
+        vertex_count=len(polytope.vertex_set) if band is None else gale_vertex_count(q, band[1]),
         vertex_source=polytope.vertex_source,
         symmetrized=was_symmetrized,
     )

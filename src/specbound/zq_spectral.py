@@ -15,10 +15,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .spectrum import SparseSpectrum
 
 TWO_PI = 2.0 * math.pi
+# floats in one q-coordinate array built for a residue set: its basis, q x d,
+# checked before anything is allocated, and a band's vertex set, rows x q
+MAX_ARRAY_FLOATS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,23 @@ def wb_basis(b: ResidueSet) -> SubspaceBasis:
     is sqrt(q/2) and the alternating one sqrt(q), which makes the basis exactly
     orthonormal by the character relations (no Gram-Schmidt, hence reproducible).
 
-    ``b`` must be symmetric; call :func:`symmetrize` first if needed.
+    ``b`` must be symmetric; call :func:`symmetrize` first if needed.  Raises
+    :class:`ResourceLimitError` before any allocation when q * d, or q for an
+    empty B (whose bound still reports a q-long witness), exceeds
+    ``MAX_ARRAY_FLOATS``.
     """
     if not b.symmetric:
         raise InvalidInputError(
             f"residue set {sorted(b.members)} is not symmetric mod {b.q}; symmetrize it first"
         )
     q = b.q
+    # a symmetric B has one basis column per member
+    floats = q * max(1, len(b.members))
+    if floats > MAX_ARRAY_FLOATS:
+        raise ResourceLimitError(
+            f"the subspace basis for q={q} and {len(b.members)} residues needs {floats} floats, "
+            f"over the {MAX_ARRAY_FLOATS:.0e} budget"
+        )
     j = np.arange(q)
     cols = []
     for m in b.sorted_members:

@@ -55,13 +55,24 @@ class TestBoundCommand:
         assert code == 2
 
     def test_vertex_enumeration_guard_exit_code(self, capsys):
-        # half-bands at q=32 (980628 Gale solves) and q=40, refused before any set is built
-        for q in (32, 40):
+        # half-bands at q=44 (2934559 dihedral orbits) and q=48, refused on the
+        # Burnside count before any orbit is generated
+        for q in (44, 48):
             start = time.monotonic()
             code, _, err = run_main(["bound", "--q", str(q), "--b", half_band(q)], capsys)
             assert code == 3
             assert "resource" in err.lower()
             assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("q", ["1000000000", "99999999999999999999"])
+    def test_basis_guard_exit_code(self, q, capsys):
+        # q x d floats are refused before the basis allocates anything; past
+        # int64, numpy used to raise a ValueError traceback
+        start = time.monotonic()
+        code, _, err = run_main(["bound", "--q", q, "--b", "1"], capsys)
+        assert code == 3
+        assert err.startswith("resource guard: the subspace basis for q=" + q)
+        assert time.monotonic() - start < 1.0
 
     def test_half_band_q24(self, capsys):
         code, data = payload(["bound", "--q", "24", "--b", half_band(24)], capsys)
@@ -307,3 +318,31 @@ def test_console_entry_point():
                            "--b", "2"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "bound=0.5" in proc.stdout
+
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_wide_modulus_bound_memory():
+    # B = {1, 4999}: one dihedral orbit of 5000 vertices of 5000 coordinates;
+    # building the whole vertex set took about 1 GB of peak RSS.  The child
+    # reports its own high-water mark: ru_maxrss would also count the pages
+    # it shared with this process before exec
+    import os
+
+    import specbound
+
+    src = os.path.dirname(os.path.dirname(specbound.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = ("import sys\n"
+             "from specbound import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "with open('/proc/self/status') as status:\n"
+             "    sys.stderr.write(next(l for l in status if l.startswith('VmHWM:')))\n"
+             "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", child, "bound", "--q", "5000", "--b", "1",
+                           "--format", "json"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["results"]["vertex_count"] == 5000
+    peak_kb = int(proc.stderr.split()[-2])
+    assert peak_kb <= 100 * 1024, f"peak RSS {peak_kb} KiB exceeds 100 MB"

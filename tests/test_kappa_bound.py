@@ -77,9 +77,9 @@ class TestVertices:
         assert not first.vertex_set.flags.writeable
 
     def test_subset_budget_guard(self):
-        # q=40 half-band: 40060020 Gale solves, refused before any set is built
+        # q=40 half-band: a vertex set of 40060020 rows x 40, refused before any is built
         members = [*range(1, 11), *range(30, 40)]
-        with pytest.raises(ResourceLimitError, match=r"40060020 Gale-evenness solves"):
+        with pytest.raises(ResourceLimitError, match=r"40060020 Gale-evenness vertices x 40"):
             kb.polytope_vertices(polytope(40, members))
         # with 20 added it is no band: C(40, 21) ~ 1.3e11 subsets, refused the same way
         p = polytope(40, [*members, 20])
@@ -87,8 +87,12 @@ class TestVertices:
         assert math.comb(40, p.basis.dim) > kb.MAX_VERTEX_SUBSETS
         with pytest.raises(ResourceLimitError, match=r"C\(40, 21\)"):
             kb.polytope_vertices(p)
-        # the budget admits the half-band at q=28 but not at q=32
-        assert kb.gale_vertex_count(28, 7) <= kb.MAX_VERTEX_SUBSETS < kb.gale_vertex_count(32, 8)
+        # the float budget admits the half-band's vertex set at q=28 but not at q=32
+        assert (kb.gale_vertex_count(28, 7) * 28 <= zq.MAX_ARRAY_FLOATS
+                < kb.gale_vertex_count(32, 8) * 32)
+        # q=5000, B={1, 4999}: 5000 vertices of 5000 coordinates
+        with pytest.raises(ResourceLimitError, match=r"5000 Gale-evenness vertices x 5000"):
+            kb.polytope_vertices(polytope(5000, [1, 4999]))
 
     def test_pairwise_distinct(self):
         vs = polytope(8, [1, 3, 5, 7]).vertex_set
@@ -161,15 +165,60 @@ class TestGaleEvenness:
         assert kb.band_multiplier(zq.ResidueSet.of(q, members)) == expected
 
     def test_matches_exhaustive_enumeration(self):
-        # every band and unit multiple with q <= 16, and the half-bands at q = 18 and 20
+        # every band and unit multiple with q <= 16, and the half-bands at q = 18 and 20;
+        # the sine products are not the solves' round-off, so both sides get a tolerance
         cases = [b for q in range(3, 17) for b in bands(q)] + [half_band(18), half_band(20)]
         for b in cases:
             gale = kb.FeasiblePolytope.from_residues(b)
             exhaustive = kb.FeasiblePolytope(zq.wb_basis(b))
             assert (gale.vertex_source, exhaustive.vertex_source) == ("gale", "exhaustive")
-            np.testing.assert_array_equal(kb._dedup_keys(gale.vertex_set),
-                                          kb._dedup_keys(exhaustive.vertex_set), err_msg=str(b))
-            assert kb.kappa_prime_1(gale).value == kb.kappa_prime_1(exhaustive).value, b
+            np.testing.assert_allclose(gale.vertex_set, exhaustive.vertex_set,
+                                       rtol=0, atol=1e-11, err_msg=str(b))
+            assert abs(kb.kappa_prime_1(gale).value - kb.kappa_prime_1(exhaustive).value) <= 1e-12, b
+
+    def test_orbits_match_full_vertex_set(self):
+        # one vertex per dihedral orbit gives the maxima and the witness of the
+        # whole closed-form vertex set, for every band and unit multiple with q <= 24
+        for b in [b for q in range(3, 25) for b in bands(q)]:
+            p = kb.FeasiblePolytope.from_residues(b)
+            full = over_vertex_set(p)
+            orbit, whole = kb.kappa_prime_1(p), kb.kappa_prime_1(full)
+            assert abs(orbit.value - whole.value) <= 1e-14, b
+            np.testing.assert_allclose(orbit.witness, whole.witness, rtol=0, atol=1e-12,
+                                       err_msg=str(b))
+            for theta in (0.3, 0.9):
+                assert abs(kb.kappa(theta, p) - kb.kappa(theta, full)) <= 1e-14, (b, theta)
+
+    @pytest.mark.parametrize("q", range(5, 37))
+    def test_orbit_count_is_the_burnside_count(self, q):
+        # every band width at q <= 24, the half-band beyond
+        widths = range(1, (q + 1) // 2) if q <= 24 else [q // 4]
+        for r in widths:
+            assert sum(1 for _ in kb.bracelets(r, q - 2 * r)) == kb.band_orbit_count(q, r), r
+
+    def test_bracelets_are_least_forms(self):
+        # against canonicalizing every composition of the total
+        for parts in range(1, 8):
+            for total in range(0, 9):
+                least = set()
+                for cut in combinations(range(total + parts - 1), parts - 1):
+                    ends = (-1, *cut, total + parts - 1)
+                    seq = tuple(ends[i + 1] - ends[i] - 1 for i in range(parts))
+                    turns = [seq[i:] + seq[:i] for i in range(parts)]
+                    least.add(min(turns + [t[::-1] for t in turns]))
+                assert list(kb.bracelets(parts, total)) == sorted(least), (parts, total)
+
+    def test_orbit_budget_guard(self):
+        # refused on the Burnside count, before any bracelet is generated
+        assert kb.band_orbit_count(40, 10) <= kb.MAX_BAND_ORBITS < kb.band_orbit_count(44, 11)
+        with pytest.raises(ResourceLimitError, match=r"2934559 dihedral-orbit vertices"):
+            kb.kappa_prime_1(kb.FeasiblePolytope.from_residues(half_band(44)))
+        # a wide band has few orbits, but r log-sine terms per coordinate:
+        # q=300, r=148 has 71744 orbits and 3.2e9 terms
+        count = kb.band_orbit_count(300, 148)
+        assert count <= kb.MAX_BAND_ORBITS and count * 148 * 300 > kb.MAX_BAND_TERMS
+        with pytest.raises(ResourceLimitError, match=r"71744 dihedral-orbit vertices of 148 pairs"):
+            kb.kappa(0.5, polytope(300, [*range(1, 149), *range(152, 300)]))
 
     def test_vertex_count_formula(self):
         for b in [b for q in range(3, 17) for b in bands(q)] + [half_band(q) for q in (18, 20, 24)]:
@@ -179,25 +228,35 @@ class TestGaleEvenness:
             assert (q - r) * count == q * math.comb(q - r, r), b
 
     def test_active_sets_are_adjacent_pair_unions(self):
-        sets = kb.gale_active_sets(10, 3, 2)
-        assert sets.shape == (kb.gale_vertex_count(10, 2), 4)
-        assert len({tuple(row) for row in sets}) == len(sets)
-        for row in sets:
-            band_rows = sorted(3 * j % 10 for j in row)  # back to the band {+-1, +-2}
-            gaps = np.diff([*band_rows, band_rows[0] + 10])
-            # two pairs {i, i+1}: starting at the right element, steps 1, x, 1, y
-            assert any(gaps[k] == 1 and gaps[(k + 2) % 4] == 1 for k in range(2)), row
+        starts = kb.gale_pair_starts(10, 2)
+        assert starts.shape == (kb.gale_vertex_count(10, 2), 2)
+        assert len({tuple(row) for row in starts}) == len(starts)
+        # two disjoint pairs {i, i+1 mod 10}
+        assert np.all(np.diff(np.column_stack((starts, starts[:, 0] + 10))) >= 2)
+        # B = 3*{+-1, +-2} mod 10: the active set of each vertex, back in the
+        # frame x = 3j of the band {+-1, +-2}, is one of those pair unions
+        unions = {frozenset({*row, *(row + 1) % 10}) for row in starts}
+        vs = polytope(10, [3, 4, 6, 7]).vertex_set
+        assert {frozenset(3 * np.flatnonzero(v == -1.0) % 10) for v in vs} == unions
 
     @pytest.mark.parametrize("corrupt", [
-        lambda v: v[:-1],                              # a solve is dropped
-        lambda v: np.concatenate((v[:-1], v[:1])),    # two rows merge
+        lambda p: p[0].__setitem__(3, p[0, 3] + 1e-6),   # off the subspace
+        lambda p: p[-1].__setitem__(0, np.nan),          # NaN
     ])
     def test_fails_closed(self, monkeypatch, corrupt):
-        solve = kb._feasible_solutions
-        monkeypatch.setattr(kb, "_feasible_solutions", lambda m, idx: corrupt(solve(m, idx)))
+        # one corrupted closed-form row stops the vertex set and the orbit maximum alike
+        products = kb._sine_products
+
+        def corrupted(q, u, starts):
+            p = products(q, u, starts)
+            corrupt(p)
+            return p
+
+        monkeypatch.setattr(kb, "_sine_products", corrupted)
         b = half_band(16)
-        with pytest.raises(NumericalError, match="Gale evenness gives 660 vertices"):
-            kb.polytope_vertices(kb.FeasiblePolytope(zq.wb_basis(b), b))
+        for evaluate in (kb.polytope_vertices, kb.kappa_prime_1):
+            with pytest.raises(NumericalError, match="fails the subspace or feasibility test"):
+                evaluate(kb.FeasiblePolytope(zq.wb_basis(b), b))
 
 
 class TestCompletenessOracle:
@@ -233,6 +292,14 @@ class TestCompletenessOracle:
         assert self.lp_max(p, c) - incomplete.max() > 1e-3
 
 
+def over_vertex_set(p, rows=None):
+    """A copy of ``p`` whose kappa and kappa'(1) are maximized over ``rows``
+    (default: its vertex set), as for any polytope without a residue set."""
+    copy = kb.FeasiblePolytope(p.basis)
+    vars(copy)["vertex_set"] = p.vertex_set if rows is None else rows
+    return copy
+
+
 def rank_filtered(p, tol=1e-9):
     """A copy of ``p`` keeping only the vertex rows whose active set
     {j : v_j <= -1 + tol} has rank d (singular values above ``tol``), that is
@@ -240,9 +307,7 @@ def rank_filtered(p, tol=1e-9):
     m = p.basis.columns
     keep = [np.linalg.matrix_rank(m[v <= -1.0 + tol], tol=tol) == m.shape[1]
             for v in p.vertex_set]
-    filtered = kb.FeasiblePolytope(p.basis)
-    vars(filtered)["vertex_set"] = p.vertex_set[np.array(keep, dtype=bool)]
-    return filtered
+    return over_vertex_set(p, p.vertex_set[np.array(keep, dtype=bool)])
 
 
 class TestNonVertexRows:
@@ -264,8 +329,10 @@ class TestNonVertexRows:
             assert len(rank_filtered(p).vertex_set) == vertices <= len(p.vertex_set)
 
     def test_certified_values_unchanged(self):
+        # both sides maximize over vertex-set rows; a band's own kappa reads its
+        # orbit representatives, which TestGaleEvenness compares with the full set
         for b in self.CASES:
-            p = kb.FeasiblePolytope.from_residues(b)
+            p = over_vertex_set(kb.FeasiblePolytope.from_residues(b))
             filtered = rank_filtered(p)
             assert kb.kappa_prime_1(filtered).value == kb.kappa_prime_1(p).value, b
             for theta in (0.2, 0.5, 0.9):

@@ -151,8 +151,10 @@ class TestClosedForms:
         assert abs(rp.kappa_prime_riesz(4) + LOG2) <= 1e-12
 
     def test_matches_vertex_enumeration(self):
-        for q in (5, 6, 9, 12):
-            p = kb.FeasiblePolytope.from_residues(zq.ResidueSet.of(q, [1, q - 1]))
+        # the exhaustive solver (no residue set), not the band's own sine products
+        for q in range(3, 13):
+            p = kb.FeasiblePolytope(zq.wb_basis(zq.ResidueSet.of(q, [1, q - 1])))
+            assert p.vertex_source == "exhaustive"
             assert abs(rp.kappa_prime_riesz(q) - kb.kappa_prime_1(p).value) <= 1e-9
 
     def test_entropy_objective_at_endpoint_matches_profile_sum(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from specbound import kappa_bound as kb
 from specbound import zq_spectral as zq
-from specbound.errors import InvalidInputError
+from specbound.errors import InvalidInputError, ResourceLimitError
 
 
 class TestResidueSet:
@@ -65,6 +65,16 @@ class TestWbBasis:
     def test_empty_is_valid(self):
         basis = zq.wb_basis(zq.ResidueSet.of(7, []))
         assert basis.dim == 0 and basis.columns.shape == (7, 0)
+
+    @pytest.mark.parametrize("q,members", [
+        (10 ** 9, [1, 10 ** 9 - 1]),           # 2e9 floats
+        (10 ** 20, [1, 10 ** 20 - 1]),         # past int64, where np.arange raised ValueError
+        (2 * 10 ** 7, []),                     # no column, but a q-long witness
+        (10 ** 4, range(1, 10 ** 4)),          # q * d = 1e8
+    ])
+    def test_size_guard(self, q, members):
+        with pytest.raises(ResourceLimitError, match="over the 1e\\+07 budget"):
+            zq.wb_basis(zq.ResidueSet.of(q, members))
 
     def _symmetric_sets(self, q):
         import itertools
