@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .draws import Stream
 from .errors import InvalidInputError, NumericalError, ResourceLimitError
 from .kappa_bound import xlogx
 from .quadrature import tanh_sinh_full
@@ -191,8 +192,7 @@ def chebyshev_product_relerr(q: int, seed: int = 0) -> float:
     prod_j |a - cos((2j+1)*pi/q)| at random a in (-1, 1)."""
     if q % 2 != 0 or q < 4:
         raise InvalidInputError(f"factorization check needs even q >= 4, got {q}")
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, size=CHEBYSHEV_POINTS)
+    a = Stream(seed).uniform(-1.0, 1.0, size=CHEBYSHEV_POINTS)
     p = q // 2
     cheb = np.cos(p * np.arccos(a))
     lhs = 2.0 ** (2 - q) * cheb ** 2

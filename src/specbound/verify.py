@@ -2,8 +2,8 @@
 dimension-bound machinery relies on, run with explicit residuals.
 
 Each suite returns a flat list of :class:`CheckResult`; a suite passes iff all
-its checks do.  Randomized checks draw from a single seeded generator so that
-failures are reproducible from the reported configuration.
+its checks do.  Randomized checks draw from one seeded :class:`draws.Stream`
+per suite, so failures are reproducible from the reported configuration.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import draws
 from . import gv_martingale as gv
 from . import kappa_bound as kb
 from . import riesz_products as rp
@@ -94,7 +95,7 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
     if any(total > MAX_KAPPA_SUBSETS for total in solves):
         raise ResourceLimitError(f"the kappa suite up to q_max={q_max} needs over "
                                  f"{MAX_KAPPA_SUBSETS:.0e} vertex-subset solves")
-    rng = np.random.default_rng(seed)
+    stream = draws.Stream(seed)
     feasibility: list[tuple[float, str]] = []
     membership: list[tuple[float, str]] = []
     witness: list[tuple[float, str]] = []
@@ -136,9 +137,8 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
 
             if len(vertices):
                 for _ in range(3):
-                    weights = rng.dirichlet(np.ones(len(vertices)))
-                    b_vec = weights @ vertices
-                    p = float(rng.uniform(1.1, 5.0))
+                    b_vec = stream.dirichlet(len(vertices)) @ vertices
+                    p = stream.uniform(1.1, 5.0)
                     ok = kb.def_reform_check(1.0, b_vec, p, polytope)
                     reform.append((0.0 if ok else 1.0, f"{tag} p={p:.3f}"))
 
@@ -192,7 +192,7 @@ def _counterexample_check(q: int = 4, l: int = 1) -> CheckResult:
 def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
     if q_max < 4:
         raise InvalidInputError(f"riesz identities need an even q >= 4, got q_max={q_max}")
-    rng = np.random.default_rng(seed)
+    stream = draws.Stream(seed)
     identity = [(rp.chebyshev_identity_residual(q), f"q={q}")
                 for q in range(4, q_max + 1, 2)]
     factorization = [(rp.chebyshev_product_relerr(q, seed=seed), f"q={q}")
@@ -207,7 +207,7 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
         endpoint.append((rp.endpoint_optimality_gap(q), f"q={q}"))
 
     deriv = rp.g_derivative_bound_check()
-    pairs = rng.uniform(-1.0, 1.0, size=(10_000, 2))
+    pairs = stream.uniform(-1.0, 1.0, size=20_000).reshape(10_000, 2)
     lip_excess = float(np.max(
         np.abs(rp.factor_entropy(pairs[:, 0]) - rp.factor_entropy(pairs[:, 1]))
         - np.abs(pairs[:, 0] - pairs[:, 1])
@@ -280,7 +280,7 @@ def martingale_suite(q: int = 3, a: float = 1.0, depth: int = 6,
     """
     if n_subsets < 1:
         raise InvalidInputError(f"need at least one random subset, got {n_subsets}")
-    rng = np.random.default_rng(seed)
+    stream = draws.Stream(seed)
     params = rp.RieszParams(a, q)
     b = zq.ResidueSet.of(q, [1, q - 1])
     grid = gv.QadicGrid(q, depth)
@@ -328,8 +328,8 @@ def martingale_suite(q: int = 3, a: float = 1.0, depth: int = 6,
 
     subset_entries = []
     for i in range(n_subsets):
-        count = int(rng.integers(1, grid.size))
-        subset = rng.choice(grid.size, size=count, replace=False)
+        count = stream.integer(1, grid.size)
+        subset = stream.subset(grid.size, count)
         p = float(p_values[i % len(p_values)])
         report = gv.set_average_check(seq, subset, p if p > 1 else 2.0, b)
         margin = min(report.hoelder_rhs - report.average, report.growth_rhs - report.hoelder_rhs)

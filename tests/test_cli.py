@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from cli_child import REPORT_PEAK_RSS, peak_rss_kb, run_cli
 from specbound import cli
 from specbound.errors import NumericalError, PreconditionError
 from specbound.verify import CheckResult
@@ -225,6 +226,18 @@ class TestVerifyCommand:
         assert err.startswith("resource guard: ")
         assert time.monotonic() - start < 1.0
 
+    @pytest.mark.parametrize("seed,code", [
+        ("-1", 2), ("0", 0), (str(2 ** 64 - 1), 0), (str(2 ** 64), 2),
+    ])
+    def test_seed_range(self, capsys, seed, code):
+        # the stream takes seeds 0..2**64-1; outside that range is a usage error
+        got, out, err = run_main(["verify", "--suite", "kappa", "--q-max", "4", "--seed", seed],
+                                 capsys)
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: seed must be in 0..2**64-1") and err.count("\n") == 1
+
     def test_non_finite_p_rejected(self, capsys):
         code, _, err = run_main(["verify", "--suite", "martingale", "--p", "1,nan"], capsys)
         assert code == 2
@@ -324,25 +337,10 @@ def test_console_entry_point():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_wide_modulus_bound_memory():
     # B = {1, 4999}: one dihedral orbit of 5000 vertices of 5000 coordinates;
-    # building the whole vertex set took about 1 GB of peak RSS.  The child
-    # reports its own high-water mark: ru_maxrss would also count the pages
-    # it shared with this process before exec
-    import os
-
-    import specbound
-
-    src = os.path.dirname(os.path.dirname(specbound.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = ("import sys\n"
-             "from specbound import cli\n"
-             "code = cli.main(sys.argv[1:])\n"
-             "with open('/proc/self/status') as status:\n"
-             "    sys.stderr.write(next(l for l in status if l.startswith('VmHWM:')))\n"
-             "sys.exit(code)\n")
-    proc = subprocess.run([sys.executable, "-c", child, "bound", "--q", "5000", "--b", "1",
-                           "--format", "json"], capture_output=True, text=True, env=env, timeout=60)
+    # building the whole vertex set took about 1 GB of peak RSS
+    proc = run_cli(["bound", "--q", "5000", "--b", "1", "--format", "json"], REPORT_PEAK_RSS,
+                   capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout)["results"]["vertex_count"] == 5000
-    peak_kb = int(proc.stderr.split()[-2])
+    peak_kb = peak_rss_kb(proc)
     assert peak_kb <= 100 * 1024, f"peak RSS {peak_kb} KiB exceeds 100 MB"

@@ -1,14 +1,11 @@
 import math
-import os
 import subprocess
 import sys
-import tempfile
-import threading
 
 import numpy as np
 import pytest
 
-import specbound
+from cli_child import REPORT_PEAK_RSS, peak_rss_kb, run_cli
 from specbound import gv_martingale as gv
 from specbound import riesz_products as rp
 from specbound import verify
@@ -136,34 +133,21 @@ class TestDftLemmaResidual:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in KiB and RLIMIT_AS caps address space only on Linux")
+                    reason="reads /proc/self/status; RLIMIT_AS caps address space only on Linux")
 @pytest.mark.parametrize("q,depth", [(3, 10), (100, 3)])
 def test_martingale_suite_fits_in_1gb(q, depth):
     # the sibling synthesis must stay O(grid size): a (frequencies x classes)
     # phase matrix needs ~12 GB at (3, 10), a (q, q**k) bin array 1.6 GB at (100, 3).
-    # The child's peak resident set is the measure; the 4 GiB address-space cap
-    # only makes such a regression fail fast instead of swapping.
+    # The child reports its own peak RSS.  The 4 GiB address-space cap only
+    # makes such a regression fail fast instead of swapping.
     import resource
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 32, 2 ** 32))
 
-    src = os.path.dirname(os.path.dirname(specbound.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    with tempfile.TemporaryFile() as stderr:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "specbound", "verify", "--suite", "martingale",
-             "--q", str(q), "--n", str(depth)],
-            stdout=subprocess.DEVNULL, stderr=stderr, env=env, preexec_fn=cap_address_space,
-        )
-        watchdog = threading.Timer(120, proc.kill)
-        watchdog.start()
-        try:
-            _, status, usage = os.wait4(proc.pid, 0)  # reaps the child: its own rusage
-        finally:
-            watchdog.cancel()
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        stderr.seek(0)
-        assert proc.returncode == 0, stderr.read()[-2000:].decode()
-    assert usage.ru_maxrss <= 2 ** 20, f"peak RSS {usage.ru_maxrss} KiB exceeds 1 GiB"
+    proc = run_cli(["verify", "--suite", "martingale", "--q", str(q), "--n", str(depth)],
+                   REPORT_PEAK_RSS, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                   preexec_fn=cap_address_space, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    peak_kb = peak_rss_kb(proc)
+    assert peak_kb <= 2 ** 20, f"peak RSS {peak_kb} KiB exceeds 1 GiB"
