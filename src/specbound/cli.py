@@ -3,9 +3,11 @@ verification suites, and q-sweeps with machine-readable output.
 
 The commands pass the options the user set through to the library, whose
 signatures hold every default and whose functions hold every check formula.
-Each command returns its results and checks; ``main`` times the call and
-builds the one report envelope.  The envelope's config block lists only the
-options that were set (or have a parser default).
+Each subparser is the only declaration of its options: an option whose
+default lives in the library is absent from the parsed options unless the user
+set it.  Each command reads that one options dict and returns its results and
+checks; ``main`` times the call and builds the one report envelope, whose
+config block is the same dict.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error
 (including a verify option no selected suite reads), violated precondition,
@@ -44,28 +46,11 @@ TABLE_COLUMNS = [
 CHECK_COLUMNS = ["name", "passed", "residual", "detail"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    q: int | None = None
-    b: tuple[int, ...] | None = None
-    a: float | None = None
-    levels: int | None = None         # martingale grid depth N
-    p_values: tuple[float, ...] | None = None
-    entropy_level: int | None = None
-    suite: str | None = None
-    q_max: int | None = None
-    q_range: tuple[int, ...] | None = None
-    even_only: bool = False
-    subsets: int | None = None
-    output_format: str = "text"
-    output: str | None = None
-    seed: int = 0
-
-    def as_dict(self) -> dict:
-        raw = dataclasses.asdict(self)
-        return {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in raw.items() if v is not None}
+# a sweep row costs about SWEEP_ROW_Q + q units of 5e-5 s (2-core VM: 0.14 s a
+# row for q <= 300, 4.9 s at q = 1e5, 14.7 s at q = 3e5), so a range whose
+# rows add up to MAX_SWEEP_Q units runs for about a minute
+SWEEP_ROW_Q = 3000
+MAX_SWEEP_Q = 10**6
 
 
 @dataclass
@@ -114,11 +99,6 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
     return buf.getvalue()
 
 
-def _given(**options) -> dict:
-    """The options the user set; the library signatures hold every default."""
-    return {name: value for name, value in options.items() if value is not None}
-
-
 # ---------------------------------------------------------------------------
 # commands: each returns (results, checks) for ``main`` to wrap in a report
 # ---------------------------------------------------------------------------
@@ -134,8 +114,8 @@ def _bound_row(result: kb.DimensionBound) -> dict:
     }
 
 
-def cmd_bound(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
-    result = kb.dimension_bound(zq.ResidueSet.of(config.q, config.b))
+def cmd_bound(options: dict) -> tuple[dict, list[verify.CheckResult]]:
+    result = kb.dimension_bound(zq.ResidueSet.of(options["q"], options.get("b", ())))
     results = {
         "table": [_bound_row(result)],
         "raw_bound": result.raw_bound,
@@ -155,10 +135,10 @@ def cmd_bound(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
     return results, checks
 
 
-def _riesz_row(params: rp.RieszParams,
-               entropy_level: int | None) -> tuple[dict, list[verify.CheckResult]]:
+def _riesz_row(params: rp.RieszParams, options: dict) -> tuple[dict, list[verify.CheckResult]]:
     q = params.q
-    table = rp.bound_table_row(params, **_given(entropy_level=entropy_level))
+    level = {k: v for k, v in options.items() if k == "entropy_level"}
+    table = rp.bound_table_row(params, **level)
     dim = kb.dimension_bound(zq.ResidueSet.of(q, [1, q - 1]))
     row = _bound_row(dim)
     row.update((k, v) for k, v in dataclasses.asdict(table).items() if k not in ("q", "a"))
@@ -184,20 +164,20 @@ def _riesz_row(params: rp.RieszParams,
     return row, checks
 
 
-def cmd_riesz(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
-    row, checks = _riesz_row(rp.RieszParams(config.a, config.q), config.entropy_level)
+def cmd_riesz(options: dict) -> tuple[dict, list[verify.CheckResult]]:
+    row, checks = _riesz_row(rp.RieszParams(options["a"], options["q"]), options)
     return {"table": [row]}, checks
 
 
-def cmd_sweep(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
-    qs = [q for q in config.q_range if not config.even_only or q % 2 == 0]
+def cmd_sweep(options: dict) -> tuple[dict, list[verify.CheckResult]]:
+    qs = [q for q in options["q_range"] if not options["even_only"] or q % 2 == 0]
     if not qs:
         raise InvalidInputError("sweep range is empty")
     rows = []
     checks = []
     for q in qs:
-        params = rp.RieszParams(config.a, q)
-        row, row_checks = _riesz_row(params, config.entropy_level)
+        params = rp.RieszParams(options["a"], q)
+        row, row_checks = _riesz_row(params, options)
         row["fan_consistency"] = rp.fan_consistency(params)
         rows.append(row)
         checks.extend(row_checks)
@@ -207,7 +187,7 @@ def cmd_sweep(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
     return {"table": rows, "extra_columns": ["fan_consistency"]}, checks
 
 
-# the options each suite reads besides --seed: (RunConfig field, suite keyword, flag)
+# the options each suite reads besides --seed: (option name, suite keyword, flag)
 SUITE_OPTIONS = {
     "kappa": [("q_max", "q_max", "--q-max")],
     "riesz-identities": [("q_max", "q_max", "--q-max")],
@@ -216,22 +196,22 @@ SUITE_OPTIONS = {
 }
 
 
-def cmd_verify(config: RunConfig) -> tuple[dict, list[verify.CheckResult]]:
-    suite = config.suite
+def cmd_verify(options: dict) -> tuple[dict, list[verify.CheckResult]]:
+    suite = options["suite"]
     if suite not in set(verify.SUITES) | {"all"}:
         raise InvalidInputError(
             f"unknown suite {suite!r}; choose from {sorted(verify.SUITES)} or 'all'"
         )
     selected = list(verify.SUITES) if suite == "all" else [suite]
     read = {name for s in selected for name, _, _ in SUITE_OPTIONS[s]}
-    ignored = sorted({flag for options in SUITE_OPTIONS.values() for name, _, flag in options
-                      if name not in read and getattr(config, name) is not None})
+    ignored = sorted({flag for read_by in SUITE_OPTIONS.values() for name, _, flag in read_by
+                      if name not in read and name in options})
     if ignored:
         raise InvalidInputError(f"suite {suite!r} does not read {', '.join(ignored)}")
     checks: list[verify.CheckResult] = []
     for s in selected:
-        checks += verify.SUITES[s](seed=config.seed, **_given(**{
-            keyword: getattr(config, name) for name, keyword, _ in SUITE_OPTIONS[s]}))
+        checks += verify.SUITES[s](seed=options["seed"], **{
+            keyword: options[name] for name, keyword, _ in SUITE_OPTIONS[s] if name in options})
     results = {
         "suite": suite,
         "total": len(checks),
@@ -293,7 +273,11 @@ def _parse_p_list(text: str) -> tuple[float, ...]:
 
 
 def _parse_range(text: str, step: str) -> tuple[int, ...]:
-    """'8..128' with step '1', '3' (additive) or 'x2' (multiplicative)."""
+    """'8..128' with step '1', '3' (additive) or 'x2' (multiplicative).
+
+    The work of the range is checked against ``MAX_SWEEP_Q`` before the range
+    is built, from the count and the sum of its q values.
+    """
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -304,27 +288,40 @@ def _parse_range(text: str, step: str) -> tuple[int, ...]:
         raise InvalidInputError(f"cannot parse q range {text!r}") from exc
     if hi < lo:
         raise InvalidInputError(f"empty q range {text!r}")
-    values = []
-    if step.startswith("x"):
-        try:
-            factor = int(step[1:])
-        except ValueError as exc:
-            raise InvalidInputError(f"cannot parse step {step!r}") from exc
-        if factor < 2:
+    if lo < 1:
+        raise InvalidInputError(f"q range must start at 1 or more, got {text!r}")
+    multiplicative = step.startswith("x")
+    try:
+        inc = int(step[1:] if multiplicative else step)
+    except ValueError as exc:
+        raise InvalidInputError(f"cannot parse step {step!r}") from exc
+    if multiplicative:
+        if inc < 2:
             raise InvalidInputError("multiplicative step must be >= 2")
-        q = lo
-        while q <= hi:
-            values.append(q)
-            q *= factor
+        values = [lo]  # at most log2(hi) + 1 values
+        while values[-1] * inc <= hi:
+            values.append(values[-1] * inc)
+        count, total = len(values), sum(values)
     else:
-        try:
-            inc = int(step)
-        except ValueError as exc:
-            raise InvalidInputError(f"cannot parse step {step!r}") from exc
         if inc < 1:
             raise InvalidInputError("additive step must be >= 1")
-        values = list(range(lo, hi + 1, inc))
-    return tuple(values)
+        count = (hi - lo) // inc + 1
+        total = count * lo + inc * count * (count - 1) // 2
+    if total + SWEEP_ROW_Q * count > MAX_SWEEP_Q:
+        raise ResourceLimitError(
+            f"sweep --q {text} --step {step} has {count} rows with q summing to {total}; "
+            f"the budget is {MAX_SWEEP_Q} for the q values plus {SWEEP_ROW_Q} per row")
+    return tuple(values) if multiplicative else tuple(range(lo, hi + 1, inc))
+
+
+def _parse_lists(options: dict) -> None:
+    """Replace the text of --b, --p and sweep's --q/--step by tuples, in place."""
+    if "b" in options:
+        options["b"] = _parse_residues(options["b"])
+    if "p_values" in options:
+        options["p_values"] = _parse_p_list(options["p_values"])
+    if "step" in options:
+        options["q_range"] = _parse_range(options.pop("q"), options.pop("step"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,60 +332,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        # an option declared without a default is left out of the parsed
+        # options unless set, so the library's signature supplies its default
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         p.add_argument("--format", dest="output_format", choices=("text", "json", "csv"),
                        default="text")
-        p.add_argument("--output", default=None,
+        p.add_argument("--output",
                        help="write the report here instead of stdout "
                             "(relative paths resolve under $SPECBOUND_OUTPUT_DIR)")
-        p.add_argument("--seed", type=int, default=0)
+        return p
 
-    p_bound = sub.add_parser("bound", help="certified dimension bound for (q, B)")
+    p_bound = add_command("bound", "certified dimension bound for (q, B)")
     p_bound.add_argument("--q", type=int, required=True)
-    p_bound.add_argument("--b", default="", help="comma-separated residues, e.g. '1,3'")
-    add_common(p_bound)
+    p_bound.add_argument("--b", help="comma-separated residues, e.g. '1,3' (default: none)")
 
-    p_riesz = sub.add_parser("riesz", help="bound comparison table for the product measure")
+    p_riesz = add_command("riesz", "bound comparison table for the product measure")
     p_riesz.add_argument("--q", type=int, required=True)
     p_riesz.add_argument("--a", type=float, default=1.0)
-    p_riesz.add_argument("--entropy-level", type=int, default=None)
-    add_common(p_riesz)
+    p_riesz.add_argument("--entropy-level", type=int)
 
-    p_verify = sub.add_parser("verify", help="run a named property suite")
+    p_verify = add_command("verify", "run a named property suite")
     p_verify.add_argument("--suite", required=True)
-    p_verify.add_argument("--q", type=int, default=None)
-    p_verify.add_argument("--q-max", type=int, default=None)
-    p_verify.add_argument("--a", type=float, default=None)
-    p_verify.add_argument("--n", type=int, default=None, help="martingale grid depth N")
-    p_verify.add_argument("--p", default=None, help="comma list of exponents, e.g. '1.25,2,4'")
-    p_verify.add_argument("--subsets", type=int, default=None)
-    add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--q", type=int)
+    p_verify.add_argument("--q-max", type=int)
+    p_verify.add_argument("--a", type=float)
+    p_verify.add_argument("--n", dest="levels", type=int, help="martingale grid depth N")
+    p_verify.add_argument("--p", dest="p_values", help="comma list of exponents, e.g. '1.25,2,4'")
+    p_verify.add_argument("--subsets", type=int)
 
-    p_sweep = sub.add_parser("sweep", help="bound formulas across a q range")
+    p_sweep = add_command("sweep", "bound formulas across a q range")
     p_sweep.add_argument("--q", required=True, help="range like '8..128' or a single value")
     p_sweep.add_argument("--step", default="1", help="'k' additive or 'xk' multiplicative")
-    p_sweep.add_argument("--even-only", action="store_true")
+    p_sweep.add_argument("--even-only", action="store_true", default=False)
     p_sweep.add_argument("--a", type=float, default=1.0)
-    p_sweep.add_argument("--entropy-level", type=int, default=None)
-    add_common(p_sweep)
+    p_sweep.add_argument("--entropy-level", type=int)
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    common = dict(command=args.command, output_format=args.output_format,
-                  output=args.output, seed=args.seed)
-    if args.command == "bound":
-        return RunConfig(q=args.q, b=_parse_residues(args.b), **common)
-    if args.command == "riesz":
-        return RunConfig(q=args.q, a=args.a, entropy_level=args.entropy_level, **common)
-    if args.command == "verify":
-        return RunConfig(suite=args.suite, q=args.q, q_max=args.q_max, a=args.a, levels=args.n,
-                         p_values=_parse_p_list(args.p) if args.p else None,
-                         subsets=args.subsets, **common)
-    if args.command == "sweep":
-        return RunConfig(a=args.a, q_range=_parse_range(args.q, args.step),
-                         even_only=args.even_only, entropy_level=args.entropy_level, **common)
-    raise InvalidInputError(f"unknown command {args.command!r}")
 
 
 COMMANDS = {
@@ -399,10 +379,10 @@ COMMANDS = {
 }
 
 
-def _emit(envelope: ReportEnvelope, config: RunConfig) -> None:
-    text = render(envelope, config.output_format)
-    if config.output:
-        path = config.output
+def _emit(envelope: ReportEnvelope, options: dict) -> None:
+    text = render(envelope, options["output_format"])
+    path = options.get("output")
+    if path:
         if not os.path.isabs(path):
             path = os.path.join(os.environ.get("SPECBOUND_OUTPUT_DIR", "."), path)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -413,13 +393,12 @@ def _emit(envelope: ReportEnvelope, config: RunConfig) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
     try:
-        config = config_from_args(args)
+        _parse_lists(options)
         start = time.monotonic()
-        results, checks = COMMANDS[config.command](config)
-        envelope = ReportEnvelope(__version__, config.as_dict(), results,
+        results, checks = COMMANDS[options["command"]](options)
+        envelope = ReportEnvelope(__version__, options, results,
                                   [c.as_dict() for c in checks], time.monotonic() - start)
     except (InvalidInputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -431,9 +410,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     try:
-        _emit(envelope, config)
+        _emit(envelope, options)
     except OSError as exc:
-        print(f"error: cannot write report to {config.output or 'stdout'}: {exc}", file=sys.stderr)
+        print(f"error: cannot write report to {options.get('output') or 'stdout'}: {exc}",
+              file=sys.stderr)
         return 2
     return 0 if envelope.all_passed else 1
 

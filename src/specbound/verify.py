@@ -190,8 +190,9 @@ def _counterexample_check(q: int = 4, l: int = 1) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
-    if q_max < 4:
-        raise InvalidInputError(f"riesz identities need an even q >= 4, got q_max={q_max}")
+    # checked before any quadrature: chebyshev_identity_residual takes even q in 4..64
+    if not 4 <= q_max <= 64:
+        raise InvalidInputError(f"riesz identities need q_max in 4..64, got q_max={q_max}")
     stream = draws.Stream(seed)
     identity = [(rp.chebyshev_identity_residual(q), f"q={q}")
                 for q in range(4, q_max + 1, 2)]

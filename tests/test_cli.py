@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 from cli_child import REPORT_PEAK_RSS, peak_rss_kb, run_cli
 from specbound import cli
-from specbound.errors import NumericalError, PreconditionError
+from specbound.errors import NumericalError, PreconditionError, ResourceLimitError
 from specbound.verify import CheckResult
 
 
@@ -153,6 +154,36 @@ class TestSweepCommand:
         code, _, err = run_main(["sweep", "--q", "9..4"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("q,step", [("0..5", "x2"), ("-3..5", "1")])
+    def test_nonpositive_start_is_usage_error(self, q, step, capsys):
+        # a multiplicative walk from 0 or below never passes the end of the range
+        code, out, err = run_main(["sweep", f"--q={q}", "--step", step], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: q range must start at 1 or more, got {q!r}\n"
+
+    @pytest.mark.parametrize("step", ["1", "x2"])
+    def test_range_budget_exit_code(self, step, capsys):
+        # 10^12 rows, or 39 rows up to q = 8e11: refused before the range is built
+        start = time.monotonic()
+        code, out, err = run_main(["sweep", "--q", "3..1000000000000", "--step", step], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource guard: sweep --q 3..1000000000000 ")
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("step", [1, 7])
+    def test_range_budget_matches_row_sum(self, step):
+        # the guard's closed-form count and sum against the rows themselves
+        qs = []
+        for q in itertools.count(3, step):
+            if sum(qs) + q + cli.SWEEP_ROW_Q * (len(qs) + 1) > cli.MAX_SWEEP_Q:
+                break
+            qs.append(q)
+        assert cli._parse_range(f"3..{qs[-1]}", str(step)) == tuple(qs)
+        with pytest.raises(ResourceLimitError):
+            cli._parse_range(f"3..{q}", str(step))
+
     def test_csv_schema(self, capsys):
         code, out, _ = run_main(["sweep", "--q", "4..6", "--even-only",
                                  "--entropy-level", "2", "--format", "csv"], capsys)
@@ -238,6 +269,14 @@ class TestVerifyCommand:
             assert out == ""
             assert err.startswith("error: seed must be in 0..2**64-1") and err.count("\n") == 1
 
+    def test_riesz_identities_q_max_limit(self, capsys):
+        # refused by the suite itself, before its quadrature runs
+        code, out, err = run_main(["verify", "--suite", "riesz-identities", "--q-max", "66"],
+                                  capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: riesz identities need q_max in 4..64, got q_max=66\n"
+
     def test_non_finite_p_rejected(self, capsys):
         code, _, err = run_main(["verify", "--suite", "martingale", "--p", "1,nan"], capsys)
         assert code == 2
@@ -283,6 +322,36 @@ class TestEnvelope:
         _, data = payload(["bound", "--q", "4", "--b", "2"], capsys)
         assert set(data) == {"version", "config", "results", "checks", "wall_time_s"}
         assert data["config"]["command"] == "bound"
+
+    @pytest.mark.parametrize("argv,keys", [
+        (["bound", "--q", "4", "--b", "2"], {"q", "b"}),
+        (["bound", "--q", "5"], {"q"}),
+        (["riesz", "--q", "4", "--entropy-level", "2"], {"q", "a", "entropy_level"}),
+        (["sweep", "--q", "4..5", "--output", "report.json"],
+         {"q_range", "a", "even_only", "output"}),
+        (["verify", "--suite", "kappa", "--q-max", "4"], {"suite", "q_max", "seed"}),
+        (["verify", "--suite", "martingale", "--q", "3", "--n", "3", "--p", "2",
+          "--subsets", "3", "--a", "0.5"],
+         {"suite", "q", "levels", "p_values", "subsets", "a", "seed"}),
+    ])
+    def test_config_lists_set_options_and_parser_defaults(self, argv, keys, tmp_path,
+                                                          monkeypatch, capsys):
+        # library defaults, such as the entropy level, are not listed
+        monkeypatch.setenv("SPECBOUND_OUTPUT_DIR", str(tmp_path))
+        code, out, _ = run_main(argv + ["--format", "json"], capsys)
+        assert code == 0
+        report = (tmp_path / "report.json").read_text() if "--output" in argv else out
+        assert set(json.loads(report)["config"]) == {"command", "output_format"} | keys
+
+    @pytest.mark.parametrize("command", [
+        ["bound", "--q", "4", "--b", "2"],
+        ["riesz", "--q", "4"],
+        ["sweep", "--q", "4"],
+    ])
+    def test_seed_is_a_verify_option(self, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--seed", "1"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("error,code,prefix", [
         (PreconditionError("ill-posed"), 2, "error: ill-posed"),
