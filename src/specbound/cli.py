@@ -66,7 +66,7 @@ class ReportEnvelope:
         return all(c["passed"] for c in self.checks)
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True, allow_nan=False,
+        return json.dumps(vars(self), indent=2, sort_keys=True, allow_nan=False,
                           default=_json_default)
 
 

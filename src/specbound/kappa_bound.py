@@ -567,21 +567,23 @@ def _first_image(rows: np.ndarray) -> np.ndarray:
 
     That member starts with an active coordinate v_a = -1, so the candidates
     are the 4r images j -> v[(a +- j) mod q] of each row over its active a.
-    They are compared one coordinate at a time, so no orbit is expanded into
-    rows.
+    One pass keeps the least key row so far, replaced only by a candidate
+    whose first differing key is smaller, so a tie keeps the earlier
+    candidate and no orbit is expanded into rows.
     """
     q = rows.shape[1]
     keys = _dedup_keys(rows)
-    row, start = np.nonzero(rows == -1.0)
-    row, start = np.repeat(row, 2), np.repeat(start, 2)
-    step = 1 - 2 * (np.arange(len(row)) % 2)
-    for j in range(q):
-        if len(row) == 1:
-            break
-        column = keys[row, (start + step * j) % q]
-        first = column == column.min()
-        row, start, step = row[first], start[first], step[first]
-    return rows[row[0], (start[0] + step[0] * np.arange(q)) % q]
+    j = np.arange(q)
+    best = best_key = None
+    for row, start in zip(*np.nonzero(rows == -1.0)):
+        for index in ((start + j) % q, (start - j) % q):
+            key = keys[row, index]
+            if best_key is not None:
+                differ = np.flatnonzero(key != best_key)
+                if not len(differ) or key[differ[0]] > best_key[differ[0]]:
+                    continue
+            best, best_key = rows[row, index], key
+    return best
 
 
 def kappa_left_derivative_fd(polytope: FeasiblePolytope, h: float) -> float:
@@ -640,7 +642,7 @@ def dimension_bound(b: ResidueSet) -> DimensionBound:
         subgroup=subgroup,
         proper_inclusion=b_sym.members != set(subgroup[1:]),
         delta=bound - subgroup_bound,
-        witness_vertex=tuple(float(x) for x in kp.witness),
+        witness_vertex=tuple(kp.witness.tolist()),
         vertex_count=len(polytope.vertex_set) if band is None else gale_vertex_count(q, band[1]),
         vertex_source=polytope.vertex_source,
         symmetrized=was_symmetrized,

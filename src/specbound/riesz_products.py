@@ -33,9 +33,6 @@ FAN_CONSISTENCY_ALLOWANCE = 10.0  # see fan_consistency_bounded
 # entropy proxy, in the certified_below_* checks of the riesz table
 PEYRIERE_SLACK = 0.02
 ENTROPY_SLACK = 0.05
-# grid points per block of g_derivative_bound_check: its (21, block) buffers
-# take 21 * 2048 * 8 bytes = 344 kB each, whatever the grid size
-_DERIVATIVE_BLOCK = 2048
 ENDPOINT_GRID = 1001  # phi grid of endpoint_optimality_gap
 CHEBYSHEV_POINTS = 100  # random amplitudes of chebyshev_product_relerr
 
@@ -188,8 +185,14 @@ def chebyshev_identity_residual(q: int) -> float:
 
 
 def chebyshev_product_relerr(q: int, seed: int = 0) -> float:
-    """Max relative mismatch between 2**(2-q) * T_{q/2}(a)**2 and the node product
-    prod_j |a - cos((2j+1)*pi/q)| at random a in (-1, 1)."""
+    """Max mismatch between 2**(2-q) * T_{q/2}(a)**2 and the node product
+    prod_j |a - cos((2j+1)*pi/q)| at random a in (-1, 1), relative to 2**(2-q),
+    the sup of the product on [-1, 1].
+
+    Near a node both sides are tiny and cos(p*arccos(a)) keeps only an
+    absolute accuracy, so a mismatch relative to |lhs| would grow like
+    eps/|a - node| there; relative to the sup it stays at rounding level.
+    """
     if q % 2 != 0 or q < 4:
         raise InvalidInputError(f"factorization check needs even q >= 4, got {q}")
     a = Stream(seed).uniform(-1.0, 1.0, size=CHEBYSHEV_POINTS)
@@ -198,8 +201,7 @@ def chebyshev_product_relerr(q: int, seed: int = 0) -> float:
     lhs = 2.0 ** (2 - q) * cheb ** 2
     nodes = np.cos((2 * np.arange(q) + 1) * np.pi / q)
     rhs = np.prod(np.abs(a[:, None] - nodes[None, :]), axis=1)
-    denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    return float(np.max(np.abs(lhs - rhs) / denom))
+    return float(np.max(np.abs(lhs - rhs))) / 2.0 ** (2 - q)
 
 
 def bound_prop4(q: int) -> float:
@@ -322,59 +324,43 @@ class DerivativeBoundReport(NamedTuple):
     lipschitz_constant: float
 
 
-def g_derivative_bound_check(x_points: int = 100_000) -> DerivativeBoundReport:
-    """Grid bounds for two auxiliary facts used by the explicit asymptotic bound.
+def g_derivative_bound_check() -> DerivativeBoundReport:
+    """Exact values for two auxiliary facts used by the explicit asymptotic bound.
 
-    (1) sup over a in {-1,...,1} (21 values) and x of
-        |-a*sin(x) - a*sin(x)*log(1 + a*cos(x))| stays <= 2;
-    (2) L = sup on [0, pi/2] of sin(x) * (1 + log(1 + cos(x))) lands in [1.2, 1.25].
-    Points where 1 + a*cos(x) vanishes are assigned their limit value 0.
+    (1) sup over |a| <= 1 and x of |a*sin(x)*(1 + log(1 + a*cos(x)))| is <= 2;
+    (2) L = sup on [0, pi/2] of sin(x) * (1 + log(1 + cos(x))) lies in [1.2, 1.25].
 
-    Both grids hold ``x_points`` points, spaced as by ``np.linspace``, and are
-    walked together in blocks of ``_DERIVATIVE_BLOCK`` points, so neither is
-    ever built whole.  Each block's (21, block) derivative goes into two
-    reused float buffers and one mask, so memory is O(21 * block) at any
-    ``x_points``.  Every point takes the same operations, in the same order,
-    as the whole-grid evaluation, and maxima are exact, so both results equal
-    the whole-grid ones.
+    Put t = 1 + a*cos(x) in (0, 2] (the derivative tends to 0 where t does).
+    Then (a*sin(x))**2 = a**2 - (t - 1)**2 <= t*(2 - t), with equality at
+    |a| = 1, so (1) is the sup of |G| on (0, 2] and (2) is the max of G on
+    [1, 2] (x in [0, pi/2] with a = 1), for G(t) = sqrt(t*(2 - t))*(1 + log t).
+    G' = phi/sqrt(t*(2 - t)) with phi(t) = (1 - t)*(1 + log t) + 2 - t, and
+    phi' = 1/t - log(t) - 3 is positive on (0, 1/e] and negative on [1, 2];
+    phi tends to -inf at 0+ and phi(1/e) > 0, phi(1) = 1 > 0 > phi(2).  So G
+    has one minimum t1 in (0, 1/e), where G <= 0 (|G(t1)| = 0.6234), and one
+    maximum t2 in (1, 2), where G(t2) = L = 1.22579; on [1/e, 1] both factors
+    of G lie in [0, 1].  Each root is one bisection of phi down to adjacent
+    floats, and the sup in (1) is max(|G(t1)|, 1, L) = L.
     """
-    if x_points < 1:
-        raise InvalidInputError(f"grid size must be >= 1, got {x_points}")
-    a = np.linspace(-1.0, 1.0, 21)[:, None]
-    neg_a = -a
-    tiny = np.finfo(float).tiny
-    t_buf = np.empty((a.shape[0], _DERIVATIVE_BLOCK))
-    log_buf = np.empty_like(t_buf)
-    positive_buf = np.empty(t_buf.shape, dtype=bool)
-    sup = lipschitz = 0.0  # both maxima are >= 0: each grid contains x = 0
-    for lo in range(0, x_points, _DERIVATIVE_BLOCK):
-        hi = min(lo + _DERIVATIVE_BLOCK, x_points)
-        xs = _linspace_block(2.0 * np.pi, x_points, lo, hi)
-        t, inner, positive = t_buf[:, :hi - lo], log_buf[:, :hi - lo], positive_buf[:, :hi - lo]
-        np.multiply(a, np.cos(xs), out=t)
-        np.add(1.0, t, out=t)  # t = 1 + a*cos(x)
-        np.greater(t, 0.0, out=positive)
-        np.maximum(t, tiny, out=inner)
-        np.log(inner, out=inner)
-        np.add(1.0, inner, out=inner)  # 1 + log(t) wherever t > 0
-        np.multiply(neg_a, np.sin(xs), out=t)
-        np.multiply(t, inner, out=t)
-        np.abs(t, out=t)
-        sup = max(sup, float(np.max(t, where=positive, initial=0.0)))
-        half = _linspace_block(np.pi / 2.0, x_points, lo, hi)
-        lipschitz = max(lipschitz, float(np.max(np.sin(half) * (1.0 + np.log1p(np.cos(half))))))
+    def g(t: float) -> float:
+        return math.sqrt(t * (2.0 - t)) * (1.0 + math.log(t))
+
+    def phi(t: float) -> float:
+        return (1.0 - t) * (1.0 + math.log(t)) + 2.0 - t
+
+    def root(lo: float, hi: float) -> float:
+        # phi changes sign once on [lo, hi]; halve until no float lies between
+        rising = phi(lo) < 0.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if (phi(mid) < 0.0) == rising:
+                lo = mid
+            else:
+                hi = mid
+        return mid
+
+    lipschitz = g(root(1.0, 2.0))
+    sup = max(-g(root(np.finfo(float).tiny, 1.0 / math.e)), 1.0, lipschitz)
     return DerivativeBoundReport(sup, lipschitz)
-
-
-def _linspace_block(stop: float, num: int, lo: int, hi: int) -> np.ndarray:
-    # points lo..hi-1 of np.linspace(0.0, stop, num), computed as it computes
-    # them: k * step + 0.0, with the last point set to stop
-    points = np.arange(lo, hi, dtype=float)
-    if num > 1:
-        points *= stop / (num - 1)
-        if hi == num:
-            points[-1] = stop
-    return points
 
 
 def entropy_dimension_estimate(params: RieszParams, depth: int, level: int) -> float:

@@ -224,7 +224,8 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
         _worst("riesz/closed_form_matches_vertex_solver", cross, 1e-9),
         _worst("riesz/entropy_objective_peaks_at_endpoints", endpoint, 1e-9),
         CheckResult("riesz/derivative_bounded_by_2", deriv.sup_estimate <= 2.0,
-                    deriv.sup_estimate, "grid sup of the factor-entropy derivative"),
+                    deriv.sup_estimate,
+                    "exact sup of the factor-entropy derivative over |a| <= 1"),
         CheckResult("riesz/lipschitz_constant_in_window",
                     1.2 <= deriv.lipschitz_constant <= 1.25, deriv.lipschitz_constant,
                     "sup of sin(x)(1 + log(1 + cos x)) on [0, pi/2]"),

@@ -144,7 +144,8 @@ def test_criterion_08_dimension_proxies_dominate():
 
 def test_criterion_09_auxiliary_function_bounds():
     crit = Criterion("9. auxiliary derivative bound, Lipschitz window, 1-Lipschitz entropy")
-    # derivative sup <= 2, L in [1.2, 1.25], Lipschitz excess <= 1e-6 on 10^4 seeded pairs
+    # exact derivative sup <= 2 and L in [1.2, 1.25] (both 1.2257873768428666, from
+    # the closed form), Lipschitz excess <= 1e-6 on 10^4 seeded pairs
     crit.expect_suite_checks(["riesz/derivative_bounded_by_2",
                               "riesz/lipschitz_constant_in_window",
                               "riesz/factor_entropy_1_lipschitz"],

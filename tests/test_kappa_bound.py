@@ -148,6 +148,17 @@ def half_band(q):
     return zq.ResidueSet.of(q, [*range(1, h + 1), *range(q - h, q)])
 
 
+def first_image_oracle(rows):
+    """Every dihedral image of every row, in the order row, start, +-; the
+    first one with the least ``DEDUP_TOL``-rounded key row."""
+    q = rows.shape[1]
+    j = np.arange(q)
+    images = np.array([row[(start + sign * j) % q]
+                       for row in rows for start in range(q) for sign in (1, -1)])
+    keys = np.rint(images / kb.DEDUP_TOL).astype(np.int64)
+    return images[np.lexsort((np.arange(len(images)), *keys.T[::-1]))[0]]
+
+
 class TestGaleEvenness:
     @pytest.mark.parametrize("q,members,expected", [
         (12, [1, 11], (1, 1)),
@@ -188,6 +199,16 @@ class TestGaleEvenness:
                                        err_msg=str(b))
             for theta in (0.3, 0.9):
                 assert abs(kb.kappa(theta, p) - kb.kappa(theta, full)) <= 1e-14, (b, theta)
+
+    def test_first_image_matches_every_image(self):
+        # against expanding all 2q dihedral images of every orbit
+        # representative: every band with q <= 16, and the q = 1000 band
+        # whose mirror images tie in every coordinate
+        cases = [b for q in range(3, 17) for b in bands(q)] + [zq.ResidueSet.of(1000, [1, 999])]
+        for b in cases:
+            rows = np.concatenate(list(kb._representatives(kb.FeasiblePolytope.from_residues(b))))
+            np.testing.assert_array_equal(kb._first_image(rows), first_image_oracle(rows),
+                                          err_msg=str(b))
 
     @pytest.mark.parametrize("q", range(5, 37))
     def test_orbit_count_is_the_burnside_count(self, q):
