@@ -2,7 +2,9 @@
 verification suites, and q-sweeps with machine-readable output.
 
 The commands pass the options the user set through to the library, whose
-signatures hold every default and whose functions hold every check formula.
+signatures hold every default and whose functions hold the formulas of the
+verify checks and of sweep's fan-consistency check.  The six other row checks
+are stated here, two in ``cmd_bound`` and four in ``_riesz_row``.
 Each subparser is the only declaration of its options: an option whose
 default lives in the library is absent from the parsed options unless the user
 set it.  Each command reads that one options dict and returns its results and
@@ -119,7 +121,7 @@ def cmd_bound(options: dict) -> tuple[dict, list[verify.CheckResult]]:
     results = {
         "table": [_bound_row(result)],
         "raw_bound": result.raw_bound,
-        "subgroup": list(result.subgroup),
+        "subgroup_generator": result.subgroup_generator,
         "proper_inclusion": result.proper_inclusion,
         "witness_vertex": list(result.witness_vertex),
         "vertex_count": result.vertex_count,

@@ -173,7 +173,6 @@ def _global_bound(seq: MartingaleSequence, kappa_theta: float) -> float:
 
 class GrowthReport(NamedTuple):
     passed: bool
-    p: float
     kappa_theta: float       # growth exponent at 1/p
     worst_step_slack: float  # min over k of rhs - lhs for the level norms
     worst_atom_slack: float  # min over atoms/levels of the localized inequality slack
@@ -230,7 +229,6 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
 
     return GrowthReport(
         passed=not failures,
-        p=p,
         kappa_theta=kappa_theta,
         worst_step_slack=worst_step,
         worst_atom_slack=worst_atom,

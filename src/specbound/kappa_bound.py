@@ -607,7 +607,7 @@ class DimensionBound:
     bound: float       # clamped to [0, 1]
     raw_bound: float   # unclamped value, negative only for spectrum-rich B
     subgroup_bound: float
-    subgroup: tuple[int, ...]
+    subgroup_generator: int  # g: the subgroup H is g*Z_q, of order q/g
     proper_inclusion: bool
     delta: float       # bound - subgroup_bound
     witness_vertex: tuple[float, ...]
@@ -630,7 +630,6 @@ def dimension_bound(b: ResidueSet) -> DimensionBound:
     raw = 1.0 + kp.value / math.log(q)
     bound = min(1.0, max(0.0, raw))
     g = math.gcd(q, *b_sym.members)
-    subgroup = tuple(range(0, q, g))
     subgroup_bound = 1.0 - math.log(q // g) / math.log(q)
     return DimensionBound(
         q=q,
@@ -639,8 +638,9 @@ def dimension_bound(b: ResidueSet) -> DimensionBound:
         bound=bound,
         raw_bound=raw,
         subgroup_bound=subgroup_bound,
-        subgroup=subgroup,
-        proper_inclusion=b_sym.members != set(subgroup[1:]),
+        subgroup_generator=g,
+        # B lies in H minus {0}, so it is all of it exactly when it has q/g - 1 members
+        proper_inclusion=len(b_sym.members) != q // g - 1,
         delta=bound - subgroup_bound,
         witness_vertex=tuple(kp.witness.tolist()),
         vertex_count=len(polytope.vertex_set) if band is None else gale_vertex_count(q, band[1]),

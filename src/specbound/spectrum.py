@@ -59,9 +59,6 @@ class SparseSpectrum:
     def __len__(self) -> int:
         return int(self.frequencies.size)
 
-    def items(self):
-        return zip(self.frequencies.tolist(), self.coefficients.tolist())
-
     @property
     def max_abs_frequency(self) -> int:
         if not len(self):

@@ -276,8 +276,9 @@ def martingale_suite(q: int = 3, a: float = 1.0, depth: int = 6,
                      seed: int = 0, n_subsets: int = 100) -> list[CheckResult]:
     """The martingale checks on the Riesz product at (q, a) over the q**depth grid.
 
-    Each of the ``n_subsets`` random subsets of the set-average chain costs time
-    linear in the grid size, so ``n_subsets * q**depth`` above
+    Subset i of the set-average chain runs at p = ``p_values[i % len(p_values)]``,
+    with p = 1 replaced by p = 2.  Each of its ``n_subsets`` random subsets costs
+    time linear in the grid size, so ``n_subsets * q**depth`` above
     ``MAX_SUBSET_POINTS`` (1e9) raises :class:`ResourceLimitError` before any work.
     """
     if n_subsets < 1:
@@ -333,9 +334,11 @@ def martingale_suite(q: int = 3, a: float = 1.0, depth: int = 6,
         count = stream.integer(1, grid.size)
         subset = stream.subset(grid.size, count)
         p = float(p_values[i % len(p_values)])
-        report = gv.set_average_check(seq, subset, p if p > 1 else 2.0, b)
+        p = p if p > 1 else 2.0  # the chain needs p > 1; growth_check rejected p < 1
+        report = gv.set_average_check(seq, subset, p, b)
         margin = min(report.hoelder_rhs - report.average, report.growth_rhs - report.hoelder_rhs)
-        subset_entries.append((0.0 if report.passed else 1.0, f"subset {i} (#C={count}, margin={margin:.3e})"))
+        subset_entries.append((0.0 if report.passed else 1.0,
+                               f"subset {i} (p={p}, #C={count}, margin={margin:.3e})"))
 
     sandwich_level = min(depth, 4)
     sandwich = gv.phi_kernel_mass_sandwich(

@@ -36,6 +36,10 @@ class TestBoundCommand:
         row = data["results"]["table"][0]
         assert abs(row["bound"] - 0.5) <= 1e-12
         assert row["B"] == "2"
+        # H = 2*Z_4 = {0, 2} is reported by its generator, not listed
+        assert data["results"]["subgroup_generator"] == 2
+        assert "subgroup" not in data["results"]
+        assert data["results"]["proper_inclusion"] is False
 
     def test_q4_b13(self, capsys):
         code, data = payload(["bound", "--q", "4", "--b", "1,3"], capsys)

@@ -157,7 +157,7 @@ class TestSiblingDifferences:
             k = level + 1
             x0 = cls / grid.size
             e = np.zeros(q, dtype=complex)
-            for freq, coeff in spec.items():
+            for freq, coeff in zip(spec.frequencies.tolist(), spec.coefficients.tolist()):
                 if freq == 0:
                     continue
                 v, d = 0, freq

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from itertools import combinations
 
@@ -526,30 +529,40 @@ class TestDimensionBound:
 
 
 class TestSubgroupBound:
-    # the subgroup bound 1 - log|H|/log q, H the multiples of gcd(B | {q})
+    # the subgroup bound 1 - log|H|/log q, H = g*Z_q for g = gcd(B | {q})
     def test_q4(self):
         result = kb.dimension_bound(zq.ResidueSet.of(4, [2]))
         assert abs(result.subgroup_bound - 0.5) <= 1e-15
-        assert result.subgroup == (0, 2)
+        assert result.subgroup_generator == 2
         assert not result.proper_inclusion
 
     def test_q8_proper(self):
         # B = {2} is symmetrized to {2, 6}, still a proper part of {2, 4, 6}
         result = kb.dimension_bound(zq.ResidueSet.of(8, [2]))
         assert abs(result.subgroup_bound - (1 - math.log(4) / math.log(8))) <= 1e-15
-        assert result.subgroup == (0, 2, 4, 6)
+        assert result.subgroup_generator == 2
         assert result.proper_inclusion
 
     def test_q5_whole_group(self):
         result = kb.dimension_bound(zq.ResidueSet.of(5, [1, 4]))
         assert result.subgroup_bound == 0.0
-        assert len(result.subgroup) == 5
+        assert result.subgroup_generator == 1
 
     def test_empty_convention(self):
         result = kb.dimension_bound(zq.ResidueSet.of(6, []))
         assert result.subgroup_bound == 1.0
-        assert result.subgroup == (0,)
+        assert result.subgroup_generator == 6
         assert not result.proper_inclusion
+
+    @pytest.mark.parametrize("q", range(3, 13))
+    def test_proper_inclusion_oracle(self, q):
+        # every symmetric B, the empty set included: B is proper exactly when
+        # it is not all of H minus {0}, listed here element by element
+        for b in symmetric_residue_sets(q, nonempty=False):
+            result = kb.dimension_bound(b)
+            g = result.subgroup_generator
+            assert g == math.gcd(q, *b.members)
+            assert result.proper_inclusion == (set(range(g, q, g)) != b.members)
 
     def test_strict_gain_when_proper(self):
         dim = kb.dimension_bound(zq.ResidueSet.of(8, [2, 6]))
@@ -596,3 +609,19 @@ class TestDefReform:
             kb.def_reform_check(-1.0, np.zeros(4), 2.0, p)
         with pytest.raises(PreconditionError):
             kb.def_reform_check(1.0, np.zeros(4), 1.0, p)
+
+
+def test_import_loads_only_what_the_module_uses():
+    # the package namespace re-exports nothing, so importing kappa_bound in a
+    # fresh interpreter leaves the martingale, Riesz, quadrature, draw and
+    # verify modules unloaded
+    src = os.path.dirname(os.path.dirname(kb.__file__))
+    unused = ["gv_martingale", "riesz_products", "quadrature", "draws", "verify"]
+    code = ("import sys\n"
+            "import specbound.kappa_bound\n"
+            f"print([m for m in {unused!r} if 'specbound.' + m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

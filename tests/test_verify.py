@@ -50,6 +50,13 @@ class TestSuites:
         checks = verify.martingale_suite(q=4, a=1.0, depth=4, n_subsets=15)
         assert checks and all(c.passed for c in checks)
 
+    def test_set_average_detail_names_the_exponent(self):
+        # the chain needs p > 1, so p = 1 runs at p = 2, and the detail says so
+        checks = {c.name: c for c in verify.martingale_suite(q=3, depth=4, p_values=(1.0,),
+                                                              n_subsets=3)}
+        chain = checks["martingale/set_average_chain"]
+        assert chain.passed and "(p=2.0, #C=" in chain.detail
+
     def test_martingale_suite_seeded(self):
         one = verify.martingale_suite(q=3, a=0.8, depth=4, seed=42, n_subsets=10)
         two = verify.martingale_suite(q=3, a=0.8, depth=4, seed=42, n_subsets=10)

@@ -202,10 +202,13 @@ class TestArithmetic:
 
 
 class TestSubgroups:
-    # dimension_bound's subgroup: the multiples of the divisor gcd(B | {q}) of q
+    # dimension_bound's subgroup H = g*Z_q, the multiples of the divisor
+    # g = gcd(B | {q}) of q, listed here from its generator
     @staticmethod
     def subgroup(q, members):
-        return kb.dimension_bound(zq.ResidueSet.of(q, members)).subgroup
+        g = kb.dimension_bound(zq.ResidueSet.of(q, members)).subgroup_generator
+        assert q % g == 0
+        return tuple(range(0, q, g))
 
     def test_q4(self):
         assert [self.subgroup(4, b) for b in ([], [2], [1, 3])] == [(0,), (0, 2), (0, 1, 2, 3)]
@@ -223,7 +226,7 @@ class TestSubgroups:
     ])
     def test_minimal_subgroup(self, q, members, elements, proper):
         result = kb.dimension_bound(zq.ResidueSet.of(q, members))
-        assert result.subgroup == elements
+        assert tuple(range(0, q, result.subgroup_generator)) == elements
         assert result.proper_inclusion == proper
 
 
