@@ -13,10 +13,11 @@ normalized product of sines (:func:`band_vertices`).  The polytope of every B
 is invariant under the dihedral group j -> c +- j of Z_q, and both objectives
 are symmetric functions of the coordinates, so for a band they are maximized
 over one vertex per dihedral orbit: one per bracelet of the gaps between its r
-active pairs (:func:`bracelets`).  Every other B has its vertices enumerated
-by solving for all C(q, d) candidate active sets.  The resulting certified
-lower bound for the dimension of any admissible non-negative measure is
-1 + kappa'(1)/log q, compared against the coarser subgroup bound
+active pairs (:func:`bracelets`), and no other band vertex is ever built.
+Every other B is maximized over its vertex set, enumerated by solving for all
+C(q, d) candidate active sets (:func:`polytope_vertices`).  The resulting
+certified lower bound for the dimension of any admissible non-negative
+measure is 1 + kappa'(1)/log q, compared against the coarser subgroup bound
 1 - log|H|/log q.
 """
 
@@ -31,15 +32,14 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError, PreconditionError, ResourceLimitError
-from .zq_spectral import MAX_ARRAY_FLOATS, ResidueSet, SubspaceBasis, symmetrize, wb_basis
+from .zq_spectral import ResidueSet, SubspaceBasis, symmetrize, wb_basis
 
 FEASIBILITY_TOL = 1e-9
 # multiplicative slack of every L_p growth comparison
 SLACK = 1e-9
 DEDUP_TOL = 1e-7
 # d-subset solves of an exhaustive enumeration, C(q, d), checked before any
-# subset is built: admits C(20, 10) = 184756.  Bands solve nothing; their
-# vertex set is budgeted in floats (rows x q) by MAX_ARRAY_FLOATS instead
+# subset is built: admits C(20, 10) = 184756
 MAX_VERTEX_SUBSETS = 2 * 10 ** 5
 # dihedral orbits of a band's vertices, counted by Burnside's lemma before any
 # is generated: admits the half-band at q=40 (502303), not at q=44 (2934559)
@@ -90,7 +90,15 @@ class FeasiblePolytope:
 
     @cached_property
     def vertex_set(self) -> np.ndarray:
-        """Extreme points, shape (n, q), in :func:`polytope_vertices` order; read-only."""
+        """The exhaustive enumeration of :func:`polytope_vertices`, shape (n, q), read-only.
+
+        Its rows may include feasible points that are not vertices: a d-subset
+        singular in exact arithmetic can pass the float determinant and
+        residual tests and solve to a point on a face.  Such points lie in the
+        polytope, so the convex maxima are unchanged.  A band's kappa and
+        kappa'(1) never read it: :func:`representatives` builds one
+        closed-form vertex per dihedral orbit instead.
+        """
         return polytope_vertices(self)
 
     @cached_property
@@ -106,18 +114,13 @@ class FeasiblePolytope:
 def polytope_vertices(polytope: FeasiblePolytope) -> np.ndarray:
     """The extreme points, sorted lexicographically by their ``DEDUP_TOL``-rounded coordinates.
 
-    The order does not depend on round-off.  For a band (see
-    :attr:`FeasiblePolytope.band`) the vertices are the closed forms of
-    :func:`band_vertices` on the Gale evenness sets of
-    :func:`gale_pair_starts`, one per vertex; :class:`ResourceLimitError` is
-    raised before any is evaluated when their rows x q floats exceed
-    ``MAX_ARRAY_FLOATS``.
-
-    Every other polytope is enumerated exhaustively.  Every vertex of a
-    d-dimensional polytope activates at least d of the q constraints
-    v_j >= -1, so solving (M t)_j = -1 on each d-subset of rows with an
-    invertible submatrix, then filtering by global feasibility and
-    deduplicating, yields exactly the vertex set.  All C(q, d) subsets are
+    The order does not depend on round-off.  Every polytope, a band's too, is
+    enumerated exhaustively.  Every vertex of a d-dimensional polytope
+    activates at least d of the q constraints v_j >= -1, so solving
+    (M t)_j = -1 on each d-subset of rows with an invertible submatrix, then
+    filtering by global feasibility and deduplicating, yields every vertex
+    (and can add feasible non-vertices, see
+    :attr:`FeasiblePolytope.vertex_set`).  All C(q, d) subsets are
     solved in ``combinations`` order, a chunk at a time, each chunk's
     submatrices as one stack.  Exactly singular submatrices (determinant 0)
     are dropped before the solve; near-singular ones are rejected by a
@@ -131,19 +134,6 @@ def polytope_vertices(polytope: FeasiblePolytope) -> np.ndarray:
     q, d = m.shape
     if d > q:
         raise InvalidInputError(f"subspace dimension {d} exceeds ambient dimension {q}")
-    band = polytope.band
-    if band is not None:
-        count = gale_vertex_count(q, band[1])
-        if count * q > MAX_ARRAY_FLOATS:
-            raise ResourceLimitError(
-                f"the vertex set needs {count} Gale-evenness vertices x {q} coordinates, "
-                f"over the {MAX_ARRAY_FLOATS:.0e}-float budget"
-            )
-        starts = gale_pair_starts(q, band[1])
-        per = max(1, _VERTEX_FLOATS // q)
-        v = np.concatenate([band_vertices(polytope, starts[lo:lo + per])
-                            for lo in range(0, count, per)])
-        return _read_only(v[np.lexsort(_dedup_keys(v).T[::-1])])
     solves = math.comb(q, d)
     if solves > MAX_VERTEX_SUBSETS:
         raise ResourceLimitError(
@@ -183,37 +173,23 @@ def band_multiplier(b: ResidueSet) -> tuple[int, int] | None:
 
 
 def gale_vertex_count(q: int, r: int) -> int:
-    """q/(q-r) * C(q-r, r), the vertex count of the polytope of a band {+-1, ..., +-r}."""
-    return math.comb(q - r, r) + math.comb(q - r - 1, r - 1)
-
-
-def _rows(stream, n: int, k: int) -> np.ndarray:
-    """The next ``n`` length-``k`` integer tuples of ``stream``, as an (n, k) array."""
-    return np.fromiter(chain.from_iterable(islice(stream, n)), np.intp, count=n * k).reshape(n, k)
-
-
-def _combination_rows(n: int, k: int) -> np.ndarray:
-    return _rows(combinations(range(n), k), math.comb(n, k), k)
-
-
-def gale_pair_starts(q: int, r: int) -> np.ndarray:
-    """Active sets of the vertices of a band's polytope, as pair starts, shape (n, r).
+    """q/(q-r) * C(q-r, r), the vertex count of the polytope of a band {+-1, ..., +-r}.
 
     For u = 1 the constraint normals (cos 2 pi j m/q, sin 2 pi j m/q),
     m = 1..r, lie on the trigonometric moment curve, so their convex hull is
     the cyclic polytope C(q, 2r) and the feasible polytope is its polar.  By
     Gale's evenness condition (Gale 1963; Ziegler, *Lectures on Polytopes*,
     section 0) the vertices' active sets are exactly the unions of r disjoint
-    cyclically adjacent pairs {i, i+1 mod q}: C(q-r, r) whose pair starts
-    i_k = c_k + k come from increasing c in 0..q-r-1, and C(q-r-1, r-1) that
-    use the pair {q-1, 0}.  Each row lists its r starts i_k increasing.  For
-    u*B the starts are positions in the frame x = u*j mod q: row j of u*B's
-    constraints is row u*j of B's.
+    cyclically adjacent pairs {i, i+1 mod q}: C(q-r, r) that avoid the pair
+    {q-1, 0} and C(q-r-1, r-1) that use it.  For u*B the pairs are positions
+    in the frame x = u*j mod q: row j of u*B's constraints is row u*j of B's.
     """
-    inside = _combination_rows(q - r, r) + np.arange(r)
-    wrapping = _combination_rows(q - r - 1, r - 1) + np.arange(1, r)
-    wrapping = np.column_stack((wrapping, np.full(len(wrapping), q - 1)))
-    return np.concatenate((inside, wrapping))
+    return math.comb(q - r, r) + math.comb(q - r - 1, r - 1)
+
+
+def _rows(stream, n: int, k: int) -> np.ndarray:
+    """The next ``n`` length-``k`` integer tuples of ``stream``, as an (n, k) array."""
+    return np.fromiter(chain.from_iterable(islice(stream, n)), np.intp, count=n * k).reshape(n, k)
 
 
 def _sine_products(q: int, u: int, starts: np.ndarray) -> np.ndarray:
@@ -377,7 +353,7 @@ def bracelets(parts: int, total: int) -> Iterator[tuple[int, ...]]:
             t, x = t + 1, None
 
 
-def _representatives(polytope: FeasiblePolytope) -> Iterator[np.ndarray]:
+def representatives(polytope: FeasiblePolytope) -> Iterator[np.ndarray]:
     """Chunks of vertices that meet every orbit of the dihedral group: for a
     band one vertex per orbit, for any other polytope its vertex set."""
     if polytope.band is None:
@@ -514,7 +490,7 @@ def kappa(theta: float, polytope: FeasiblePolytope) -> float:
     log of the 1/theta power mean of 1 + v, which :func:`power_mean` takes
     with each vertex's largest entry factored out, so small theta never
     overflows.  It is symmetric in the coordinates, so the maximum is taken
-    over the dihedral-orbit representatives of :func:`_representatives`, a
+    over the dihedral-orbit representatives of :func:`representatives`, a
     chunk at a time.  kappa(1) is exactly 0: the zero-sum constraint makes
     every vertex objective log(1) there.
     """
@@ -525,7 +501,7 @@ def kappa(theta: float, polytope: FeasiblePolytope) -> float:
     # each row of 1 + v sums to q, so every power mean is positive; an
     # origin-only polytope has no vertex and gives 0
     return max((float(np.max(np.log(power_mean(_clipped_shift(v).T, 1.0 / theta))))
-                for v in _representatives(polytope)), default=0.0)
+                for v in representatives(polytope)), default=0.0)
 
 
 class KappaPrime(NamedTuple):
@@ -539,7 +515,7 @@ def kappa_prime_1(polytope: FeasiblePolytope) -> KappaPrime:
     The objective is convex (affine maps composed with t*log(t), extended by
     0 at t=0), so the maximum over the polytope is attained at a vertex, and
     symmetric in the coordinates, so it is taken over the dihedral-orbit
-    representatives of :func:`_representatives`.  The witness is the first
+    representatives of :func:`representatives`.  The witness is the first
     vertex tied with the maximum (to 1e-12 relative) in lexicographic order of
     the ``DEDUP_TOL``-rounded coordinates, so round-off in the vertices cannot
     change it; for a band :func:`_first_image` finds it without expanding any
@@ -549,7 +525,7 @@ def kappa_prime_1(polytope: FeasiblePolytope) -> KappaPrime:
     top = -math.inf
     # the vertices within the tie tolerance of the maximum so far, and their objectives
     rows, values = np.zeros((0, q)), np.zeros(0)
-    for v in _representatives(polytope):
+    for v in representatives(polytope):
         objective = xlogx(_clipped_shift(v)).sum(axis=1)
         top = max(top, float(objective.max()))
         rows, values = np.concatenate((rows, v)), np.concatenate((values, objective))
@@ -611,6 +587,8 @@ class DimensionBound:
     proper_inclusion: bool
     delta: float       # bound - subgroup_bound
     witness_vertex: tuple[float, ...]
+    # the Gale count for a band; for an exhaustive B the rows of vertex_set,
+    # which can count feasible non-vertices too (kappa_prime_1 is unaffected)
     vertex_count: int
     vertex_source: str  # "gale" or "exhaustive", see FeasiblePolytope.vertex_source
     symmetrized: bool  # True when the input had to be closed under reflection

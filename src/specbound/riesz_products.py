@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -143,13 +144,15 @@ def endpoint_optimality_gap(q: int) -> float:
     return float(values[1:-1].max() - max(values[0], values[-1]))
 
 
+@cache
 def log_integral(q: int) -> float:
     """integral of log(cos^2 z) * sin(2z/q) over [pi/2, q*pi/4] for even q.
 
     The integrand blows up logarithmically at every z = pi/2 + k*pi; the range
     is split there and each piece handled by tanh-sinh quadrature, which
     tolerates the endpoint singularities.  Always <= 0 (the log factor is <= 0
-    and sin(2z/q) >= 0 on the range).
+    and sin(2z/q) >= 0 on the range).  Cached per q: the identity, prop4 and
+    its gap all read the same integral.
     """
     if q % 2 != 0 or q < 4:
         raise InvalidInputError(f"log_integral needs even q >= 4, got {q}")

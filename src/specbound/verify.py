@@ -83,6 +83,16 @@ def _worst(name: str, entries: list[tuple[float, str]], threshold: float,
 def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
     """Polytope, bound and derivative checks for every symmetric B with q <= ``q_max``.
 
+    The feasibility, subspace-membership and single-step checks read the
+    rows of :func:`kb.representatives`, which kappa and kappa'(1) maximize
+    over: one vertex per dihedral orbit for a band, the vertex set for any
+    other B.  A band passes the first two on its representatives exactly when
+    every vertex does.  Each map j -> c +- j permutes the coordinates, so it
+    keeps min v, and W_B is invariant under it because B is symmetric, so it
+    keeps the distance to W_B.  A Dirichlet mix of the rows is a convex
+    combination of points of the polytope, so it lies in the polytope, as
+    the single-step check needs.
+
     Raises :class:`ResourceLimitError` before any enumeration once the C(q, d_B)
     vertex-subset solves of those B add up to over ``MAX_KAPPA_SUBSETS`` (1e8).
     """
@@ -112,7 +122,7 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
         for b in symmetric_residue_sets(q, nonempty=False):
             tag = f"q={q} B={sorted(b.members)}"
             polytope = kb.FeasiblePolytope.from_residues(b)
-            vertices = polytope.vertex_set
+            vertices = np.concatenate([np.zeros((0, q)), *kb.representatives(polytope)])
             if len(vertices):
                 off = np.linalg.norm(polytope.basis.project_off(vertices.T), axis=0)
                 feasibility.append((float((-1.0 - vertices.min())), tag))

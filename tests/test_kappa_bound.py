@@ -80,22 +80,22 @@ class TestVertices:
         assert not first.vertex_set.flags.writeable
 
     def test_subset_budget_guard(self):
-        # q=40 half-band: a vertex set of 40060020 rows x 40, refused before any is built
+        # refused on C(q, d) before any subset is built, a band's polytope
+        # like any other: the q=40 half-band needs C(40, 20) ~ 1.4e11 solves
         members = [*range(1, 11), *range(30, 40)]
-        with pytest.raises(ResourceLimitError, match=r"40060020 Gale-evenness vertices x 40"):
+        with pytest.raises(ResourceLimitError, match=r"C\(40, 20\) = 137846528820 solves"):
             kb.polytope_vertices(polytope(40, members))
-        # with 20 added it is no band: C(40, 21) ~ 1.3e11 subsets, refused the same way
+        # with 20 added it is no band: C(40, 21) ~ 1.3e11 subsets
         p = polytope(40, [*members, 20])
         assert p.band is None
         assert math.comb(40, p.basis.dim) > kb.MAX_VERTEX_SUBSETS
         with pytest.raises(ResourceLimitError, match=r"C\(40, 21\)"):
             kb.polytope_vertices(p)
-        # the float budget admits the half-band's vertex set at q=28 but not at q=32
-        assert (kb.gale_vertex_count(28, 7) * 28 <= zq.MAX_ARRAY_FLOATS
-                < kb.gale_vertex_count(32, 8) * 32)
-        # q=5000, B={1, 4999}: 5000 vertices of 5000 coordinates
-        with pytest.raises(ResourceLimitError, match=r"5000 Gale-evenness vertices x 5000"):
+        # the q-gon at q=5000 has d=2, but C(5000, 2) is over the budget too
+        with pytest.raises(ResourceLimitError, match=r"C\(5000, 2\) = 12497500 solves"):
             kb.polytope_vertices(polytope(5000, [1, 4999]))
+        # the budget admits C(20, 10), the largest half-band enumerated here
+        assert math.comb(20, 10) <= kb.MAX_VERTEX_SUBSETS < math.comb(22, 11)
 
     def test_pairwise_distinct(self):
         vs = polytope(8, [1, 3, 5, 7]).vertex_set
@@ -151,13 +151,28 @@ def half_band(q):
     return zq.ResidueSet.of(q, [*range(1, h + 1), *range(q - h, q)])
 
 
-def first_image_oracle(rows):
-    """Every dihedral image of every row, in the order row, start, +-; the
-    first one with the least ``DEDUP_TOL``-rounded key row."""
+def orbit_rows(b):
+    """The rows kappa and kappa'(1) read for the band ``b``: one vertex per dihedral orbit."""
+    return np.concatenate(list(kb.representatives(kb.FeasiblePolytope.from_residues(b))))
+
+
+def dihedral_images(rows):
+    """Every image j -> row[(start +- j) mod q] of every row, in the order row, start, +-."""
     q = rows.shape[1]
     j = np.arange(q)
-    images = np.array([row[(start + sign * j) % q]
-                       for row in rows for start in range(q) for sign in (1, -1)])
+    index = np.array([(start + sign * j) % q for start in range(q) for sign in (1, -1)])
+    return rows[:, index].reshape(-1, q)
+
+
+def expanded_orbits(b):
+    """The band's vertices, from its orbit rows alone: their dihedral images,
+    deduplicated and in rounded-lexicographic order."""
+    return kb._distinct_rows(dihedral_images(orbit_rows(b)))
+
+
+def first_image_oracle(rows):
+    """The first of the rows' dihedral images with the least ``DEDUP_TOL``-rounded key row."""
+    images = dihedral_images(rows)
     keys = np.rint(images / kb.DEDUP_TOL).astype(np.int64)
     return images[np.lexsort((np.arange(len(images)), *keys.T[::-1]))[0]]
 
@@ -179,23 +194,24 @@ class TestGaleEvenness:
         assert kb.band_multiplier(zq.ResidueSet.of(q, members)) == expected
 
     def test_matches_exhaustive_enumeration(self):
-        # every band and unit multiple with q <= 16, and the half-bands at q = 18 and 20;
-        # the sine products are not the solves' round-off, so both sides get a tolerance
+        # the expanded orbits are the exhaustive vertex set, for every band and
+        # unit multiple with q <= 16, and the half-bands at q = 18 and 20; the
+        # sine products are not the solves' round-off, so both sides get a tolerance
         cases = [b for q in range(3, 17) for b in bands(q)] + [half_band(18), half_band(20)]
         for b in cases:
             gale = kb.FeasiblePolytope.from_residues(b)
-            exhaustive = kb.FeasiblePolytope(zq.wb_basis(b))
+            exhaustive = over_vertex_set(gale)
             assert (gale.vertex_source, exhaustive.vertex_source) == ("gale", "exhaustive")
-            np.testing.assert_allclose(gale.vertex_set, exhaustive.vertex_set,
+            np.testing.assert_allclose(expanded_orbits(b), exhaustive.vertex_set,
                                        rtol=0, atol=1e-11, err_msg=str(b))
             assert abs(kb.kappa_prime_1(gale).value - kb.kappa_prime_1(exhaustive).value) <= 1e-12, b
 
     def test_orbits_match_full_vertex_set(self):
-        # one vertex per dihedral orbit gives the maxima and the witness of the
-        # whole closed-form vertex set, for every band and unit multiple with q <= 24
+        # one vertex per dihedral orbit gives the maxima and the witness of
+        # all the orbits' vertices, for every band and unit multiple with q <= 24
         for b in [b for q in range(3, 25) for b in bands(q)]:
             p = kb.FeasiblePolytope.from_residues(b)
-            full = over_vertex_set(p)
+            full = over_vertex_set(p, expanded_orbits(b))
             orbit, whole = kb.kappa_prime_1(p), kb.kappa_prime_1(full)
             assert abs(orbit.value - whole.value) <= 1e-14, b
             np.testing.assert_allclose(orbit.witness, whole.witness, rtol=0, atol=1e-12,
@@ -209,7 +225,7 @@ class TestGaleEvenness:
         # whose mirror images tie in every coordinate
         cases = [b for q in range(3, 17) for b in bands(q)] + [zq.ResidueSet.of(1000, [1, 999])]
         for b in cases:
-            rows = np.concatenate(list(kb._representatives(kb.FeasiblePolytope.from_residues(b))))
+            rows = orbit_rows(b)
             np.testing.assert_array_equal(kb._first_image(rows), first_image_oracle(rows),
                                           err_msg=str(b))
 
@@ -245,42 +261,60 @@ class TestGaleEvenness:
             kb.kappa(0.5, polytope(300, [*range(1, 149), *range(152, 300)]))
 
     def test_vertex_count_formula(self):
-        for b in [b for q in range(3, 17) for b in bands(q)] + [half_band(q) for q in (18, 20, 24)]:
+        # the expanded orbits, for every band and unit multiple with q <= 24
+        for b in [b for q in range(3, 25) for b in bands(q)]:
             q, (u, r) = b.q, kb.band_multiplier(b)
-            count = len(kb.FeasiblePolytope.from_residues(b).vertex_set)
+            count = len(expanded_orbits(b))
             assert count == kb.gale_vertex_count(q, r), b
             assert (q - r) * count == q * math.comb(q - r, r), b
 
     def test_active_sets_are_adjacent_pair_unions(self):
-        starts = kb.gale_pair_starts(10, 2)
-        assert starts.shape == (kb.gale_vertex_count(10, 2), 2)
-        assert len({tuple(row) for row in starts}) == len(starts)
-        # two disjoint pairs {i, i+1 mod 10}
-        assert np.all(np.diff(np.column_stack((starts, starts[:, 0] + 10))) >= 2)
-        # B = 3*{+-1, +-2} mod 10: the active set of each vertex, back in the
-        # frame x = 3j of the band {+-1, +-2}, is one of those pair unions
-        unions = {frozenset({*row, *(row + 1) % 10}) for row in starts}
-        vs = polytope(10, [3, 4, 6, 7]).vertex_set
-        assert {frozenset(3 * np.flatnonzero(v == -1.0) % 10) for v in vs} == unions
+        # Gale evenness: each vertex of u*{+-1, ..., +-r} is active on r disjoint
+        # pairs {x, x+1 mod q} in the frame x = u*j, and on no other coordinate
+        for b in [b for q in range(3, 25) for b in bands(q)]:
+            q, (u, r) = b.q, kb.band_multiplier(b)
+            images = dihedral_images(orbit_rows(b))
+            active = np.zeros(images.shape, dtype=bool)
+            active[:, u * np.arange(q) % q] = images == -1.0
+            assert np.all(active.sum(axis=1) == 2 * r), b
+            # rotated to start at an inactive position, each run of active
+            # positions is even exactly when the k-th inactive position has
+            # the parity of k, counting the first one again at q
+            first = np.argmax(~active, axis=1)
+            rolled = np.take_along_axis(active, (first[:, None] + np.arange(q)) % q, axis=1)
+            inactive = np.column_stack((~rolled, np.ones(len(rolled), dtype=bool)))
+            k = np.cumsum(inactive, axis=1) - 1
+            assert np.all(~inactive | (k % 2 == np.arange(q + 1) % 2)), b
+            # the images hit every such union: distinct sets, as bit masks
+            assert len(np.unique(active @ (1 << np.arange(q)))) == kb.gale_vertex_count(q, r), b
 
     @pytest.mark.parametrize("corrupt", [
         lambda p: p[0].__setitem__(3, p[0, 3] + 1e-6),   # off the subspace
         lambda p: p[-1].__setitem__(0, np.nan),          # NaN
     ])
     def test_fails_closed(self, monkeypatch, corrupt):
-        # one corrupted closed-form row stops the vertex set and the orbit maximum alike
+        # one corrupted closed-form row in the last chunk stops kappa and
+        # kappa'(1) alike, on the cached orbit rows of the q=16 half-band (one
+        # chunk) and on the streamed ones of the q=28 half-band
         products = kb._sine_products
+        for q in (16, 28):
+            b = half_band(q)
+            chunks = sum(1 for _ in kb._orbit_chunks(kb.FeasiblePolytope(zq.wb_basis(b), b)))
+            assert (chunks > 1) == (q == 28)
+            for evaluate in (lambda p: kb.kappa(0.5, p), kb.kappa_prime_1):
+                calls = []
 
-        def corrupted(q, u, starts):
-            p = products(q, u, starts)
-            corrupt(p)
-            return p
+                def corrupted(*args):
+                    p = products(*args)
+                    calls.append(None)
+                    if len(calls) == chunks:
+                        corrupt(p)
+                    return p
 
-        monkeypatch.setattr(kb, "_sine_products", corrupted)
-        b = half_band(16)
-        for evaluate in (kb.polytope_vertices, kb.kappa_prime_1):
-            with pytest.raises(NumericalError, match="fails the subspace or feasibility test"):
-                evaluate(kb.FeasiblePolytope(zq.wb_basis(b), b))
+                monkeypatch.setattr(kb, "_sine_products", corrupted)
+                with pytest.raises(NumericalError, match="fails the subspace or feasibility test"):
+                    evaluate(kb.FeasiblePolytope(zq.wb_basis(b), b))
+                assert len(calls) == chunks
 
 
 class TestCompletenessOracle:
@@ -387,9 +421,11 @@ class TestDistinctRows:
 
 
 def per_row_kappa(theta, p):
-    """Reference: kappa evaluated one vertex row at a time, in log-space."""
+    """Reference: kappa evaluated one row at a time, in log-space, over the
+    rows kappa reads (a band's orbit representatives, else the vertex set)."""
     best = -math.inf
-    for row in np.clip(1.0 + p.vertex_set, 0.0, None):
+    rows = np.concatenate([np.zeros((0, p.q)), *kb.representatives(p)])
+    for row in np.clip(1.0 + rows, 0.0, None):
         logs = np.log(row[row > 0])
         top = logs.max()
         total = np.sum(np.exp((logs - top) / theta))

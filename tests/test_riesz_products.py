@@ -197,6 +197,21 @@ class TestLogIntegral:
         with pytest.raises(InvalidInputError):
             rp.log_integral(5)
 
+    def test_integrated_once_per_q(self, monkeypatch):
+        # the identity, prop4 and its gap share one integral per even q: 7
+        # integrals of 16 tanh-sinh pieces for q = 4..16, not 21 of 48
+        pieces = []
+
+        def counted(*args, **kwargs):
+            pieces.append(args[1:])
+            return tanh_sinh_full(*args, **kwargs)
+
+        monkeypatch.setattr(rp, "tanh_sinh_full", counted)
+        rp.log_integral.cache_clear()
+        verify.riesz_identity_suite(q_max=16)
+        assert rp.log_integral.cache_info().misses == 7
+        assert len(pieces) == 16
+
 
 class TestChebyshevIdentity:
     def test_residual_small(self):

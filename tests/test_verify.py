@@ -7,6 +7,7 @@ import pytest
 
 from cli_child import REPORT_PEAK_RSS, peak_rss_kb, run_cli
 from specbound import gv_martingale as gv
+from specbound import kappa_bound as kb
 from specbound import riesz_products as rp
 from specbound import verify
 from specbound import zq_spectral as zq
@@ -35,6 +36,23 @@ class TestSuites:
     def test_kappa_suite_passes(self):
         checks = verify.kappa_suite(q_max=7)
         assert checks and all(c.passed for c in checks)
+
+    def test_kappa_suite_enumerates_no_band(self, monkeypatch):
+        # a band's checks read its orbit representatives, the rows its bound
+        # maximizes over; only the other B are enumerated exhaustively
+        enumerated = []
+        polytope_vertices = kb.polytope_vertices
+
+        def recorded(polytope):
+            enumerated.append(polytope.band)
+            return polytope_vertices(polytope)
+
+        monkeypatch.setattr(kb, "polytope_vertices", recorded)
+        # the polytopes are shared per process: start from none enumerated
+        kb.FeasiblePolytope.from_residues.cache_clear()
+        checks = verify.kappa_suite(q_max=8)
+        assert all(c.passed for c in checks)
+        assert enumerated and set(enumerated) == {None}
 
     def test_riesz_suite_passes(self):
         checks = verify.riesz_identity_suite(q_max=8)
