@@ -7,9 +7,11 @@ verify checks and of sweep's fan-consistency check.  The six other row checks
 are stated here, two in ``cmd_bound`` and four in ``_riesz_row``.
 Each subparser is the only declaration of its options: an option whose
 default lives in the library is absent from the parsed options unless the user
-set it.  Each command reads that one options dict and returns its results and
-checks; ``main`` times the call and builds the one report envelope, whose
-config block is the same dict.
+set it.  A verify option is named as its suite's keyword, and ``cmd_verify``
+passes each selected suite the set options its signature names.  Each command
+reads that one options dict and returns its results and checks; ``main`` times
+the call and builds the report, a plain dict whose config block is the same
+options dict and which ``render`` encodes.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error
 (including a verify option no selected suite reads), violated precondition,
@@ -23,15 +25,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import __version__
 from . import kappa_bound as kb
@@ -55,40 +55,13 @@ SWEEP_ROW_Q = 3000
 MAX_SWEEP_Q = 10**6
 
 
-@dataclass
-class ReportEnvelope:
-    version: str
-    config: dict
-    results: dict
-    checks: list[dict] = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True, allow_nan=False,
-                          default=_json_default)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+    if isinstance(value, float):
+        return repr(value)
     return str(value)
 
 
@@ -172,12 +145,9 @@ def cmd_riesz(options: dict) -> tuple[dict, list[verify.CheckResult]]:
 
 
 def cmd_sweep(options: dict) -> tuple[dict, list[verify.CheckResult]]:
-    qs = [q for q in options["q_range"] if not options["even_only"] or q % 2 == 0]
-    if not qs:
-        raise InvalidInputError("sweep range is empty")
     rows = []
     checks = []
-    for q in qs:
+    for q in options["q_range"]:
         params = rp.RieszParams(options["a"], q)
         row, row_checks = _riesz_row(params, options)
         row["fan_consistency"] = rp.fan_consistency(params)
@@ -189,31 +159,19 @@ def cmd_sweep(options: dict) -> tuple[dict, list[verify.CheckResult]]:
     return {"table": rows, "extra_columns": ["fan_consistency"]}, checks
 
 
-# the options each suite reads besides --seed: (option name, suite keyword, flag)
-SUITE_OPTIONS = {
-    "kappa": [("q_max", "q_max", "--q-max")],
-    "riesz-identities": [("q_max", "q_max", "--q-max")],
-    "martingale": [("q", "q", "--q"), ("a", "a", "--a"), ("levels", "depth", "--n"),
-                   ("p_values", "p_values", "--p"), ("subsets", "n_subsets", "--subsets")],
-}
-
-
 def cmd_verify(options: dict) -> tuple[dict, list[verify.CheckResult]]:
     suite = options["suite"]
-    if suite not in set(verify.SUITES) | {"all"}:
-        raise InvalidInputError(
-            f"unknown suite {suite!r}; choose from {sorted(verify.SUITES)} or 'all'"
-        )
+    keywords = {s: inspect.signature(fn).parameters for s, fn in verify.SUITES.items()}
     selected = list(verify.SUITES) if suite == "all" else [suite]
-    read = {name for s in selected for name, _, _ in SUITE_OPTIONS[s]}
-    ignored = sorted({flag for read_by in SUITE_OPTIONS.values() for name, _, flag in read_by
-                      if name not in read and name in options})
+    read = {name for s in selected for name in keywords[s]}
+    ignored = sorted({"--" + name.replace("_", "-") for params in keywords.values()
+                      for name in params if name in options and name not in read})
     if ignored:
         raise InvalidInputError(f"suite {suite!r} does not read {', '.join(ignored)}")
     checks: list[verify.CheckResult] = []
     for s in selected:
-        checks += verify.SUITES[s](seed=options["seed"], **{
-            keyword: options[name] for name, keyword, _ in SUITE_OPTIONS[s] if name in options})
+        checks += verify.SUITES[s](**{name: options[name] for name in keywords[s]
+                                      if name in options})
     results = {
         "suite": suite,
         "total": len(checks),
@@ -226,31 +184,32 @@ def cmd_verify(options: dict) -> tuple[dict, list[verify.CheckResult]]:
 # rendering and argument handling
 # ---------------------------------------------------------------------------
 
-def render(envelope: ReportEnvelope, fmt: str) -> str:
+def render(envelope: dict, fmt: str) -> str:
+    """The report as JSON, CSV or text; ``envelope`` holds only JSON types."""
     if fmt == "json":
-        return envelope.to_json() + "\n"
+        return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    results = envelope["results"]
     if fmt == "csv":
-        if "table" in envelope.results:
-            return _csv(envelope.results["table"],
-                        TABLE_COLUMNS + envelope.results.get("extra_columns", []))
-        return _csv(envelope.checks, CHECK_COLUMNS)
-    lines = [f"specbound {envelope.version}: {envelope.config.get('command')}"]
-    table = envelope.results.get("table")
+        if "table" in results:
+            return _csv(results["table"], TABLE_COLUMNS + results.get("extra_columns", []))
+        return _csv(envelope["checks"], CHECK_COLUMNS)
+    lines = [f"specbound {envelope['version']}: {envelope['config'].get('command')}"]
+    table = results.get("table")
     if table:
         for row in table:
             parts = [f"{k}={_csv_cell(v)}" for k, v in row.items() if v is not None and v != ""]
             lines.append("  " + "  ".join(parts))
-    for key, value in envelope.results.items():
+    for key, value in results.items():
         if key in ("table", "extra_columns"):
             continue
         lines.append(f"  {key}: {value}")
-    for c in envelope.checks:
+    for c in envelope["checks"]:
         mark = "PASS" if c["passed"] else "FAIL"
         residual = "" if c.get("residual") is None else f"  residual={c['residual']:.3e}"
         lines.append(f"  [{mark}] {c['name']}{residual}")
         if not c["passed"] and c.get("detail"):
             lines.append(f"         {c['detail']}")
-    lines.append(f"  wall_time_s: {envelope.wall_time_s:.3f}")
+    lines.append(f"  wall_time_s: {envelope['wall_time_s']:.3f}")
     return "\n".join(lines) + "\n"
 
 
@@ -320,8 +279,8 @@ def _parse_lists(options: dict) -> None:
     """Replace the text of --b, --p and sweep's --q/--step by tuples, in place."""
     if "b" in options:
         options["b"] = _parse_residues(options["b"])
-    if "p_values" in options:
-        options["p_values"] = _parse_p_list(options["p_values"])
+    if "p" in options:
+        options["p"] = _parse_p_list(options["p"])
     if "step" in options:
         options["q_range"] = _parse_range(options.pop("q"), options.pop("step"))
 
@@ -355,19 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_riesz.add_argument("--entropy-level", type=int)
 
     p_verify = add_command("verify", "run a named property suite")
-    p_verify.add_argument("--suite", required=True)
+    # each option is named as the keyword of the suites that read it
+    p_verify.add_argument("--suite", required=True, choices=(*verify.SUITES, "all"))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--q", type=int)
     p_verify.add_argument("--q-max", type=int)
     p_verify.add_argument("--a", type=float)
-    p_verify.add_argument("--n", dest="levels", type=int, help="martingale grid depth N")
-    p_verify.add_argument("--p", dest="p_values", help="comma list of exponents, e.g. '1.25,2,4'")
+    p_verify.add_argument("--n", type=int, help="martingale grid depth N")
+    p_verify.add_argument("--p", help="comma list of exponents, e.g. '1.25,2,4'")
     p_verify.add_argument("--subsets", type=int)
 
     p_sweep = add_command("sweep", "bound formulas across a q range")
     p_sweep.add_argument("--q", required=True, help="range like '8..128' or a single value")
     p_sweep.add_argument("--step", default="1", help="'k' additive or 'xk' multiplicative")
-    p_sweep.add_argument("--even-only", action="store_true", default=False)
     p_sweep.add_argument("--a", type=float, default=1.0)
     p_sweep.add_argument("--entropy-level", type=int)
     return parser
@@ -381,7 +340,7 @@ COMMANDS = {
 }
 
 
-def _emit(envelope: ReportEnvelope, options: dict) -> None:
+def _emit(envelope: dict, options: dict) -> None:
     text = render(envelope, options["output_format"])
     path = options.get("output")
     if path:
@@ -400,8 +359,9 @@ def main(argv: list[str] | None = None) -> int:
         _parse_lists(options)
         start = time.monotonic()
         results, checks = COMMANDS[options["command"]](options)
-        envelope = ReportEnvelope(__version__, options, results,
-                                  [c.as_dict() for c in checks], time.monotonic() - start)
+        envelope = {"version": __version__, "config": options, "results": results,
+                    "checks": [c.as_dict() for c in checks],
+                    "wall_time_s": time.monotonic() - start}
     except (InvalidInputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -417,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write report to {options.get('output') or 'stdout'}: {exc}",
               file=sys.stderr)
         return 2
-    return 0 if envelope.all_passed else 1
+    return 0 if all(c["passed"] for c in envelope["checks"]) else 1
 
 
 if __name__ == "__main__":

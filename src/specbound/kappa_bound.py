@@ -230,8 +230,7 @@ def band_vertices(polytope: FeasiblePolytope, starts: np.ndarray) -> np.ndarray:
     :class:`NumericalError` is raised.
     """
     v = _sine_products(polytope.q, polytope.band[0], starts) - 1.0
-    m = polytope.basis.columns
-    off = np.abs(v - (v @ m) @ m.T).max(axis=1, initial=0.0)
+    off = np.abs(polytope.basis.project_off(v.T)).max(axis=0, initial=0.0)
     scale = np.abs(v).max(axis=1, initial=1.0)
     # written so that NaN fails
     if not ((off / scale).max(initial=0.0) <= FEASIBILITY_TOL

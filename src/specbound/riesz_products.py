@@ -102,11 +102,6 @@ def partial_product_values(params: RieszParams, depth: int, m: int) -> np.ndarra
     return _product_at_phases(params, range(depth), np.arange(m, dtype=np.int64), m)
 
 
-def _profile(q: int) -> np.ndarray:
-    j = np.arange(1, q - 1)
-    return 1.0 - np.cos((2 * j + 1) * np.pi / q) / math.cos(math.pi / q)
-
-
 def kappa_prime_riesz(q: int) -> float:
     """Closed form of the growth-exponent derivative for residues {1, q-1}.
 
@@ -115,7 +110,7 @@ def kappa_prime_riesz(q: int) -> float:
     """
     if q < 3:
         raise InvalidInputError(f"base must be >= 3, got {q}")
-    return -float(np.sum(xlogx(_profile(q)))) / q
+    return -float(entropy_objective(q, math.pi / q)) / q
 
 
 def bound_theorem3(q: int) -> float:
@@ -179,7 +174,7 @@ def chebyshev_identity_residual(q: int) -> float:
     certifies the quadrature and the algebraic reduction simultaneously."""
     if q % 2 != 0 or not 4 <= q <= 64:
         raise InvalidInputError(f"identity check needs even q in 4..64, got {q}")
-    lhs = float(np.sum(xlogx(_profile(q))))
+    lhs = float(entropy_objective(q, math.pi / q))
     cos_q = math.cos(math.pi / q)
     rhs = ((1.0 - LOG2) * q + 2.0 * LOG2
            + 2.0 / (q * cos_q) * log_integral(q)

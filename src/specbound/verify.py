@@ -24,8 +24,9 @@ from .spectrum import SparseSpectrum, synthesize_on_grid
 
 FD_STEPS = (1e-2, 1e-3, 1e-4)
 FD_Q_MAX = 8  # largest q whose kappa'(1) gets the difference-quotient checks
-# vertex-subset solves, sum of C(q, d_B) over the symmetric B the kappa suite
-# enumerates: q_max 18 needs 2.1e7 (about 100 s), q_max 20 needs 1.6e8
+# vertex-subset solves, sum of C(q, d_B) over the symmetric B that the kappa
+# suite enumerates exhaustively (bands solve none): q_max 18 needs 2.0e7 (about
+# 100 s), q_max 20 needs 1.55e8
 MAX_KAPPA_SUBSETS = 10 ** 8
 # subsets x grid points drawn by the set-average chain: the default 100 subsets
 # fit on every grid that gv.MAX_GRID admits
@@ -94,14 +95,14 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
     the single-step check needs.
 
     Raises :class:`ResourceLimitError` before any enumeration once the C(q, d_B)
-    vertex-subset solves of those B add up to over ``MAX_KAPPA_SUBSETS`` (1e8).
+    vertex-subset solves of the B that are not bands add up to over
+    ``MAX_KAPPA_SUBSETS`` (1e8).  A symmetric B has d_B = |B|.
     """
     if q_max < 3:
         raise InvalidInputError(f"kappa suite needs q_max >= 3, got {q_max}")
-    # d_B = 2k or 2k + 1 for the C((q-1)//2, k) sets of k reflection pairs, without or with q/2
     solves = itertools.accumulate(
-        math.comb((q - 1) // 2, k) * (math.comb(q, 2 * k) + (q % 2 == 0) * math.comb(q, 2 * k + 1))
-        for q in range(3, q_max + 1) for k in range((q - 1) // 2 + 1))
+        math.comb(q, len(b.members)) for q in range(3, q_max + 1)
+        for b in symmetric_residue_sets(q, nonempty=False) if kb.band_multiplier(b) is None)
     if any(total > MAX_KAPPA_SUBSETS for total in solves):
         raise ResourceLimitError(f"the kappa suite up to q_max={q_max} needs over "
                                  f"{MAX_KAPPA_SUBSETS:.0e} vertex-subset solves")
@@ -281,34 +282,35 @@ def _dftlemma_residual(seq: gv.MartingaleSequence) -> float:
     return worst
 
 
-def martingale_suite(q: int = 3, a: float = 1.0, depth: int = 6,
-                     p_values: tuple[float, ...] = (1.25, 2.0, 4.0),
-                     seed: int = 0, n_subsets: int = 100) -> list[CheckResult]:
-    """The martingale checks on the Riesz product at (q, a) over the q**depth grid.
+def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
+                     p: tuple[float, ...] = (1.25, 2.0, 4.0),
+                     seed: int = 0, subsets: int = 100) -> list[CheckResult]:
+    """The martingale checks on the Riesz product at (q, a) over the q**n grid.
 
-    Subset i of the set-average chain runs at p = ``p_values[i % len(p_values)]``,
-    with p = 1 replaced by p = 2.  Each of its ``n_subsets`` random subsets costs
-    time linear in the grid size, so ``n_subsets * q**depth`` above
-    ``MAX_SUBSET_POINTS`` (1e9) raises :class:`ResourceLimitError` before any work.
+    The growth check runs at each exponent in ``p``, and subset i of the
+    set-average chain at ``p[i % len(p)]``, with 1 replaced by 2.  Each of the
+    ``subsets`` random subsets costs time linear in the grid size, so
+    ``subsets * q**n`` above ``MAX_SUBSET_POINTS`` (1e9) raises
+    :class:`ResourceLimitError` before any work.
     """
-    if n_subsets < 1:
-        raise InvalidInputError(f"need at least one random subset, got {n_subsets}")
+    if subsets < 1:
+        raise InvalidInputError(f"need at least one random subset, got {subsets}")
     stream = draws.Stream(seed)
     params = rp.RieszParams(a, q)
     b = zq.ResidueSet.of(q, [1, q - 1])
-    grid = gv.QadicGrid(q, depth)
-    if n_subsets * grid.size > MAX_SUBSET_POINTS:
+    grid = gv.QadicGrid(q, n)
+    if subsets * grid.size > MAX_SUBSET_POINTS:
         raise ResourceLimitError(
-            f"{n_subsets} subsets of the {grid.size}-point grid exceed the "
+            f"{subsets} subsets of the {grid.size}-point grid exceed the "
             f"{MAX_SUBSET_POINTS:.0e} subset-point budget"
         )
-    spec = rp.riesz_spectrum(params, depth)
+    spec = rp.riesz_spectrum(params, n)
     f = gv.sample_on_grid(spec, grid)
     seq = gv.martingale_levels(f, grid, source=spec)
     sup = max(1.0, float(np.max(np.abs(f))))
 
     two_path = float(np.max(np.abs(
-        f - rp.partial_product_values(params, depth, grid.size)
+        f - rp.partial_product_values(params, n, grid.size)
     ))) / sup
 
     projection = [(gv.spectral_projection_check(seq, k) / sup, f"k={k}")
@@ -331,26 +333,26 @@ def martingale_suite(q: int = 3, a: float = 1.0, depth: int = 6,
     nonneg = float(min(np.min(seq.class_values[k]) for k in range(grid.levels + 1)))
 
     growth_checks = []
-    for p in p_values:
-        report = gv.growth_check(seq, b, p)
+    for exponent in p:
+        report = gv.growth_check(seq, b, exponent)
         slack = min(report.worst_step_slack, report.worst_atom_slack, report.global_slack)
         growth_checks.append(CheckResult(
-            f"martingale/growth_p={p}", report.passed, -slack,
+            f"martingale/growth_p={exponent}", report.passed, -slack,
             f"kappa(1/p)={report.kappa_theta:.6f}; " + ("; ".join(report.failures) or "all steps and atoms pass"),
         ))
 
     subset_entries = []
-    for i in range(n_subsets):
+    for i in range(subsets):
         count = stream.integer(1, grid.size)
         subset = stream.subset(grid.size, count)
-        p = float(p_values[i % len(p_values)])
-        p = p if p > 1 else 2.0  # the chain needs p > 1; growth_check rejected p < 1
-        report = gv.set_average_check(seq, subset, p, b)
+        exponent = float(p[i % len(p)])
+        exponent = exponent if exponent > 1 else 2.0  # the chain needs p > 1; growth_check rejected p < 1
+        report = gv.set_average_check(seq, subset, exponent, b)
         margin = min(report.hoelder_rhs - report.average, report.growth_rhs - report.hoelder_rhs)
         subset_entries.append((0.0 if report.passed else 1.0,
-                               f"subset {i} (p={p}, #C={count}, margin={margin:.3e})"))
+                               f"subset {i} (p={exponent}, #C={count}, margin={margin:.3e})"))
 
-    sandwich_level = min(depth, 4)
+    sandwich_level = min(n, 4)
     sandwich = gv.phi_kernel_mass_sandwich(
         rp.riesz_spectrum(params, sandwich_level), sandwich_level
     )

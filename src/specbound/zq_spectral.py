@@ -19,8 +19,8 @@ from .errors import InvalidInputError, ResourceLimitError
 from .spectrum import SparseSpectrum
 
 TWO_PI = 2.0 * math.pi
-# floats in one q-coordinate array built for a residue set: its basis, q x d,
-# checked before anything is allocated, and a band's vertex set, rows x q
+# floats in a residue set's subspace basis, q x d, checked before anything is
+# allocated
 MAX_ARRAY_FLOATS = 10 ** 7
 
 

@@ -105,10 +105,10 @@ def test_criterion_05_martingale_suite():
                                   "martingale/growth_p=1.25",
                                   "martingale/growth_p=2.0",
                                   "martingale/growth_p=4.0"],
-                                 verify.martingale_suite, q=q, depth=6)
+                                 verify.martingale_suite, q=q, n=6)
         # the same 100 subsets of the seed-0 stream, each at p=2
         crit.expect_suite_checks(["martingale/set_average_chain"],
-                                 verify.martingale_suite, q=q, depth=6, p_values=(2.0,))
+                                 verify.martingale_suite, q=q, n=6, p=(2.0,))
     crit.done()
 
 

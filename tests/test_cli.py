@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 
 from cli_child import REPORT_PEAK_RSS, peak_rss_kb, run_cli
 from specbound import cli
+from specbound import verify
 from specbound.errors import NumericalError, PreconditionError, ResourceLimitError
 from specbound.verify import CheckResult
 
@@ -27,6 +29,19 @@ def half_band(q):
 def payload(argv, capsys):
     code, out, _ = run_main(argv + ["--format", "json"], capsys)
     return code, json.loads(out)
+
+
+# the verify flags each suite reads, a small value for each, and sizes that
+# keep every suite fast
+SUITE_READS = {
+    "kappa": {"--seed", "--q-max"},
+    "riesz-identities": {"--seed", "--q-max"},
+    "martingale": {"--seed", "--q", "--a", "--n", "--p", "--subsets"},
+}
+FLAG_VALUES = {"--seed": "1", "--q": "3", "--q-max": "4", "--a": "0.5", "--n": "3", "--p": "2",
+               "--subsets": "3"}
+TINY_SUITE = {"kappa": {"--q-max": "4"}, "riesz-identities": {"--q-max": "4"},
+              "martingale": {"--n": "3", "--subsets": "3"}}
 
 
 class TestBoundCommand:
@@ -147,7 +162,8 @@ class TestSweepCommand:
         assert all(c["passed"] for c in data["checks"])
 
     def test_even_only(self, capsys):
-        code, data = payload(["sweep", "--q", "4..9", "--even-only",
+        # an even start and step 2 give the even q of the range
+        code, data = payload(["sweep", "--q", "4..9", "--step", "2",
                               "--entropy-level", "2"], capsys)
         assert code == 0
         assert [row["q"] for row in data["results"]["table"]] == [4, 6, 8]
@@ -189,7 +205,7 @@ class TestSweepCommand:
             cli._parse_range(f"3..{q}", str(step))
 
     def test_csv_schema(self, capsys):
-        code, out, _ = run_main(["sweep", "--q", "4..6", "--even-only",
+        code, out, _ = run_main(["sweep", "--q", "4..6", "--step", "2",
                                  "--entropy-level", "2", "--format", "csv"], capsys)
         assert code == 0
         header = out.splitlines()[0]
@@ -200,8 +216,10 @@ class TestSweepCommand:
 
 class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
-        code, _, err = run_main(["verify", "--suite", "nope"], capsys)
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_martingale_suite_passes(self, capsys):
         code, data = payload(["verify", "--suite", "martingale", "--q", "3", "--n", "4",
@@ -235,16 +253,28 @@ class TestVerifyCommand:
         assert err.startswith("resource guard: ")
         assert time.monotonic() - start < 1.0
 
-    @pytest.mark.parametrize("suite,option", [
-        ("kappa", ["--q", "5"]),
-        ("riesz-identities", ["--subsets", "10"]),
-        ("martingale", ["--q-max", "30"]),
-    ])
-    def test_option_no_suite_reads_is_usage_error(self, capsys, suite, option):
-        code, out, err = run_main(["verify", "--suite", suite] + option, capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and option[0] in err
+    @pytest.mark.parametrize("suite,flag", itertools.product(SUITE_READS, FLAG_VALUES))
+    def test_option_routing(self, capsys, monkeypatch, suite, flag):
+        # a flag reaches the suites whose keyword it names; given to a suite
+        # that does not read it, it is a usage error before any suite runs
+        received = []
+        run_suite = verify.SUITES[suite]
+
+        @functools.wraps(run_suite)
+        def recorded(**kwargs):
+            received.append(kwargs)
+            return run_suite(**kwargs)
+
+        monkeypatch.setitem(verify.SUITES, suite, recorded)
+        options = {**TINY_SUITE[suite], flag: FLAG_VALUES[flag]}
+        code, out, err = run_main(["verify", "--suite", suite, *itertools.chain(*options.items())],
+                                  capsys)
+        if flag in SUITE_READS[suite]:
+            assert code == 0
+            assert flag[2:].replace("-", "_") in received[0]
+        else:
+            assert (code, out, received) == (2, "", [])
+            assert err == f"error: suite {suite!r} does not read {flag}\n"
 
     def test_all_suites_read_every_option(self, capsys):
         code, data = payload(["verify", "--suite", "all", "--q-max", "5", "--q", "3",
@@ -286,13 +316,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "finite" in err
 
-    def test_overflowing_residual_is_strict_json(self):
+    def test_overflowing_residual_is_strict_json(self, monkeypatch, capsys):
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
 
-        check = CheckResult("x", False, float("inf")).as_dict()
-        envelope = cli.ReportEnvelope("0", {}, {}, [check])
-        data = json.loads(envelope.to_json(), parse_constant=reject)
+        monkeypatch.setitem(cli.COMMANDS, "bound",
+                            lambda options: ({}, [CheckResult("x", False, float("inf"))]))
+        code, out, _ = run_main(["bound", "--q", "4", "--format", "json"], capsys)
+        assert code == 1
+        data = json.loads(out, parse_constant=reject)
         assert data["checks"][0]["residual"] is None
         assert "not finite" in data["checks"][0]["detail"]
 
@@ -332,11 +364,11 @@ class TestEnvelope:
         (["bound", "--q", "5"], {"q"}),
         (["riesz", "--q", "4", "--entropy-level", "2"], {"q", "a", "entropy_level"}),
         (["sweep", "--q", "4..5", "--output", "report.json"],
-         {"q_range", "a", "even_only", "output"}),
+         {"q_range", "a", "output"}),
         (["verify", "--suite", "kappa", "--q-max", "4"], {"suite", "q_max", "seed"}),
         (["verify", "--suite", "martingale", "--q", "3", "--n", "3", "--p", "2",
           "--subsets", "3", "--a", "0.5"],
-         {"suite", "q", "levels", "p_values", "subsets", "a", "seed"}),
+         {"suite", "q", "n", "p", "subsets", "a", "seed"}),
     ])
     def test_config_lists_set_options_and_parser_defaults(self, argv, keys, tmp_path,
                                                           monkeypatch, capsys):
@@ -372,10 +404,53 @@ class TestEnvelope:
         assert out == ""
         assert err.startswith(prefix)
 
-    def test_failed_check_gives_exit_one(self):
-        envelope = cli.ReportEnvelope("0", {}, {}, [{"passed": False, "name": "x",
-                                                     "residual": None, "detail": ""}])
-        assert not envelope.all_passed
+    def test_failed_check_gives_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli.COMMANDS, "bound", lambda options: (
+            {}, [CheckResult("x", True), CheckResult("y", False, 1.0, "too large")]))
+        code, out, err = run_main(["bound", "--q", "4"], capsys)
+        assert code == 1
+        assert "[PASS] x" in out and "[FAIL] y  residual=1.000e+00" in out
+        assert "too large" in out and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--q", "8", "--b", "1,7"],  # a band
+        ["bound", "--q", "8", "--b", "2,4,6"],  # exhaustive enumeration
+        ["bound", "--q", "5"],  # empty B
+        ["riesz", "--q", "4", "--entropy-level", "2"],
+        ["sweep", "--q", "3..4", "--entropy-level", "2"],
+        ["verify", "--suite", "all"],
+    ])
+    def test_report_holds_only_json_types(self, argv, monkeypatch, capsys):
+        # render encodes the report without a default hook, so every value a
+        # command returns must already be a plain JSON type: a numpy scalar
+        # would print as np.float64(...) in the CSV and text output
+        reports = []
+        render = cli.render
+
+        def recorded(envelope, fmt):
+            reports.append(envelope)
+            return render(envelope, fmt)
+
+        monkeypatch.setattr(cli, "render", recorded)
+        for fmt in ("json", "csv", "text"):
+            code, out, _ = run_main(argv + ["--format", fmt], capsys)
+            assert code == 0 and "np." not in out
+        json.dumps(reports[0], allow_nan=False)
+
+        def leaves(value):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    assert type(key) is str
+                    yield from leaves(item)
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        for report in reports:
+            for leaf in leaves(report):
+                assert type(leaf) in (str, int, float, bool, type(None)), (leaf, type(leaf))
 
     def test_output_file_and_env_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPECBOUND_OUTPUT_DIR", str(tmp_path))

@@ -141,9 +141,9 @@ class TestClosedForms:
         assert abs(rp.bound_theorem3(4) - 0.5) <= 1e-12
 
     def test_theorem3_matches_direct_sum(self):
-        # the closed form through kappa_prime_riesz, against the profile sum divided once
+        # the closed form through kappa_prime_riesz, against the endpoint sum divided once
         for q in range(3, 200):
-            direct = 1.0 - float(np.sum(kb.xlogx(rp._profile(q)))) / (q * math.log(q))
+            direct = 1.0 - float(rp.entropy_objective(q, math.pi / q)) / (q * math.log(q))
             assert abs(rp.bound_theorem3(q) - direct) <= 2 * np.spacing(1.0)
 
     def test_kappa_prime_riesz_values(self):
@@ -158,9 +158,13 @@ class TestClosedForms:
             assert abs(rp.kappa_prime_riesz(q) - kb.kappa_prime_1(p).value) <= 1e-9
 
     def test_entropy_objective_at_endpoint_matches_profile_sum(self):
+        # at phi = pi/q the summands j = 0 and q-1 vanish; the other q-2 are the
+        # profile 1 - cos((2j+1)*pi/q)/cos(pi/q), j = 1..q-2, none clipped
         for q in range(3, 10):
+            j = np.arange(1, q - 1)
+            profile = 1.0 - np.cos((2 * j + 1) * np.pi / q) / math.cos(math.pi / q)
             endpoint = rp.entropy_objective(q, math.pi / q)
-            assert abs(endpoint + q * rp.kappa_prime_riesz(q)) <= 1e-9
+            assert abs(endpoint - np.sum(kb.xlogx(profile))) <= 1e-9
 
     def test_endpoint_optimality(self):
         for q in range(3, 13):

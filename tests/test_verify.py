@@ -65,25 +65,26 @@ class TestSuites:
         assert "q=4: +0.057305" in prop4.detail and "q=64: " in prop4.detail
 
     def test_martingale_suite_passes(self):
-        checks = verify.martingale_suite(q=4, a=1.0, depth=4, n_subsets=15)
+        checks = verify.martingale_suite(q=4, a=1.0, n=4, subsets=15)
         assert checks and all(c.passed for c in checks)
 
     def test_set_average_detail_names_the_exponent(self):
         # the chain needs p > 1, so p = 1 runs at p = 2, and the detail says so
-        checks = {c.name: c for c in verify.martingale_suite(q=3, depth=4, p_values=(1.0,),
-                                                              n_subsets=3)}
+        checks = {c.name: c for c in verify.martingale_suite(q=3, n=4, p=(1.0,), subsets=3)}
         chain = checks["martingale/set_average_chain"]
         assert chain.passed and "(p=2.0, #C=" in chain.detail
 
     def test_martingale_suite_seeded(self):
-        one = verify.martingale_suite(q=3, a=0.8, depth=4, seed=42, n_subsets=10)
-        two = verify.martingale_suite(q=3, a=0.8, depth=4, seed=42, n_subsets=10)
+        one = verify.martingale_suite(q=3, a=0.8, n=4, seed=42, subsets=10)
+        two = verify.martingale_suite(q=3, a=0.8, n=4, seed=42, subsets=10)
         assert [c.as_dict() for c in one] == [c.as_dict() for c in two]
 
     def test_kappa_budget_counts_every_subset_solve(self, monkeypatch):
-        # the closed-form total must equal C(q, d_B) summed over the sets the suite enumerates
+        # the total must equal C(q, d_B) summed over the sets the suite enumerates
+        # exhaustively: a band's vertices come from its sine products
         total = sum(math.comb(q, zq.wb_basis(b).dim) for q in range(3, 8)
-                    for b in verify.symmetric_residue_sets(q, nonempty=False))
+                    for b in verify.symmetric_residue_sets(q, nonempty=False)
+                    if kb.FeasiblePolytope.from_residues(b).band is None)
         monkeypatch.setattr(verify, "MAX_KAPPA_SUBSETS", total - 1)
         with pytest.raises(ResourceLimitError):
             verify.kappa_suite(q_max=7)
