@@ -7,8 +7,9 @@ class arrays) reproduces the direct coset average exactly, in O(N * q**N)
 instead of O(q**(2N)).  The checks in this module verify, with explicit
 residuals, that
 
-  * each level equals the Fourier projection onto frequencies divisible by
-    q**(N-k),
+  * level k and its sibling differences are the q**k-point synthesis of the
+    source frequencies divisible by q**(N-k), each divided by q**(N-k) (the
+    differences keep the quotients that q does not divide),
   * every sibling-difference vector is a zero-sum vector lying in the
     admissible subspace of the residue set carrying the source spectrum,
   * the single-step and global L_p growth inequalities hold with the
@@ -89,10 +90,6 @@ class MartingaleSequence:
     def levels(self) -> int:
         return self.grid.levels
 
-    def level_on_grid(self, k: int) -> np.ndarray:
-        reps = self.grid.size // self.class_values[k].size
-        return np.tile(self.class_values[k], reps)
-
     def sibling_matrix(self, k: int) -> np.ndarray:
         """Children of all level-(k-1) atoms: shape (q, q**(k-1)); row i holds child i."""
         if not 1 <= k <= self.levels:
@@ -128,18 +125,48 @@ def _source(seq: MartingaleSequence) -> SparseSpectrum:
     return seq.source
 
 
-def spectral_projection_check(seq: MartingaleSequence, k: int) -> float:
-    """Max deviation of the averaged level k of ``seq`` from direct Fourier
-    synthesis of its source's frequencies divisible by q**(N-k).  Small
-    residual validates both paths."""
+def _cofactors(seq: MartingaleSequence, k: int) -> SparseSpectrum:
+    """Level k's cofactors d = l / q**(N-k) of the source frequencies l that
+    q**(N-k) divides, with their coefficients: exp(2*pi*i*l*c/q**N) =
+    exp(2*pi*i*d*c/q**k), so class c is their q**k-point synthesis at c."""
     spec, grid = _source(seq), seq.grid
     if not 0 <= k <= grid.levels:
         raise InvalidInputError(f"level {k} outside 0..{grid.levels}")
-    divisor = grid.q ** (grid.levels - k)
-    keep = np.mod(spec.frequencies, divisor) == 0
-    filtered = SparseSpectrum(spec.frequencies[keep], spec.coefficients[keep], q=spec.q)
-    direct = synthesize_on_grid(filtered, grid.size).real
-    return float(np.max(np.abs(seq.level_on_grid(k) - direct)))
+    step = grid.q ** (grid.levels - k)
+    exact = np.mod(spec.frequencies, step) == 0
+    return SparseSpectrum(spec.frequencies[exact] // step, spec.coefficients[exact])
+
+
+def spectral_projection_check(seq: MartingaleSequence, k: int) -> float:
+    """Max deviation of the averaged level k of ``seq`` from direct Fourier
+    synthesis of its source's frequencies divisible by q**(N-k), taken on the
+    q**k classes.  Small residual validates both paths."""
+    direct = synthesize_on_grid(_cofactors(seq, k), seq.grid.q ** k).real
+    return float(np.max(np.abs(seq.class_values[k] - direct)))
+
+
+def sibling_synthesis_check(seq: MartingaleSequence) -> float:
+    """Rebuild every sibling-difference vector from the spectrum alone.
+
+    At level k the difference vector over the children of parent class c is
+    sum_{m=1}^{q-1} e_m(c) * omega_m with
+    e_m(c) = sum over frequencies l = d * q**(N-k), d = m (mod q), q not | d,
+    of c_l * exp(2*pi*i*l*c/q**N) = c_l * exp(2*pi*i*d*c/q**k); the
+    reconstruction must match the averaged levels pointwise.  Since
+    omega_m[j] = exp(2*pi*i*j*m/q) and d = m (mod q), entry j of the
+    synthesized vector is sum_d c_l * exp(2*pi*i*d*(c + j*q**(k-1))/q**k): the
+    length-q**k inverse DFT of the coefficients binned by d mod q**k, read at
+    c + j*q**(k-1).  Memory is O(q**k), at most the grid size.
+    """
+    q = seq.grid.q
+    worst = 0.0
+    for k in range(1, seq.levels + 1):
+        d = _cofactors(seq, k)
+        keep = np.mod(d.frequencies, q) != 0
+        synthesized = synthesize_on_grid(SparseSpectrum(d.frequencies[keep], d.coefficients[keep]),
+                                         q ** k).real.reshape(q, -1)
+        worst = max(worst, float(np.max(np.abs(synthesized - seq.differences(k)))))
+    return worst
 
 
 def _require_spectrum_in_cb(spec: SparseSpectrum, b: ResidueSet) -> None:
@@ -297,19 +324,16 @@ def _plateau_kernel_transform(q: int, n: int, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
-def phi_kernel_mass_sandwich(spec: SparseSpectrum, n: int) -> SandwichReport:
+def phi_kernel_mass_sandwich(spec: SparseSpectrum, grid: QadicGrid) -> SandwichReport:
     """Sandwich the plateau-kernel smoothing between exact interval masses.
 
-    At every grid point x = j/q**n the convolved value scaled by q**-n must sit
-    between the mass of the inner interval [x - 1/(2q**n), x + 1/(2q**n)] and
-    the mass of the outer interval of radius 1/(2q**(n-1)).  Everything is
-    computed in closed form from the spectrum, so violations beyond 1e-10 are
-    real failures.
+    At every point x = j/q**n of ``grid`` (n = ``grid.levels``) the convolved
+    value scaled by q**-n must sit between the mass of the inner interval
+    [x - 1/(2q**n), x + 1/(2q**n)] and the mass of the outer interval of
+    radius 1/(2q**(n-1)).  Everything is computed in closed form from the
+    spectrum, so violations beyond 1e-10 are real failures.
     """
-    if spec.q is None:
-        raise InvalidInputError("spectrum needs its base q for the q-adic sandwich")
-    q = spec.q
-    grid = QadicGrid(q, n)
+    q, n = grid.q, grid.levels
     density = sample_on_grid(spec, grid)
     if density.min() < -1e-10:
         raise PreconditionError("sandwich check needs a non-negative density")
@@ -317,7 +341,7 @@ def phi_kernel_mass_sandwich(spec: SparseSpectrum, n: int) -> SandwichReport:
     inner = centered_interval_masses(spec, m, 0.5 / q ** n)
     outer = centered_interval_masses(spec, m, 0.5 / q ** (n - 1))
     kernel_hat = _plateau_kernel_transform(q, n, spec.frequencies)
-    smoothed_spec = SparseSpectrum(spec.frequencies, spec.coefficients * kernel_hat, q=q)
+    smoothed_spec = SparseSpectrum(spec.frequencies, spec.coefficients * kernel_hat)
     smoothed = synthesize_on_grid(smoothed_spec, m).real / q ** n
     lower_margin = smoothed - inner
     upper_margin = outer - smoothed

@@ -122,7 +122,8 @@ def polytope_vertices(polytope: FeasiblePolytope) -> np.ndarray:
     (and can add feasible non-vertices, see
     :attr:`FeasiblePolytope.vertex_set`).  All C(q, d) subsets are
     solved in ``combinations`` order, a chunk at a time, each chunk's
-    submatrices as one stack.  Exactly singular submatrices (determinant 0)
+    submatrices as one stack and its repeated solves dropped as it is made,
+    to bound memory.  Exactly singular submatrices (determinant 0)
     are dropped before the solve; near-singular ones are rejected by a
     residual check at ``FEASIBILITY_TOL`` rather than a condition estimate.
     Solutions within ``DEDUP_TOL`` of each other in the max norm are one
@@ -144,15 +145,10 @@ def polytope_vertices(polytope: FeasiblePolytope) -> np.ndarray:
         return _read_only(np.zeros((0, q)))
     chunk = max(1, _SOLVE_FLOATS // (d * d))
     stream = combinations(range(q), d)
-    # repeated solves of degenerate vertices are dropped chunk by chunk, to
-    # bound memory; a single chunk is left to _distinct_rows
-    per_chunk = solves > chunk
     found = []
     for lo in range(0, solves, chunk):
         v = _feasible_solutions(m, _rows(stream, min(chunk, solves - lo), d))
-        if per_chunk:
-            v = v[_ascending(_first_per_key(_dedup_keys(v)), len(v))]
-        found.append(v)
+        found.append(v[_ascending(_first_per_key(_dedup_keys(v)), len(v))])
     return _read_only(_distinct_rows(np.concatenate(found)))
 
 

@@ -22,7 +22,6 @@ _U_MAX = 3.5
 
 class QuadratureResult(NamedTuple):
     value: float
-    last_delta: float
     levels: int
 
 
@@ -57,7 +56,7 @@ def tanh_sinh_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         cur = level_sum(2.0 ** (-level))
         delta = abs(cur - prev)
         if delta <= tol:
-            return QuadratureResult(cur, delta, level)
+            return QuadratureResult(cur, level)
         prev = cur
     raise NumericalError(
         f"tanh-sinh did not reach tol={tol:g} on [{a}, {b}] after {max_level} levels "

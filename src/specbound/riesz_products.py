@@ -80,7 +80,7 @@ def riesz_spectrum(params: RieszParams, depth: int) -> SparseSpectrum:
         side = coeffs * half
         coeffs = np.concatenate((side, coeffs, side))
     keep = coeffs != 0.0
-    return SparseSpectrum(freqs[keep], coeffs[keep], q=params.q)
+    return SparseSpectrum(freqs[keep], coeffs[keep])
 
 
 def _product_at_phases(params: RieszParams, levels: range, numerators: np.ndarray,
@@ -128,7 +128,10 @@ def entropy_objective(q: int, phi: float | np.ndarray) -> float | np.ndarray:
     the last axis, so a grid is one call.
     """
     phi = np.asarray(phi, dtype=float)[..., None]
+    # centered residues: at phi = +-pi/q the summands j = 0 and j = -+1 vanish,
+    # and their angles come out as exactly +-phi, so their t is exactly 0
     j = np.arange(q)
+    j = np.where(2 * j > q, j - q, j)
     t = 1.0 - np.cos(2.0 * np.pi * j / q + phi) / np.cos(phi)
     return np.sum(xlogx(np.clip(t, 0.0, None)), axis=-1)
 

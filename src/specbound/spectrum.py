@@ -2,10 +2,11 @@
 
 A :class:`SparseSpectrum` is a finite map from integer frequencies to complex
 coefficients, representing the density sum_n c_n * exp(2*pi*i*n*x) on the unit
-circle.  Everything downstream (grid sampling, interval masses, convolution
-against kernels) reduces to synthesizing such a map on a uniform grid, which is
-done exactly by reducing frequencies mod the grid size and running one inverse
-FFT.
+circle.  It holds the frequencies and coefficients only, no base q: a q-adic
+check takes a grid for that.  Everything downstream (grid sampling, interval
+masses, convolution against kernels) reduces to synthesizing such a map on a
+uniform grid, which is done exactly by reducing frequencies mod the grid size
+and running one inverse FFT.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ CONJUGATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SparseSpectrum:
-    """Finite frequency-to-coefficient map with optional base metadata.
+    """Finite frequency-to-coefficient map.
 
     Frequencies that arrive sorted and distinct are kept as given, so the
     arrays may share memory with the caller's; neither is ever written to.
@@ -29,7 +30,6 @@ class SparseSpectrum:
 
     frequencies: np.ndarray  # int64, strictly increasing
     coefficients: np.ndarray  # complex128, same length
-    q: int | None = None
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=np.int64)
@@ -48,12 +48,11 @@ class SparseSpectrum:
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
-    def from_dict(cls, mapping: dict[int, complex], q: int | None = None) -> "SparseSpectrum":
+    def from_dict(cls, mapping: dict[int, complex]) -> "SparseSpectrum":
         items = sorted(mapping.items())
         return cls(
             frequencies=np.array([n for n, _ in items], dtype=np.int64),
             coefficients=np.array([c for _, c in items], dtype=complex),
-            q=q,
         )
 
     def __len__(self) -> int:

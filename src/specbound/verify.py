@@ -4,6 +4,7 @@ dimension-bound machinery relies on, run with explicit residuals.
 Each suite returns a flat list of :class:`CheckResult`; a suite passes iff all
 its checks do.  Randomized checks draw from one seeded :class:`draws.Stream`
 per suite, so failures are reproducible from the reported configuration.
+The martingale suite runs the checks of :mod:`gv_martingale` and synthesizes nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from . import kappa_bound as kb
 from . import riesz_products as rp
 from . import zq_spectral as zq
 from .errors import InvalidInputError, ResourceLimitError
-from .spectrum import SparseSpectrum, synthesize_on_grid
 
 FD_STEPS = (1e-2, 1e-3, 1e-4)
 FD_Q_MAX = 8  # largest q whose kappa'(1) gets the difference-quotient checks
@@ -254,34 +254,6 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
 # martingale suite: projections, differences, growth, set averages, sandwich
 # ---------------------------------------------------------------------------
 
-def _dftlemma_residual(seq: gv.MartingaleSequence) -> float:
-    """Rebuild every sibling-difference vector from the spectrum alone.
-
-    At level k the difference vector over the children of parent class c is
-    sum_{m=1}^{q-1} e_m(c) * omega_m with
-    e_m(c) = sum over frequencies l = d * q**(N-k), d = m (mod q), q not | d,
-    of c_l * exp(2*pi*i*l*c/q**N) = c_l * exp(2*pi*i*d*c/q**k); the
-    reconstruction must match the averaged levels pointwise.  Since
-    omega_m[j] = exp(2*pi*i*j*m/q) and d = m (mod q), entry j of the
-    synthesized vector is sum_d c_l * exp(2*pi*i*d*(c + j*q**(k-1))/q**k): the
-    length-q**k inverse DFT of the coefficients binned by d mod q**k, read at
-    c + j*q**(k-1).  Memory is O(q**k), at most the grid size.
-    """
-    spec = seq.source
-    grid = seq.grid
-    q = grid.q
-    freqs = spec.frequencies
-    worst = 0.0
-    for k in range(1, grid.levels + 1):
-        step = q ** (grid.levels - k)
-        d = freqs // step
-        exact = (np.mod(freqs, step) == 0) & (np.mod(d, q) != 0)
-        cofactors = SparseSpectrum(d[exact], spec.coefficients[exact])
-        synthesized = synthesize_on_grid(cofactors, q ** k).real.reshape(q, -1)
-        worst = max(worst, float(np.max(np.abs(synthesized - seq.differences(k)))))
-    return worst
-
-
 def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
                      p: tuple[float, ...] = (1.25, 2.0, 4.0),
                      seed: int = 0, subsets: int = 100) -> list[CheckResult]:
@@ -328,7 +300,7 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
     for k in range(1, grid.levels + 1):
         tree_sums.append((float(np.max(np.abs(seq.differences(k).sum(axis=0)))) / sup, f"k={k}"))
 
-    sibling_synthesis = _dftlemma_residual(seq) / sup
+    sibling_synthesis = gv.sibling_synthesis_check(seq) / sup
     membership = gv.wb_membership_check(seq, b) / sup
     nonneg = float(min(np.min(seq.class_values[k]) for k in range(grid.levels + 1)))
 
@@ -354,7 +326,7 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
 
     sandwich_level = min(n, 4)
     sandwich = gv.phi_kernel_mass_sandwich(
-        rp.riesz_spectrum(params, sandwich_level), sandwich_level
+        rp.riesz_spectrum(params, sandwich_level), gv.QadicGrid(q, sandwich_level)
     )
 
     return [

@@ -146,4 +146,4 @@ def counterexample_measure(q: int, l: int) -> SparseSpectrum:
     if not 1 <= l <= q - 1:
         raise InvalidInputError(f"residue l={l} outside 1..{q - 1}")
     freqs = [n for n in range(-q * q, q * q + 1) if n % q == l % q]
-    return SparseSpectrum.from_dict({n: 1.0 for n in freqs}, q=q)
+    return SparseSpectrum.from_dict({n: 1.0 for n in freqs})

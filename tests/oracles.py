@@ -2,8 +2,44 @@
 
 import numpy as np
 
+from specbound.spectrum import SparseSpectrum, synthesize_on_grid
+
 
 def direct_synthesis(spec, x) -> np.ndarray:
     """sum_n c_n exp(2*pi*i*n*x) at arbitrary points, term by term in one outer product."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return np.exp(2j * np.pi * np.outer(x, spec.frequencies)) @ spec.coefficients
+
+
+def full_grid_projection_residual(seq, k):
+    """Reference: the level-k projection on the whole grid.  The source
+    frequencies divisible by q**(N-k) are synthesized on all q**N points and
+    compared with level k tiled over the grid."""
+    spec, grid = seq.source, seq.grid
+    keep = np.mod(spec.frequencies, grid.q ** (grid.levels - k)) == 0
+    filtered = SparseSpectrum(spec.frequencies[keep], spec.coefficients[keep])
+    direct = synthesize_on_grid(filtered, grid.size).real
+    level = np.tile(seq.class_values[k], grid.size // seq.class_values[k].size)
+    return float(np.max(np.abs(level - direct)))
+
+
+def outer_product_sibling_residual(seq):
+    """Reference: the sibling synthesis with a (frequencies x classes) phase matrix."""
+    spec, grid = seq.source, seq.grid
+    q, size = grid.q, grid.size
+    freqs, coeffs = spec.frequencies, spec.coefficients
+    worst = 0.0
+    omega = np.exp(2j * np.pi * np.outer(np.arange(q), np.arange(q)) / q)
+    for k in range(1, grid.levels + 1):
+        step = q ** (grid.levels - k)
+        exact = (np.mod(freqs, step) == 0) & (np.mod(freqs // step, q) != 0)
+        classes = np.arange(q ** (k - 1), dtype=np.int64)
+        e = np.zeros((q, classes.size), dtype=complex)
+        f_ex, c_ex = freqs[exact], coeffs[exact]
+        digits = np.mod(f_ex // step, q)
+        phases = np.exp(2j * np.pi * np.mod(np.outer(f_ex, classes), size) / size)
+        for m in range(1, q):
+            e[m] = c_ex[digits == m] @ phases[digits == m]
+        actual = seq.sibling_matrix(k) - seq.class_values[k - 1][None, :]
+        worst = max(worst, float(np.max(np.abs((omega @ e).real - actual))))
+    return worst

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import full_grid_projection_residual
 from specbound import gv_martingale as gv
 from specbound import kappa_bound as kb
 from specbound import riesz_products as rp
@@ -75,7 +76,7 @@ class TestLevels:
         f = gv.sample_on_grid(spec, grid)
         seq = gv.martingale_levels(f, grid, source=spec)
         for k in range(1, n + 1):
-            assert np.max(np.abs(seq.level_on_grid(k) - f)) <= 1e-12
+            assert np.max(np.abs(f.reshape(-1, q ** k) - seq.class_values[k])) <= 1e-12
         assert np.max(np.abs(seq.class_values[0])) <= 1e-12
 
     def test_level_zero_is_grid_mean(self):
@@ -104,7 +105,7 @@ class TestLevels:
             count = q ** (n - k)
             for j in range(grid.size):
                 direct[j] = np.mean(f[(j + shift * np.arange(count)) % grid.size])
-            assert np.max(np.abs(direct - seq.level_on_grid(k))) <= 1e-12
+            assert np.max(np.abs(direct.reshape(-1, shift) - seq.class_values[k])) <= 1e-12
 
     def test_shape_validation(self):
         grid = gv.QadicGrid(3, 2)
@@ -131,6 +132,20 @@ class TestSpectralProjection:
             sup = max(1.0, float(np.abs(seq.class_values[grid.levels]).max()))
             for k in range(grid.levels + 1):
                 assert gv.spectral_projection_check(seq, k) <= 1e-10 * sup
+
+    @pytest.mark.parametrize("q,depth", [(3, 6), (4, 6), (5, 6), (7, 5)])
+    def test_matches_full_grid_reference(self, q, depth):
+        seq, _, grid = riesz_sequence(q, 1.0, depth)
+        for k in range(grid.levels + 1):
+            residual = gv.spectral_projection_check(seq, k)
+            assert abs(residual - full_grid_projection_residual(seq, k)) <= 1e-12
+        # a source that does not match the levels gives an O(1) residual, and
+        # both syntheses must report the same one
+        other = gv.martingale_levels(seq.class_values[grid.levels], grid,
+                                     source=rp.riesz_spectrum(rp.RieszParams(0.5, q), depth))
+        residual = gv.spectral_projection_check(other, grid.levels)
+        assert residual > 0.1
+        assert abs(residual - full_grid_projection_residual(other, grid.levels)) <= 1e-12
 
 
 class TestSiblingDifferences:
@@ -226,7 +241,7 @@ class TestGrowth:
     def test_constant_density_has_exponent_slack(self):
         q = 3
         grid = gv.QadicGrid(q, 4)
-        spec = SparseSpectrum.from_dict({0: 1.0}, q=q)
+        spec = SparseSpectrum.from_dict({0: 1.0})
         seq = sequence_of(spec, grid)
         report = gv.growth_check(seq, zq.ResidueSet.of(q, [1, 2]), 2.0)
         assert report.passed
@@ -274,7 +289,7 @@ class TestSetAverage:
         report = gv.set_average_check(seq, np.arange(grid.size), 2.0,
                                       zq.ResidueSet.of(3, [1, 2]))
         assert report.passed
-        f = seq.level_on_grid(grid.levels)
+        f = seq.class_values[grid.levels]
         assert abs(report.average - kb.power_mean(f, 1.0)) <= 1e-12
         assert abs(report.hoelder_rhs - kb.power_mean(f, 2.0)) <= 1e-12
         # repeated and unordered indices name the same subset
@@ -301,8 +316,8 @@ class TestSetAverage:
 class TestPlateauSandwich:
     def test_uniform_density_margins(self):
         q, n = 3, 3
-        spec = SparseSpectrum.from_dict({0: 1.0}, q=q)
-        report = gv.phi_kernel_mass_sandwich(spec, n)
+        spec = SparseSpectrum.from_dict({0: 1.0})
+        report = gv.phi_kernel_mass_sandwich(spec, gv.QadicGrid(q, n))
         assert report.passed
         # uniform: inner mass q**-n, smoothed (q+1)/2 * q**-n, outer q**(1-n)
         scale = float(q) ** (-n)
@@ -312,7 +327,7 @@ class TestPlateauSandwich:
     def test_riesz_fixture(self):
         q, n = 3, 4
         spec = rp.riesz_spectrum(rp.RieszParams(1.0, q), n)
-        report = gv.phi_kernel_mass_sandwich(spec, n)
+        report = gv.phi_kernel_mass_sandwich(spec, gv.QadicGrid(q, n))
         assert report.passed
         assert report.min_lower_margin >= -1e-10
         assert report.min_upper_margin >= -1e-10
@@ -321,6 +336,6 @@ class TestPlateauSandwich:
         # at most grid points the sandwich is strict for a non-uniform density
         q, n = 4, 3
         spec = rp.riesz_spectrum(rp.RieszParams(1.0, q), n)
-        report = gv.phi_kernel_mass_sandwich(spec, n)
+        report = gv.phi_kernel_mass_sandwich(spec, gv.QadicGrid(q, n))
         assert report.passed
         assert report.min_lower_margin >= 0.0  # strictly inside for this fixture

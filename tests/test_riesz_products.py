@@ -39,7 +39,7 @@ def dict_riesz_spectrum(params, depth):
             nxt[n - step] = nxt.get(n - step, 0.0) + side
         coeffs = nxt
     coeffs = {n: c for n, c in coeffs.items() if c != 0.0}
-    return SparseSpectrum.from_dict(coeffs, q=params.q)
+    return SparseSpectrum.from_dict(coeffs)
 
 
 class TestRieszSpectrum:
@@ -140,6 +140,12 @@ class TestClosedForms:
         assert abs(rp.bound_theorem3(3)) <= 1e-12
         assert abs(rp.bound_theorem3(4) - 0.5) <= 1e-12
 
+    def test_theorem3_exact_at_small_q(self):
+        # the summands that vanish at the endpoint are exactly 0, not an
+        # angle's round-off through x log x
+        assert rp.bound_theorem3(4) == 0.5
+        assert abs(rp.bound_theorem3(3)) <= 1e-15
+
     def test_theorem3_matches_direct_sum(self):
         # the closed form through kappa_prime_riesz, against the endpoint sum divided once
         for q in range(3, 200):
@@ -172,7 +178,8 @@ class TestClosedForms:
 
     def test_entropy_objective_matches_scalar_loop(self):
         def scalar_objective(q, phi):
-            j = np.arange(q)
+            # the residues centered on 0, in the order 0, 1, ..., -1
+            j = np.array([r - q if 2 * r > q else r for r in range(q)])
             t = 1.0 - np.cos(2.0 * np.pi * j / q + phi) / math.cos(phi)
             return float(np.sum(kb.xlogx(np.clip(t, 0.0, None))))
 
@@ -478,7 +485,7 @@ class TestEntropyEstimate:
         assert masses.min() >= -1e-10
 
     def test_corrupted_spectrum_raises(self):
-        bad = SparseSpectrum.from_dict({0: 1.0, 1: 0.75, -1: 0.75}, q=3)
+        bad = SparseSpectrum.from_dict({0: 1.0, 1: 0.75, -1: 0.75})
         from specbound.spectrum import uniform_interval_masses
         masses = uniform_interval_masses(bad, 9)
         assert masses.min() < -1e-10  # sanity: the signed density truly dips

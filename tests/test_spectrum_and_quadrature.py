@@ -133,7 +133,10 @@ class TestTanhSinh:
     def test_depth_doubling_reported(self):
         result = tanh_sinh_full(np.sin, 0.0, math.pi, tol=1e-9)
         assert abs(result.value - 2.0) <= 1e-12
-        assert result.last_delta <= 1e-9
+        # the reported depth is the first one that meets the tolerance
+        assert tanh_sinh_full(np.sin, 0.0, math.pi, tol=1e-9, max_level=result.levels) == result
+        with pytest.raises(NumericalError):
+            tanh_sinh_full(np.sin, 0.0, math.pi, tol=1e-9, max_level=result.levels - 1)
 
     def test_nonconvergence_raises(self):
         with pytest.raises(NumericalError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cli_child import REPORT_PEAK_RSS, peak_rss_kb, run_cli
+from oracles import outer_product_sibling_residual
 from specbound import gv_martingale as gv
 from specbound import kappa_bound as kb
 from specbound import riesz_products as rp
@@ -120,28 +121,6 @@ class TestCounterexampleCheck:
         assert verify._counterexample_check(5, 2).passed
 
 
-def outer_product_dftlemma_residual(seq):
-    """Reference: the sibling synthesis with a (frequencies x classes) phase matrix."""
-    spec, grid = seq.source, seq.grid
-    q, size = grid.q, grid.size
-    freqs, coeffs = spec.frequencies, spec.coefficients
-    worst = 0.0
-    omega = np.exp(2j * np.pi * np.outer(np.arange(q), np.arange(q)) / q)
-    for k in range(1, grid.levels + 1):
-        step = q ** (grid.levels - k)
-        exact = (np.mod(freqs, step) == 0) & (np.mod(freqs // step, q) != 0)
-        classes = np.arange(q ** (k - 1), dtype=np.int64)
-        e = np.zeros((q, classes.size), dtype=complex)
-        f_ex, c_ex = freqs[exact], coeffs[exact]
-        digits = np.mod(f_ex // step, q)
-        phases = np.exp(2j * np.pi * np.mod(np.outer(f_ex, classes), size) / size)
-        for m in range(1, q):
-            e[m] = c_ex[digits == m] @ phases[digits == m]
-        actual = seq.sibling_matrix(k) - seq.class_values[k - 1][None, :]
-        worst = max(worst, float(np.max(np.abs((omega @ e).real - actual))))
-    return worst
-
-
 class TestDftLemmaResidual:
     @pytest.mark.parametrize("q,depth", [(3, 6), (4, 6), (5, 6), (7, 5)])
     def test_matches_outer_product_reference(self, q, depth):
@@ -149,13 +128,13 @@ class TestDftLemmaResidual:
         spec = rp.riesz_spectrum(rp.RieszParams(1.0, q), depth)
         f = gv.sample_on_grid(spec, grid)
         seq = gv.martingale_levels(f, grid, source=spec)
-        assert abs(verify._dftlemma_residual(seq) - outer_product_dftlemma_residual(seq)) <= 1e-12
+        assert abs(gv.sibling_synthesis_check(seq) - outer_product_sibling_residual(seq)) <= 1e-12
         # a source that does not match the levels gives an O(1) residual, and
         # both syntheses must report the same one
         other = gv.martingale_levels(f, grid, source=rp.riesz_spectrum(rp.RieszParams(0.5, q), depth))
-        residual = verify._dftlemma_residual(other)
+        residual = gv.sibling_synthesis_check(other)
         assert residual > 0.1
-        assert abs(residual - outer_product_dftlemma_residual(other)) <= 1e-12
+        assert abs(residual - outer_product_sibling_residual(other)) <= 1e-12
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
