@@ -48,9 +48,9 @@ TABLE_COLUMNS = [
 CHECK_COLUMNS = ["name", "passed", "residual", "detail"]
 
 
-# a sweep row costs about SWEEP_ROW_Q + q units of 5e-5 s (2-core VM: 0.14 s a
-# row for q <= 300, 4.9 s at q = 1e5, 14.7 s at q = 3e5), so a range whose
-# rows add up to MAX_SWEEP_Q units runs for about a minute
+# a row is priced at SWEEP_ROW_Q + q units of 5e-5 s, so a range of MAX_SWEEP_Q
+# units runs at most about a minute (2-core VM, end to end: a row costs 0.05 s
+# for q <= 318, 3.0 s at q = 1e5, 8.2 s at q = 3e5)
 SWEEP_ROW_Q = 3000
 MAX_SWEEP_Q = 10**6
 

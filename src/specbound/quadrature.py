@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import InvalidInputError, NumericalError
 
 # |u| cutoff: beyond this the weights are ~1e-20 even against log blow-ups.
 _U_MAX = 3.5
@@ -33,6 +33,8 @@ def tanh_sinh_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
     Raises :class:`NumericalError` if the tolerance is not met by ``max_level``.
     """
+    if max_level < 1:
+        raise InvalidInputError(f"max_level must be >= 1, got {max_level}")
     if not b > a:
         raise NumericalError(f"empty integration interval [{a}, {b}]")
     mid = 0.5 * (a + b)

@@ -10,6 +10,7 @@ import pytest
 
 from cli_child import REPORT_PEAK_RSS, peak_rss_kb, run_cli
 from specbound import cli
+from specbound import riesz_products as rp
 from specbound import verify
 from specbound.errors import NumericalError, PreconditionError, ResourceLimitError
 from specbound.verify import CheckResult
@@ -140,6 +141,19 @@ class TestRieszCommand:
                              capsys)
         assert code == 0
         assert data["results"]["table"][0]["peyriere"] == 1.0
+
+    def test_entropy_guard_fires_before_other_columns(self, capsys, monkeypatch):
+        # q > 10^6 fits no entropy level; the guard must trip before the
+        # Peyriere grid or prop4's O(q)-piece log integral is evaluated
+        def forbidden(*args, **kwargs):
+            raise AssertionError("column computed before the entropy guard")
+
+        monkeypatch.setattr(rp, "peyriere_dimension", forbidden)
+        monkeypatch.setattr(rp, "log_integral", forbidden)
+        code, out, err = run_main(["riesz", "--q", "1000001"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource guard: q**level = 1000001 exceeds")
 
 
 class TestSweepCommand:

@@ -376,6 +376,9 @@ def table_row_peyriere_args(q):
 
 PEYRIERE_TABLE_CASES = [(q, a) for q in (3, 4, 5, 8, 16, 32, 64, 128)
                         for a in (-1.0, -0.5, 0.0, 0.5, 0.95, 1.0)]
+# amplitudes next to the log singularity, and the first one-level row (q > 707),
+# where the reference's doubled grid could decide a flag that is True
+PEYRIERE_TABLE_CASES += [(8, 1.0 - 1e-9), (8, -(1.0 - 1e-9)), (708, 0.1)]
 # the inputs of the other TestPeyriere tests and of acceptance criterion 8,
 # and a three-point grid on which both flags are False
 PEYRIERE_DIRECT_CASES = [(0.0, 4, 3, 4 ** 3 * 4), (1.0, 3, 4, 3 ** 4 * 5),
@@ -400,6 +403,21 @@ class TestPeyriere:
     def test_depth_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             rp.peyriere_dimension(rp.RieszParams(1.0, 3), 0, 30)
+
+    @pytest.mark.parametrize("a, q, depth, m", PEYRIERE_DIRECT_CASES)
+    def test_one_pass_on_the_grid(self, a, q, depth, m, monkeypatch):
+        # the depth - 1 factors and the last one, each once on the m midpoints:
+        # no second grid
+        points = []
+        product_at_phases = rp._product_at_phases
+
+        def counted(params, levels, numerators, denominator):
+            points.append(numerators.shape[0])
+            return product_at_phases(params, levels, numerators, denominator)
+
+        monkeypatch.setattr(rp, "_product_at_phases", counted)
+        rp.peyriere_dimension(rp.RieszParams(a, q), depth, m)
+        assert sum(points) == 2 * m
 
     def test_lebesgue_case_exact(self):
         result = rp.peyriere_dimension(rp.RieszParams(0.0, 4), 3, 4 ** 3 * 4)

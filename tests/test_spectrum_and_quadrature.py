@@ -145,3 +145,17 @@ class TestTanhSinh:
     def test_empty_interval(self):
         with pytest.raises(NumericalError):
             tanh_sinh_full(np.sin, 1.0, 1.0)
+
+    @pytest.mark.parametrize("max_level", [0, -1])
+    def test_max_level_below_one_rejected_before_evaluation(self, max_level):
+        # one level has nothing to compare with; the error message used to
+        # read an unset delta and raise UnboundLocalError
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.sin(x)
+
+        with pytest.raises(InvalidInputError):
+            tanh_sinh_full(f, 0.0, math.pi, max_level=max_level)
+        assert calls == []
