@@ -101,15 +101,6 @@ class FeasiblePolytope:
         """
         return polytope_vertices(self)
 
-    @cached_property
-    def orbit_vertices(self) -> np.ndarray | None:
-        """One vertex per dihedral orbit of a band whose orbits fit in one
-        chunk, read-only, else None.  Kept because the checks evaluate kappa
-        of one polytope many times; larger bands are streamed every time."""
-        if self.band is None or band_orbit_count(self.q, self.band[1]) * self.q > _VERTEX_FLOATS:
-            return None
-        return _read_only(next(_orbit_chunks(self)))
-
 
 def polytope_vertices(polytope: FeasiblePolytope) -> np.ndarray:
     """The extreme points, sorted lexicographically by their ``DEDUP_TOL``-rounded coordinates.
@@ -350,12 +341,11 @@ def bracelets(parts: int, total: int) -> Iterator[tuple[int, ...]]:
 
 def representatives(polytope: FeasiblePolytope) -> Iterator[np.ndarray]:
     """Chunks of vertices that meet every orbit of the dihedral group: for a
-    band one vertex per orbit, for any other polytope its vertex set."""
+    band one vertex per orbit, built on every pass (tens of microseconds for
+    a one-chunk band), for any other polytope its cached vertex set."""
     if polytope.band is None:
         if len(polytope.vertex_set):
             yield polytope.vertex_set
-    elif polytope.orbit_vertices is not None:
-        yield polytope.orbit_vertices
     else:
         yield from _orbit_chunks(polytope)
 
@@ -469,16 +459,22 @@ def xlogx(s: np.ndarray) -> np.ndarray:
     return np.where(s > 0, s * np.log(np.where(s > 0, s, 1.0)), 0.0)
 
 
-def power_mean(values: np.ndarray, p: float) -> np.ndarray:
+def power_mean(values: np.ndarray, p: float | np.ndarray) -> np.ndarray:
     """(mean over axis 0 of |x|**p)**(1/p), with max |x| factored out so that
-    no power overflows, however large p is."""
+    no power overflows, however large p is.  Elementwise in ``p``: an array of
+    exponents puts its axes first, one mean per exponent from one broadcast
+    power, each summed in the order a scalar ``p`` sums it."""
     magnitude = np.abs(values)
     top = magnitude.max(axis=0)
     scale = np.where(top > 0, top, 1.0)
-    return scale * np.mean((magnitude / scale) ** p, axis=0) ** (1.0 / p)
+    p = np.asarray(p, dtype=float)
+    # a 0-d p keeps numpy's exactly rounded scalar forms of x**2 and x**0.5
+    exponent = p.reshape(p.shape + (1,) * magnitude.ndim) if p.ndim else p
+    mean = np.mean((magnitude / scale) ** exponent, axis=p.ndim, keepdims=True)
+    return scale * (mean ** (1.0 / exponent)).squeeze(axis=p.ndim)
 
 
-def kappa(theta: float, polytope: FeasiblePolytope) -> float:
+def kappa(theta: float | np.ndarray, polytope: FeasiblePolytope) -> float | np.ndarray:
     """Growth exponent at theta in (0, 1], maximized over the vertices.
 
     Each vertex objective theta * log((1/q) * sum_j (1+v_j)**(1/theta)) is the
@@ -487,16 +483,21 @@ def kappa(theta: float, polytope: FeasiblePolytope) -> float:
     overflows.  It is symmetric in the coordinates, so the maximum is taken
     over the dihedral-orbit representatives of :func:`representatives`, a
     chunk at a time.  kappa(1) is exactly 0: the zero-sum constraint makes
-    every vertex objective log(1) there.
+    every vertex objective log(1) there.  Elementwise in ``theta``: a scalar
+    gives a float, an array an array of its shape from one pass over the
+    representatives, each chunk in one power mean at every exponent.
     """
-    if not 0.0 < theta <= 1.0:
+    theta = np.asarray(theta, dtype=float)
+    # written so that NaN fails
+    if not np.all((theta > 0.0) & (theta <= 1.0)):
         raise InvalidInputError(f"theta must lie in (0, 1], got {theta}")
-    if theta == 1.0:
-        return 0.0
-    # each row of 1 + v sums to q, so every power mean is positive; an
-    # origin-only polytope has no vertex and gives 0
-    return max((float(np.max(np.log(power_mean(_clipped_shift(v).T, 1.0 / theta))))
-                for v in representatives(polytope)), default=0.0)
+    top = np.full(theta.shape, -np.inf)
+    for v in representatives(polytope):
+        top = np.maximum(top, np.log(power_mean(_clipped_shift(v).T, 1.0 / theta)).max(axis=-1))
+    # each row of 1 + v sums to q, so every power mean is positive and -inf
+    # means no vertex: an origin-only polytope gives 0
+    value = np.where((theta == 1.0) | np.isneginf(top), 0.0, top)
+    return float(value) if value.ndim == 0 else value
 
 
 class KappaPrime(NamedTuple):
@@ -557,17 +558,6 @@ def _first_image(rows: np.ndarray) -> np.ndarray:
     return best
 
 
-def kappa_left_derivative_fd(polytope: FeasiblePolytope, h: float) -> float:
-    """Backward difference quotient (kappa(1) - kappa(1-h)) / h = -kappa(1-h)/h.
-
-    By convexity of kappa this underestimates kappa'(1) and increases toward it
-    as h decreases.
-    """
-    if not 0.0 < h < 0.5:
-        raise InvalidInputError(f"step h must lie in (0, 0.5), got {h}")
-    return -kappa(1.0 - h, polytope) / h
-
-
 @dataclass(frozen=True)
 class DimensionBound:
     """Certified lower bound 1 + kappa'(1)/log q for spectra restricted by B."""
@@ -622,27 +612,33 @@ def dimension_bound(b: ResidueSet) -> DimensionBound:
     )
 
 
-def def_reform_check(a: float, b_vec, p: float, polytope: FeasiblePolytope) -> bool:
-    """Single-step growth inequality for one admissible displacement.
+def def_reform_check(a: float, b_vec, p, polytope: FeasiblePolytope) -> bool | np.ndarray:
+    """Single-step growth inequality for admissible displacements.
 
     Checks ((1/q) * sum_j |a + b_j|**p)**(1/p) <= a * exp(kappa(1/p)) for a >= 0
-    and b in the subspace with b_j >= -a.  Violated preconditions raise
+    and b in the subspace with b_j >= -a: for a scalar ``p`` and one length-q
+    ``b_vec``, or one bool per row of ``b_vec`` (k, q) and entry of ``p`` (k,),
+    from one :func:`kappa` call.  A violated precondition, on any row, raises
     :class:`PreconditionError`; the return value reports only the inequality.
     """
     if a < 0:
         raise PreconditionError(f"scale a must be non-negative, got {a}")
-    if p <= 1.0:
+    p = np.asarray(p, dtype=float)
+    # written so that NaN fails
+    if not np.all(p > 1.0):
         raise PreconditionError(f"exponent p must exceed 1, got {p}")
     b_vec = np.asarray(b_vec, dtype=float)
     q = polytope.q
-    if b_vec.shape != (q,):
-        raise PreconditionError(f"expected a length-{q} vector")
-    scale = max(1.0, float(np.max(np.abs(b_vec))))
-    off = polytope.basis.project_off(b_vec)
-    if np.linalg.norm(off) > 1e-12 * scale:
+    if p.ndim > 1 or b_vec.shape != p.shape + (q,):
+        raise PreconditionError(f"expected a length-{q} vector per exponent")
+    rows = b_vec.reshape(-1, q)
+    scale = np.maximum(1.0, np.abs(rows).max(axis=1))
+    off = np.linalg.norm(polytope.basis.project_off(rows.T), axis=0)
+    if not np.all(off <= 1e-12 * scale):
         raise PreconditionError("vector is not in the admissible subspace")
-    if b_vec.min() < -a - 1e-12 * max(1.0, a):
+    if not np.all(rows.min(axis=1) >= -a - 1e-12 * max(1.0, a)):
         raise PreconditionError("vector entries must be >= -a")
-    lhs = float(power_mean(a + b_vec, p))
-    rhs = a * math.exp(kappa(1.0 / p, polytope))
-    return lhs <= rhs * (1.0 + SLACK) + 1e-15
+    lhs = np.array([power_mean(a + row, e) for row, e in zip(rows, p.ravel())]).reshape(p.shape)
+    rhs = a * np.exp(kappa(1.0 / p, polytope))
+    ok = lhs <= rhs * (1.0 + SLACK) + 1e-15
+    return bool(ok) if ok.ndim == 0 else ok

@@ -146,30 +146,27 @@ def endpoint_optimality_gap(q: int) -> float:
 def log_integral(q: int) -> float:
     """integral of log(cos^2 z) * sin(2z/q) over [pi/2, q*pi/4] for even q.
 
-    The integrand blows up logarithmically at every z = pi/2 + k*pi; the range
-    is split there and each piece handled by tanh-sinh quadrature, which
-    tolerates the endpoint singularities.  Always <= 0 (the log factor is <= 0
-    and sin(2z/q) >= 0 on the range).  Cached per q: the identity, prop4 and
-    its gap all read the same integral.
+    The integrand blows up logarithmically at every z = pi/2 + k*pi.  With
+    x = pi/q and z = pi/2 + k*pi + t, piece k (t in [0, pi]) integrates
+    log(sin^2 t) * sin((2k+1)x + 2t/q).  Folding t -> pi - t onto [0, pi/2]
+    leaves 2 sin((2k+2)x) * M, where M is the one half-range moment of
+    log(sin^2 t) against cos(x - 2t/q), whose only singularity, at t = 0,
+    tanh-sinh quadrature tolerates.  The n = (q-2)//4 full pieces sum to
+    2M sin(nx) sin((n+1)x)/sin x, and for q = 0 mod 4 the last half piece
+    (t in [0, pi/2], k = n) is M itself.  So every q costs one quadrature.
+    Always <= 0 (the log factor is <= 0 and sin(2z/q) >= 0 on the range).
+    Cached per q: the identity, prop4 and its gap all read the same integral.
     """
     if q % 2 != 0 or q < 4:
         raise InvalidInputError(f"log_integral needs even q >= 4, got {q}")
-    lo, hi = np.pi / 2.0, q * np.pi / 4.0
-    cuts = [lo]
-    k = 1
-    while np.pi / 2.0 + k * np.pi < hi - 1e-12:
-        cuts.append(np.pi / 2.0 + k * np.pi)
-        k += 1
-    cuts.append(hi)
 
-    def integrand(z):
-        c = np.cos(z)
-        return np.log(np.maximum(c * c, np.finfo(float).tiny)) * np.sin(2.0 * z / q)
+    def integrand(t):
+        s = np.sin(t)
+        return np.log(np.maximum(s * s, np.finfo(float).tiny)) * np.cos((math.pi - 2.0 * t) / q)
 
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        total += tanh_sinh_full(integrand, a, b).value
-    return total
+    moment = tanh_sinh_full(integrand, 0.0, math.pi / 2.0).value
+    x, n = math.pi / q, (q - 2) // 4
+    return moment * (2.0 * math.sin(n * x) * math.sin((n + 1) * x) / math.sin(x) + (q % 4 == 0))
 
 
 def chebyshev_identity_residual(q: int) -> float:

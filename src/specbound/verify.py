@@ -22,7 +22,7 @@ from . import riesz_products as rp
 from . import zq_spectral as zq
 from .errors import InvalidInputError, ResourceLimitError
 
-FD_STEPS = (1e-2, 1e-3, 1e-4)
+FD_STEPS = np.array([1e-2, 1e-3, 1e-4])
 FD_Q_MAX = 8  # largest q whose kappa'(1) gets the difference-quotient checks
 # vertex-subset solves, sum of C(q, d_B) over the symmetric B that the kappa
 # suite enumerates exhaustively (bands solve none): q_max 18 needs 2.0e7 (about
@@ -94,6 +94,10 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
     combination of points of the polytope, so it lies in the polytope, as
     the single-step check needs.
 
+    One :func:`kb.kappa` call gives the quotients at every step of
+    ``FD_STEPS``, and one :func:`kb.def_reform_check` call checks all three
+    (mix, exponent) pairs, so each objective reads the representatives once.
+
     Raises :class:`ResourceLimitError` before any enumeration once the C(q, d_B)
     vertex-subset solves of the B that are not bands add up to over
     ``MAX_KAPPA_SUBSETS`` (1e8).  A symmetric B has d_B = |B|.
@@ -139,18 +143,18 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
             bounds[b.members] = result.bound
 
             if q <= FD_Q_MAX:
-                quotients = [kb.kappa_left_derivative_fd(polytope, h) for h in FD_STEPS]
-                # by convexity the quotients rise toward kappa'(1) as h shrinks
-                chain = quotients + [result.kappa_prime_1]
+                # (kappa(1) - kappa(1-h))/h rises toward kappa'(1) as h shrinks, by convexity
+                quotients = -kb.kappa(1.0 - FD_STEPS, polytope) / FD_STEPS
+                chain = [*quotients, result.kappa_prime_1]
                 drift = max(chain[i] - chain[i + 1] for i in range(len(chain) - 1))
                 fd_monotone.append((drift, tag))
                 fd_close.append((abs(quotients[-1] - result.kappa_prime_1), tag))
 
             if len(vertices):
-                for _ in range(3):
-                    b_vec = stream.dirichlet(len(vertices)) @ vertices
-                    p = stream.uniform(1.1, 5.0)
-                    ok = kb.def_reform_check(1.0, b_vec, p, polytope)
+                pairs = [(stream.dirichlet(len(vertices)) @ vertices, stream.uniform(1.1, 5.0))
+                         for _ in range(3)]
+                b_rows, ps = (np.array(column) for column in zip(*pairs))
+                for ok, p in zip(kb.def_reform_check(1.0, b_rows, ps, polytope), ps):
                     reform.append((0.0 if ok else 1.0, f"{tag} p={p:.3f}"))
 
         for small, small_bound in bounds.items():

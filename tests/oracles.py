@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from specbound.quadrature import tanh_sinh_full
 from specbound.spectrum import SparseSpectrum, synthesize_on_grid
 
 
@@ -43,3 +44,22 @@ def outer_product_sibling_residual(seq):
         actual = seq.sibling_matrix(k) - seq.class_values[k - 1][None, :]
         worst = max(worst, float(np.max(np.abs((omega @ e).real - actual))))
     return worst
+
+
+def per_piece_log_integral(q):
+    """Reference: the log integral of ``riesz_products.log_integral`` as one
+    tanh-sinh quadrature per piece of [pi/2, q*pi/4] between the log
+    singularities at pi/2 + k*pi, q/4 pieces in all."""
+    lo, hi = np.pi / 2.0, q * np.pi / 4.0
+    cuts = [lo]
+    k = 1
+    while np.pi / 2.0 + k * np.pi < hi - 1e-12:
+        cuts.append(np.pi / 2.0 + k * np.pi)
+        k += 1
+    cuts.append(hi)
+
+    def integrand(z):
+        c = np.cos(z)
+        return np.log(np.maximum(c * c, np.finfo(float).tiny)) * np.sin(2.0 * z / q)
+
+    return sum(tanh_sinh_full(integrand, a, b).value for a, b in zip(cuts[:-1], cuts[1:]))

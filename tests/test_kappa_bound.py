@@ -294,8 +294,8 @@ class TestGaleEvenness:
     ])
     def test_fails_closed(self, monkeypatch, corrupt):
         # one corrupted closed-form row in the last chunk stops kappa and
-        # kappa'(1) alike, on the cached orbit rows of the q=16 half-band (one
-        # chunk) and on the streamed ones of the q=28 half-band
+        # kappa'(1) alike, on the one chunk of the q=16 half-band and on the
+        # several of the q=28 half-band
         products = kb._sine_products
         for q in (16, 28):
             b = half_band(q)
@@ -455,10 +455,39 @@ class TestKappa:
             assert kb.kappa(theta, p) == 0.0
 
     def test_domain(self):
+        # every entry is checked, and NaN fails
         p = polytope(4, [2])
-        for theta in (0.0, -0.5, 1.5):
+        for theta in (0.0, -0.5, 1.5, math.nan, [0.5, math.nan], [[0.5], [0.0]]):
             with pytest.raises(InvalidInputError):
                 kb.kappa(theta, p)
+
+    def test_elementwise_matches_scalar_calls(self):
+        # bit for bit, except at theta = 1/2: numpy squares for the scalar
+        # exponent 2 but calls pow for an array of exponents
+        thetas = np.array([[1e-3, 0.2, 0.5], [0.8, 0.999, 1.0]])
+        cases = [b for q in range(3, 11) for b in symmetric_residue_sets(q, nonempty=False)]
+        for b in cases + [half_band(24)]:
+            p = kb.FeasiblePolytope.from_residues(b)
+            values = kb.kappa(thetas, p)
+            assert values.shape == thetas.shape
+            scalar = np.array([[kb.kappa(float(t), p) for t in row] for row in thetas])
+            assert np.all(np.abs(values - scalar) <= np.where(thetas == 0.5, 1e-15, 0.0)), b
+        assert isinstance(kb.kappa(0.5, p), float)
+
+    def test_every_exponent_from_one_pass(self, monkeypatch):
+        # the q=28 half-band streams several chunks; three exponents read them once
+        b = half_band(28)
+        passes = []
+        chunks = kb._orbit_chunks
+
+        def counted(polytope):
+            passes.append(None)
+            return chunks(polytope)
+
+        assert sum(1 for _ in chunks(kb.FeasiblePolytope.from_residues(b))) > 1
+        monkeypatch.setattr(kb, "_orbit_chunks", counted)
+        values = kb.kappa(np.array([0.2, 0.5, 0.9]), kb.FeasiblePolytope.from_residues(b))
+        assert len(passes) == 1 and values.shape == (3,)
 
     def test_tiny_theta_stable(self):
         # log-space evaluation: exponent 1/theta would overflow naive powers
@@ -497,22 +526,27 @@ class TestKappaPrime:
 
 
 class TestFiniteDifference:
+    """Backward difference quotients (kappa(1) - kappa(1-h))/h = -kappa(1-h)/h."""
+
     def test_empty_subspace_zero(self):
         p = polytope(5, [])
         for h in (1e-2, 1e-3, 1e-4):
-            assert kb.kappa_left_derivative_fd(p, h) == 0.0
+            assert -kb.kappa(1.0 - h, p) / h == 0.0
 
     def test_domain(self):
+        # a step of 1 or more puts one exponent outside (0, 1]
+        steps = np.array([1e-2, 1.0])
         with pytest.raises(InvalidInputError):
-            kb.kappa_left_derivative_fd(polytope(4, [2]), 0.7)
+            kb.kappa(1.0 - steps, polytope(4, [2]))
 
     def test_quotients_increase_to_left_derivative(self):
         # backward difference quotients of a convex function with f(1) = 0 are
         # nonincreasing in h and sit below the left derivative
+        steps = np.array([1e-2, 1e-3, 1e-4])
         for q, members in [(4, [2]), (5, [1, 4]), (7, [1, 6]), (8, [2, 6])]:
             p = polytope(q, members)
             target = kb.kappa_prime_1(p).value
-            quotients = [kb.kappa_left_derivative_fd(p, h) for h in (1e-2, 1e-3, 1e-4)]
+            quotients = -kb.kappa(1.0 - steps, p) / steps
             assert quotients[0] <= quotients[1] + 1e-10
             assert quotients[1] <= quotients[2] + 1e-10
             assert all(s <= target + 1e-9 for s in quotients)
@@ -523,8 +557,8 @@ class TestFiniteDifference:
         # near 1 and the quotients approach the derivative strictly from below
         p = polytope(5, [1, 4])
         target = kb.kappa_prime_1(p).value
-        s2 = kb.kappa_left_derivative_fd(p, 1e-2)
-        s4 = kb.kappa_left_derivative_fd(p, 1e-4)
+        s2 = -kb.kappa(1.0 - 1e-2, p) / 1e-2
+        s4 = -kb.kappa(1.0 - 1e-4, p) / 1e-4
         assert s2 < s4 < target
 
 
@@ -634,6 +668,33 @@ class TestDefReform:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert kb.def_reform_check(1.0, np.array([-1.0, -1.0, 2.0]), 1e6, p)
+
+    def test_rows_match_scalar_calls(self):
+        # one bool per row, from one kappa call, equal to each row's own call
+        rng = np.random.default_rng(12)
+        for q, members in [(4, [1, 3]), (5, [1, 4]), (8, [1, 3, 5, 7]), (9, [1, 8])]:
+            p = polytope(q, members)
+            rows = np.concatenate(list(kb.representatives(p)))
+            b_rows = rng.dirichlet(np.ones(len(rows)), size=4) @ rows
+            b_rows[0] = rows[0]  # a vertex, where lhs equals rhs up to round-off
+            exponents = rng.uniform(1.1, 6.0, size=4)
+            batched = kb.def_reform_check(1.0, b_rows, exponents, p)
+            expected = [kb.def_reform_check(1.0, row, e, p) for row, e in zip(b_rows, exponents)]
+            assert batched.shape == (4,) and batched.tolist() == expected, (q, members)
+
+    def test_any_row_breaking_a_precondition_raises(self):
+        p = polytope(4, [2])
+        good = np.array([1.0, -1.0, 1.0, -1.0])
+        for bad_row, exponents in [(np.array([1.0, 0.0, 0.0, -1.0]), [2.0, 3.0]),  # not in span
+                                   (np.array([2.0, -2.0, 2.0, -2.0]), [2.0, 3.0]),  # below -a
+                                   (np.array([np.nan] * 4), [2.0, 3.0]),
+                                   (good, [2.0, 1.0]),                              # p <= 1
+                                   (good, [2.0, np.nan])]:
+            for rows in (np.array([good, bad_row]), np.array([bad_row, good])):
+                with pytest.raises(PreconditionError):
+                    kb.def_reform_check(1.0, rows, np.array(exponents), p)
+        with pytest.raises(PreconditionError):  # one exponent per row
+            kb.def_reform_check(1.0, np.array([good, good]), np.array([2.0, 3.0, 4.0]), p)
 
     def test_precondition_violations(self):
         p = polytope(4, [2])
