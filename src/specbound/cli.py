@@ -50,9 +50,9 @@ CHECK_COLUMNS = ["name", "passed", "residual", "detail"]
 
 # a row is priced at SWEEP_ROW_Q + q units of 6e-6 s, so a range of MAX_SWEEP_Q
 # units runs in about a minute at most (2-core VM: a row costs 0.15 s on average
-# over q = 319..1000, and --q 317..707 takes 48 s).  A row at q = 1e6 costs
-# 0.6 s; the q term, ten times that, bounds the ~21 bytes per unit of q that a
-# row keeps (--q 910000..1000000 --step 10000: 5.3 s, 418 MB)
+# over q = 319..1000, and --q 317..707 takes 48-65 s).  A row at q = 1e6 costs
+# 0.6 s; the q term, ten times that, bounds one row's transient peak (217 MB at
+# 1e6), as a finished row keeps no polytope (--q 910000..1000000 --step 10000: 247 MB)
 SWEEP_ROW_Q = 25000
 MAX_SWEEP_Q = 10**7
 

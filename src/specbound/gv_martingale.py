@@ -193,14 +193,12 @@ def wb_membership_check(seq: MartingaleSequence, b: ResidueSet) -> float:
     return worst
 
 
-def _global_bound(seq: MartingaleSequence, kappa_theta: float) -> float:
-    """q * e**(kappa(1/p)*N) * total mass: the global L_p bound of the growth chain."""
-    return seq.grid.q * math.exp(kappa_theta * seq.levels) * float(seq.class_values[0][0])
-
-
 class GrowthReport(NamedTuple):
     passed: bool
+    p: float
     kappa_theta: float       # growth exponent at 1/p
+    norm: float              # ||f_N||_p
+    global_rhs: float        # q * e**(kappa*N) * total mass, the bound on ||f_N||_p
     worst_step_slack: float  # min over k of rhs - lhs for the level norms
     worst_atom_slack: float  # min over atoms/levels of the localized inequality slack
     global_slack: float      # q * exp(kappa*N) * mass - ||f||_p
@@ -215,7 +213,7 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
     (iii) global:  ||f_N||_p <= q * e**(kappa(1/p)*N) * total mass.
     All comparisons allow multiplicative ``SLACK`` plus a tiny absolute floor.
     This chain is the engine of the dimension bound; a failure means a bug, not
-    an unlucky input.
+    an unlucky input.  :func:`set_average_check` reads its ``norm`` and ``global_rhs``.
     """
     if not p >= 1.0:
         raise InvalidInputError(f"p must be >= 1, got {p}")
@@ -223,11 +221,9 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
         _require_spectrum_in_cb(seq.source, b)
     if float(seq.class_values[seq.levels].min()) < -1e-10:
         raise PreconditionError("source density must be non-negative")
-    polytope = FeasiblePolytope.from_residues(b)
-    kappa_theta = kappa(1.0 / p, polytope) if p > 1.0 else 0.0
+    kappa_theta = kappa(1.0 / p, FeasiblePolytope.from_residues(b))
     step_factor = math.exp(kappa_theta)
-    scale = max(1.0, float(np.max(np.abs(seq.class_values[seq.levels]))))
-    floor = 1e-12 * scale
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(seq.class_values[seq.levels]))))
     failures: list[str] = []
     # every atom of a level carries the same grid weight
     norms = [float(power_mean(values, p)) for values in seq.class_values]
@@ -248,7 +244,7 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
         for c in bad[:5]:
             failures.append(f"atom level={k - 1} class={int(c)}: localized growth violated")
 
-    global_rhs = _global_bound(seq, kappa_theta)
+    global_rhs = seq.grid.q * math.exp(kappa_theta * seq.levels) * float(seq.class_values[0][0])
     global_lhs = norms[seq.levels]
     global_slack = global_rhs * (1.0 + SLACK) + floor - global_lhs
     if global_slack < 0:
@@ -256,7 +252,10 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
 
     return GrowthReport(
         passed=not failures,
+        p=p,
         kappa_theta=kappa_theta,
+        norm=global_lhs,
+        global_rhs=global_rhs,
         worst_step_slack=worst_step,
         worst_atom_slack=worst_atom,
         global_slack=global_slack,
@@ -268,18 +267,19 @@ class SetAverageReport(NamedTuple):
     passed: bool
     average: float            # (1/q**N) * sum over C of f
     hoelder_rhs: float        # ||f||_p * (#C/q**N)**((p-1)/p)
-    growth_rhs: float         # q * e**(kappa/p * N) ... with the certified exponent
+    growth_rhs: float         # q * e**(kappa(1/p)*N) * mass * (#C/q**N)**((p-1)/p)
 
 
-def set_average_check(seq: MartingaleSequence, subset: Sequence[int], p: float,
-                      b: ResidueSet) -> SetAverageReport:
+def set_average_check(seq: MartingaleSequence, subset: Sequence[int],
+                      growth: GrowthReport) -> SetAverageReport:
     """Explicit-constant chain bounding the average of f over a grid subset.
 
     (1/q**N) * sum_{x in C} f(x) <= ||f||_p * (#C * q**-N)**((p-1)/p)
                                  <= q * e**(kappa(1/p)*N) * mass * (#C * q**-N)**((p-1)/p).
+    ``growth``, :func:`growth_check`'s report at p, gives ||f||_p and the global bound.
     """
-    if p <= 1.0:
-        raise PreconditionError(f"the chain needs p > 1, got {p}")
+    if growth.p <= 1.0:
+        raise PreconditionError(f"the chain needs p > 1, got {growth.p}")
     subset = np.sort(np.asarray(subset, dtype=np.int64))
     if subset.size == 0:
         raise PreconditionError("subset must be nonempty")
@@ -288,16 +288,14 @@ def set_average_check(seq: MartingaleSequence, subset: Sequence[int], p: float,
     # sort-based dedup: numpy's hash-based np.unique is ~50x slower on 10**6 ints
     subset = subset[np.diff(subset, prepend=-1) != 0]
     f = seq.class_values[seq.levels]
-    n_grid = seq.grid.size
-    average = float(np.sum(f[subset])) / n_grid
-    density = subset.size / n_grid
-    hoelder = float(power_mean(f, p)) * density ** ((p - 1.0) / p)
-    kappa_theta = kappa(1.0 / p, FeasiblePolytope.from_residues(b))
-    growth = _global_bound(seq, kappa_theta) * density ** ((p - 1.0) / p)
+    average = float(np.sum(f[subset])) / seq.grid.size
+    share = (subset.size / seq.grid.size) ** ((growth.p - 1.0) / growth.p)
+    hoelder = growth.norm * share
+    bound = growth.global_rhs * share
     floor = 1e-12 * max(1.0, float(np.max(np.abs(f))))
     passed = (average <= hoelder * (1.0 + SLACK) + floor
-              and hoelder <= growth * (1.0 + SLACK) + floor)
-    return SetAverageReport(passed, average, hoelder, growth)
+              and hoelder <= bound * (1.0 + SLACK) + floor)
+    return SetAverageReport(passed, average, hoelder, bound)
 
 
 class SandwichReport(NamedTuple):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice, repeat
 from typing import Iterator, NamedTuple
 
@@ -73,9 +73,9 @@ class FeasiblePolytope:
         return self.basis.q
 
     @classmethod
-    @cache
+    @lru_cache(maxsize=1)
     def from_residues(cls, b: ResidueSet) -> "FeasiblePolytope":
-        """The polytope of ``b``, shared per process so each B is enumerated once."""
+        """The polytope of ``b``; the last one built is kept for the next call on the same B."""
         return cls(wb_basis(b), b)
 
     @cached_property

@@ -10,6 +10,7 @@ import pytest
 
 from cli_child import REPORT_PEAK_RSS, peak_rss_kb, run_cli
 from specbound import cli
+from specbound import kappa_bound as kb
 from specbound import riesz_products as rp
 from specbound import verify
 from specbound.errors import NumericalError, PreconditionError, ResourceLimitError
@@ -174,6 +175,13 @@ class TestSweepCommand:
         assert code == 0
         assert data["results"]["table"][-1]["fan_consistency"] > 10.0
         assert all(c["passed"] for c in data["checks"])
+
+    def test_keeps_one_polytope(self, capsys):
+        # a finished row's polytope (its q x 2 basis is 16 MB at q = 10^6) is
+        # not kept for the rest of the range
+        code, _, _ = run_main(["sweep", "--q", "8..128", "--step", "x2", "--format", "csv"], capsys)
+        assert code == 0
+        assert kb.FeasiblePolytope.from_residues.cache_info().currsize == 1
 
     def test_even_only(self, capsys):
         # an even start and step 2 give the even q of the range

@@ -283,34 +283,46 @@ class TestGrowth:
             gv.growth_check(seq, zq.ResidueSet.of(3, [1, 2]), math.nan)
 
 
+def growth_at(seq, p=2.0):
+    return gv.growth_check(seq, zq.ResidueSet.of(seq.grid.q, [1, seq.grid.q - 1]), p)
+
+
 class TestSetAverage:
     def test_full_grid_reduces_to_norm_comparison(self):
         seq, _, grid = riesz_sequence(3, 1.0, 5)
-        report = gv.set_average_check(seq, np.arange(grid.size), 2.0,
-                                      zq.ResidueSet.of(3, [1, 2]))
+        growth = growth_at(seq)
+        report = gv.set_average_check(seq, np.arange(grid.size), growth)
         assert report.passed
         f = seq.class_values[grid.levels]
         assert abs(report.average - kb.power_mean(f, 1.0)) <= 1e-12
         assert abs(report.hoelder_rhs - kb.power_mean(f, 2.0)) <= 1e-12
         # repeated and unordered indices name the same subset
         shuffled = np.concatenate([np.arange(grid.size)[::-1], np.arange(0, grid.size, 7)])
-        assert gv.set_average_check(seq, shuffled, 2.0, zq.ResidueSet.of(3, [1, 2])) == report
+        assert gv.set_average_check(seq, shuffled, growth) == report
 
     def test_singleton(self):
         seq, _, grid = riesz_sequence(3, 1.0, 5)
-        report = gv.set_average_check(seq, [0], 2.0, zq.ResidueSet.of(3, [1, 2]))
+        report = gv.set_average_check(seq, [0], growth_at(seq))
         assert report.passed
 
     def test_empty_subset_rejected(self):
         seq, _, _ = riesz_sequence(3, 1.0, 3)
         with pytest.raises(PreconditionError):
-            gv.set_average_check(seq, [], 2.0, zq.ResidueSet.of(3, [1, 2]))
+            gv.set_average_check(seq, [], growth_at(seq))
 
     @pytest.mark.parametrize("bad", [-1, 27])
     def test_index_outside_grid_rejected(self, bad):
         seq, _, _ = riesz_sequence(3, 1.0, 3)
         with pytest.raises(InvalidInputError):
-            gv.set_average_check(seq, [5, bad, 5], 2.0, zq.ResidueSet.of(3, [1, 2]))
+            gv.set_average_check(seq, [5, bad, 5], growth_at(seq))
+
+    def test_growth_report_at_p1_rejected(self):
+        # a report at p = 1 is a valid growth check, but the Hoelder step needs p > 1
+        seq, _, _ = riesz_sequence(3, 1.0, 3)
+        growth = growth_at(seq, 1.0)
+        assert growth.passed
+        with pytest.raises(PreconditionError):
+            gv.set_average_check(seq, [0], growth)
 
 
 class TestPlateauSandwich:

@@ -49,7 +49,8 @@ class TestSuites:
             return polytope_vertices(polytope)
 
         monkeypatch.setattr(kb, "polytope_vertices", recorded)
-        # the polytopes are shared per process: start from none enumerated
+        # the last polytope built stays cached, with its vertices: start from
+        # none enumerated
         kb.FeasiblePolytope.from_residues.cache_clear()
         checks = verify.kappa_suite(q_max=8)
         assert all(c.passed for c in checks)
@@ -74,6 +75,20 @@ class TestSuites:
         checks = {c.name: c for c in verify.martingale_suite(q=3, n=4, p=(1.0,), subsets=3)}
         chain = checks["martingale/set_average_chain"]
         assert chain.passed and "(p=2.0, #C=" in chain.detail
+
+    def test_martingale_suite_reads_one_kappa_per_exponent(self, monkeypatch):
+        # the set-average chain reads the growth report at its exponent, so
+        # the 100 subsets add no kappa to the growth checks at 1.25, 2 and 4
+        calls = []
+        kappa = gv.kappa
+
+        def counted(theta, polytope):
+            calls.append(theta)
+            return kappa(theta, polytope)
+
+        monkeypatch.setattr(gv, "kappa", counted)
+        assert all(c.passed for c in verify.martingale_suite())
+        assert sorted(calls) == [0.25, 0.5, 0.8]
 
     def test_martingale_suite_seeded(self):
         one = verify.martingale_suite(q=3, a=0.8, n=4, seed=42, subsets=10)
