@@ -38,7 +38,8 @@ from . import kappa_bound as kb
 from . import riesz_products as rp
 from . import verify
 from . import zq_spectral as zq
-from .errors import InvalidInputError, NumericalError, PreconditionError, ResourceLimitError
+from .errors import (InvalidInputError, NumericalError, PreconditionError, ResourceLimitError,
+                     check_budget)
 
 TABLE_COLUMNS = [
     "q", "B", "kappa_prime_1", "bound", "subgroup_bound", "delta",
@@ -125,7 +126,7 @@ def _riesz_row(params: rp.RieszParams, options: dict) -> tuple[dict, list[verify
         verify.CheckResult(f"riesz/q={q}/theorem3_matches_vertex_bound",
                            abs(table.theorem3 - dim.raw_bound) <= 1e-9,
                            abs(table.theorem3 - dim.raw_bound),
-                           "closed form vs vertex enumeration"),
+                           "closed form vs the bound over the band's Gale vertices"),
     ]
     if table.peyriere_converged:
         checks.append(verify.CheckResult(
@@ -270,10 +271,8 @@ def _parse_range(text: str, step: str) -> tuple[int, ...]:
             raise InvalidInputError("additive step must be >= 1")
         count = (hi - lo) // inc + 1
         total = count * lo + inc * count * (count - 1) // 2
-    if total + SWEEP_ROW_Q * count > MAX_SWEEP_Q:
-        raise ResourceLimitError(
-            f"sweep --q {text} --step {step} has {count} rows with q summing to {total}; "
-            f"the budget is {MAX_SWEEP_Q} for the q values plus {SWEEP_ROW_Q} per row")
+    check_budget(f"the sweep's q values plus {SWEEP_ROW_Q} per row", total + SWEEP_ROW_Q * count,
+                 MAX_SWEEP_Q)
     return tuple(values) if multiplicative else tuple(range(lo, hi + 1, inc))
 
 

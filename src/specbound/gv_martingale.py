@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError, ResourceLimitError
+from .errors import InvalidInputError, PreconditionError, check_budget
 from .kappa_bound import SLACK, FeasiblePolytope, kappa, power_mean
 from .spectrum import SparseSpectrum, centered_interval_masses, synthesize_on_grid
 from .zq_spectral import ResidueSet, in_cb, wb_basis
@@ -46,8 +46,7 @@ class QadicGrid:
             raise InvalidInputError(f"base must be >= 3, got {self.q}")
         if self.levels < 1:
             raise InvalidInputError(f"need at least one level, got {self.levels}")
-        if self.size > MAX_GRID:
-            raise ResourceLimitError(f"grid size q**N = {self.size} exceeds {MAX_GRID:.0e}")
+        check_budget("grid points q**N", self.q, MAX_GRID, self.levels)
 
     @property
     def size(self) -> int:

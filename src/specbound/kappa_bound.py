@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, PreconditionError, ResourceLimitError
+from .errors import InvalidInputError, NumericalError, PreconditionError, check_budget
 from .zq_spectral import ResidueSet, SubspaceBasis, symmetrize, wb_basis
 
 FEASIBILITY_TOL = 1e-9
@@ -127,11 +127,7 @@ def polytope_vertices(polytope: FeasiblePolytope) -> np.ndarray:
     if d > q:
         raise InvalidInputError(f"subspace dimension {d} exceeds ambient dimension {q}")
     solves = math.comb(q, d)
-    if solves > MAX_VERTEX_SUBSETS:
-        raise ResourceLimitError(
-            f"vertex enumeration needs C({q}, {d}) = {solves} solves, "
-            f"over the {MAX_VERTEX_SUBSETS:.0e} budget"
-        )
+    check_budget(f"vertex-subset solves C({q}, {d})", solves, MAX_VERTEX_SUBSETS)
     if d == 0:
         return _read_only(np.zeros((0, q)))
     chunk = max(1, _SOLVE_FLOATS // (d * d))
@@ -360,11 +356,9 @@ def _orbit_chunks(polytope: FeasiblePolytope) -> Iterator[np.ndarray]:
     """
     q, r = polytope.q, polytope.band[1]
     count = band_orbit_count(q, r)
-    if count > MAX_BAND_ORBITS or count * r * q > MAX_BAND_TERMS:
-        raise ResourceLimitError(
-            f"the band needs {count} dihedral-orbit vertices of {r} pairs x {q} coordinates, "
-            f"over the {MAX_BAND_ORBITS:.0e}-orbit or {MAX_BAND_TERMS:.0e}-term budget"
-        )
+    check_budget(f"dihedral-orbit vertices of the q={q} band of {r} pairs", count, MAX_BAND_ORBITS)
+    check_budget(f"log-sine terms of {count} dihedral-orbit vertices of {r} pairs x {q} "
+                 "coordinates", count * r * q, MAX_BAND_TERMS)
     gaps = bracelets(r, q - 2 * r)
     per = max(1, _VERTEX_FLOATS // q)
     for lo in range(0, count, per):

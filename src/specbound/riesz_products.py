@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .draws import Stream
-from .errors import InvalidInputError, NumericalError, ResourceLimitError
+from .errors import InvalidInputError, NumericalError, check_budget, max_exponent
 from .kappa_bound import xlogx
 from .quadrature import tanh_sinh_full
 from .spectrum import SparseSpectrum, uniform_interval_masses
@@ -65,10 +65,7 @@ def riesz_spectrum(params: RieszParams, depth: int) -> SparseSpectrum:
     """
     if depth < 0:
         raise InvalidInputError(f"depth must be >= 0, got {depth}")
-    if 3 ** depth > MAX_SPECTRUM_TERMS:
-        raise ResourceLimitError(
-            f"3**{depth} spectrum terms exceed the {MAX_SPECTRUM_TERMS:.0e} budget"
-        )
+    check_budget("spectrum terms 3**depth", 3, MAX_SPECTRUM_TERMS, depth)
     if (params.q ** depth - 1) // (params.q - 1) >= 2 ** 63:  # the largest |frequency|
         raise InvalidInputError(f"frequencies of depth {depth} at q={params.q} overflow int64")
     half = params.a / 2.0
@@ -297,11 +294,9 @@ def peyriere_dimension(params: RieszParams, depth: int, m: int) -> PeyriereEstim
     q = params.q
     if depth < 1:
         raise InvalidInputError(f"product depth must be >= 1, got {depth}")
-    if m < 1 or m % q ** depth != 0:
-        raise InvalidInputError(f"midpoint grid m={m} must be a positive multiple "
-                                f"of q**depth={q ** depth}")
-    if m > MAX_PEYRIERE_GRID:
-        raise ResourceLimitError(f"midpoint grid {m} exceeds the {MAX_PEYRIERE_GRID:.0e} budget")
+    if m < 1 or depth > max_exponent(q, m) or m % q ** depth != 0:
+        raise InvalidInputError(f"midpoint grid m={m} must be a positive multiple of {q}**{depth}")
+    check_budget("midpoint grid points", m, MAX_PEYRIERE_GRID)
     numerators = 2 * np.arange(m, dtype=np.int64) + 1
     t = 1.0 + params.a * np.cos(np.pi * numerators / m)
     log_term = np.where(t > 0, np.log(np.maximum(t, np.finfo(float).tiny)), 0.0)
@@ -369,10 +364,7 @@ def entropy_dimension_estimate(params: RieszParams, depth: int, level: int) -> f
         raise InvalidInputError(f"level must be >= 1, got {level}")
     if depth < level:
         raise InvalidInputError(f"product depth {depth} must be >= level {level}")
-    if params.q ** level > MAX_ENTROPY_GRID:
-        raise ResourceLimitError(
-            f"q**level = {params.q ** level} exceeds the {MAX_ENTROPY_GRID:.0e} budget"
-        )
+    check_budget("interval masses q**level", params.q, MAX_ENTROPY_GRID, level)
     return _level_entropy(riesz_spectrum(params, depth), params.q, level)
 
 
@@ -403,23 +395,18 @@ def bound_table_row(params: RieszParams, entropy_level: int = 5) -> BoundTableRo
     """Assemble the full comparison row.
 
     The entropy proxy runs first, so that its grid guard fires before any other
-    column costs time.  It uses ``entropy_level``, lowered until q**level fits
-    ``MAX_ENTROPY_GRID``, on a spectrum of depth 2*level, lowered until it fits
-    ``MAX_SPECTRUM_TERMS``.  The Peyriere proxy runs at product depth d, the
-    largest d <= 8 with q**(d+1) <= 5e5 (and d = 1 for q > 707), on a grid of
-    at least 2e5 points and at least three blocks of q**d.
+    column costs time.  It uses ``entropy_level``, capped at the largest level
+    L >= 1 with q**L within ``MAX_ENTROPY_GRID``, on a spectrum of depth 2*L,
+    capped at the largest depth within ``MAX_SPECTRUM_TERMS``.  The Peyriere
+    proxy runs at product depth d, the largest d <= 8 with q**d <= 5e5 (and
+    d = 1 for q > 707), on a grid of at least 2e5 points and at least three
+    blocks of q**d.
     """
     q = params.q
-    level = entropy_level
-    while q ** level > MAX_ENTROPY_GRID and level > 1:
-        level -= 1
-    spectrum_depth = 2 * level
-    while 3 ** spectrum_depth > MAX_SPECTRUM_TERMS:
-        spectrum_depth -= 1
+    level = min(entropy_level, max(1, max_exponent(q, MAX_ENTROPY_GRID)))
+    spectrum_depth = min(2 * level, max_exponent(3, MAX_SPECTRUM_TERMS))
     entropy_est = entropy_dimension_estimate(params, spectrum_depth, level)
-    depth = 1
-    while q ** (depth + 1) <= 5 * 10 ** 5 and depth < 8:
-        depth += 1
+    depth = min(8, max(1, max_exponent(q, 5 * 10 ** 5)))
     block = q ** depth
     pey = peyriere_dimension(params, depth, block * max(3, -(-200_000 // block)))
     return BoundTableRow(

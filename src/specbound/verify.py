@@ -20,7 +20,7 @@ from . import gv_martingale as gv
 from . import kappa_bound as kb
 from . import riesz_products as rp
 from . import zq_spectral as zq
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, check_budget
 
 FD_STEPS = np.array([1e-2, 1e-3, 1e-4])
 FD_Q_MAX = 8  # largest q whose kappa'(1) gets the difference-quotient checks
@@ -104,12 +104,12 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
     """
     if q_max < 3:
         raise InvalidInputError(f"kappa suite needs q_max >= 3, got {q_max}")
-    solves = itertools.accumulate(
-        math.comb(q, len(b.members)) for q in range(3, q_max + 1)
-        for b in symmetric_residue_sets(q, nonempty=False) if kb.band_multiplier(b) is None)
-    if any(total > MAX_KAPPA_SUBSETS for total in solves):
-        raise ResourceLimitError(f"the kappa suite up to q_max={q_max} needs over "
-                                 f"{MAX_KAPPA_SUBSETS:.0e} vertex-subset solves")
+    solves = 0
+    for q in range(3, q_max + 1):
+        solves += sum(math.comb(q, len(b.members))
+                      for b in symmetric_residue_sets(q, nonempty=False)
+                      if kb.band_multiplier(b) is None)
+        check_budget(f"kappa-suite vertex-subset solves up to q={q}", solves, MAX_KAPPA_SUBSETS)
     stream = draws.Stream(seed)
     feasibility: list[tuple[float, str]] = []
     membership: list[tuple[float, str]] = []
@@ -275,11 +275,8 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
     params = rp.RieszParams(a, q)
     b = zq.ResidueSet.of(q, [1, q - 1])
     grid = gv.QadicGrid(q, n)
-    if subsets * grid.size > MAX_SUBSET_POINTS:
-        raise ResourceLimitError(
-            f"{subsets} subsets of the {grid.size}-point grid exceed the "
-            f"{MAX_SUBSET_POINTS:.0e} subset-point budget"
-        )
+    check_budget(f"points in {subsets} subsets of the {grid.size}-point grid",
+                 subsets * grid.size, MAX_SUBSET_POINTS)
     spec = rp.riesz_spectrum(params, n)
     f = gv.sample_on_grid(spec, grid)
     seq = gv.martingale_levels(f, grid, source=spec)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, check_budget
 from .spectrum import SparseSpectrum
 
 TWO_PI = 2.0 * math.pi
@@ -98,12 +98,8 @@ def wb_basis(b: ResidueSet) -> SubspaceBasis:
         )
     q = b.q
     # a symmetric B has one basis column per member
-    floats = q * max(1, len(b.members))
-    if floats > MAX_ARRAY_FLOATS:
-        raise ResourceLimitError(
-            f"the subspace basis for q={q} and {len(b.members)} residues needs {floats} floats, "
-            f"over the {MAX_ARRAY_FLOATS:.0e} budget"
-        )
+    check_budget(f"floats in the subspace basis for q={q} and {len(b.members)} residues",
+                 q * max(1, len(b.members)), MAX_ARRAY_FLOATS)
     j = np.arange(q)
     cols = []
     for m in b.sorted_members:

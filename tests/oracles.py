@@ -63,3 +63,21 @@ def per_piece_log_integral(q):
         return np.log(np.maximum(c * c, np.finfo(float).tiny)) * np.sin(2.0 * z / q)
 
     return sum(tanh_sinh_full(integrand, a, b).value for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+def lowered_table_row_sizes(q, entropy_level):
+    """Reference: the entropy level, spectrum depth and Peyriere product depth
+    of ``riesz_products.bound_table_row``, each lowered (or raised) one step at
+    a time until its power fits the budget."""
+    from specbound import riesz_products as rp
+
+    level = entropy_level
+    while q ** level > rp.MAX_ENTROPY_GRID and level > 1:
+        level -= 1
+    spectrum_depth = 2 * level
+    while 3 ** spectrum_depth > rp.MAX_SPECTRUM_TERMS:
+        spectrum_depth -= 1
+    depth = 1
+    while q ** (depth + 1) <= 5 * 10 ** 5 and depth < 8:
+        depth += 1
+    return level, spectrum_depth, depth

@@ -2,14 +2,16 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Criteria 2-7, 9 and 10 assert on the named checks of the
-``verify`` suites, which hold their tolerances; criteria 1 and 8 hold theirs
-here.  Tolerances must not be loosened.
+``verify`` suites, and criterion 8 on those of the ``riesz`` row, which hold
+their tolerances; criterion 1 holds its own here.  Tolerances must not be
+loosened.
 """
 
 import time
 
 import numpy as np
 
+from specbound import cli
 from specbound import kappa_bound as kb
 from specbound import riesz_products as rp
 from specbound import verify
@@ -29,11 +31,13 @@ class Criterion:
             self.problems.append(message)
 
     def expect_suite_checks(self, names: list[str], suite, **kwargs):
-        """Require the named checks of one verify suite run to pass."""
+        """Require the named checks of one verify suite run to be present and pass."""
         checks = {check.name: check for check in suite(**kwargs)}
         for name in names:
-            check = checks[name]
-            self.expect(check.passed, f"{name}: residual {check.residual} ({check.detail})")
+            check = checks.get(name)
+            self.expect(check is not None, f"{name}: no such check")
+            if check is not None:
+                self.expect(check.passed, f"{name}: residual {check.residual} ({check.detail})")
 
     def done(self):
         elapsed = time.monotonic() - self.start
@@ -132,13 +136,12 @@ def test_criterion_07_fan_term_agreement():
 
 def test_criterion_08_dimension_proxies_dominate():
     crit = Criterion("8. certified bound sits below the converged dimension proxies (q=4)")
-    estimate = rp.peyriere_dimension(rp.RieszParams(1.0, 4), 8, 4 ** 10)
-    crit.expect(estimate.converged, "integral-identity estimate did not converge")
-    crit.expect(estimate.estimate >= rp.bound_theorem3(4) - rp.PEYRIERE_SLACK,
-                f"estimate {estimate.estimate:.4f} below certified bound - {rp.PEYRIERE_SLACK}")
-    entropy = rp.entropy_dimension_estimate(rp.RieszParams(1.0, 4), 10, 5)
-    crit.expect(entropy >= rp.bound_theorem3(4) - rp.ENTROPY_SLACK,
-                f"entropy proxy {entropy:.4f} below certified bound - {rp.ENTROPY_SLACK}")
+    # the checks of the row that `riesz --q 4` reports, at slacks
+    # rp.PEYRIERE_SLACK and rp.ENTROPY_SLACK; the Peyriere one is there only
+    # when that estimate converged
+    crit.expect_suite_checks(["riesz/q=4/certified_below_peyriere",
+                              "riesz/q=4/certified_below_entropy"],
+                             lambda: cli._riesz_row(rp.RieszParams(1.0, 4), {})[1])
     crit.done()
 
 

@@ -94,7 +94,7 @@ class TestBoundCommand:
         start = time.monotonic()
         code, _, err = run_main(["bound", "--q", q, "--b", "1"], capsys)
         assert code == 3
-        assert err.startswith("resource guard: the subspace basis for q=" + q)
+        assert err.startswith("resource guard: floats in the subspace basis for q=" + q)
         assert time.monotonic() - start < 1.0
 
     def test_half_band_q24(self, capsys):
@@ -154,7 +154,36 @@ class TestRieszCommand:
         code, out, err = run_main(["riesz", "--q", "1000001"], capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith("resource guard: q**level = 1000001 exceeds")
+        assert err.startswith("resource guard: interval masses q**level = 1000001, over")
+
+    def test_entropy_level_capped_at_once(self, capsys):
+        # q = 4 fits level 9 (4**9 intervals); a higher level is that row, with
+        # no level-by-level search down from 4**100000
+        start = time.monotonic()
+        code, capped = payload(["riesz", "--q", "4", "--entropy-level", "100000"], capsys)
+        assert time.monotonic() - start < 3.0
+        assert code == 0
+        _, level_9 = payload(["riesz", "--q", "4", "--entropy-level", "9"], capsys)
+        assert capped["results"] == level_9["results"]
+        assert capped["checks"] == level_9["checks"]
+
+
+class TestOversizedInputs:
+    # sizes whose power (3**n grid points) or decimal form (past 4300 digits)
+    # is too large to build or print trip their guard before any work: exit 3,
+    # with one stderr line, where main raised a ValueError or ran for minutes
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "martingale", "--n", "10000000"],
+        ["verify", "--suite", "martingale", "--n", "100000000"],
+        ["verify", "--suite", "martingale", "--q", "9" * 4000, "--n", "2"],
+        ["sweep", "--q", "3.." + "9" * 4000],
+    ], ids=["n_1e7", "n_1e8", "q_4000_nines", "sweep_to_4000_nines"])
+    def test_exit_3_at_once(self, argv, capsys):
+        start = time.monotonic()
+        code, out, err = run_main(argv, capsys)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("resource guard: ") and err.count("\n") == 1
 
 
 class TestSweepCommand:
@@ -211,7 +240,7 @@ class TestSweepCommand:
         code, out, err = run_main(["sweep", "--q", "3..1000000000000", "--step", step], capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith("resource guard: sweep --q 3..1000000000000 ")
+        assert err.startswith("resource guard: the sweep's q values plus 25000 per row = ")
         assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("step", [1, 7])

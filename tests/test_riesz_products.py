@@ -11,7 +11,7 @@ from specbound.errors import InvalidInputError, NumericalError, ResourceLimitErr
 from specbound.quadrature import tanh_sinh_full
 from specbound.spectrum import SparseSpectrum
 
-from oracles import direct_synthesis, per_piece_log_integral
+from oracles import direct_synthesis, lowered_table_row_sizes, per_piece_log_integral
 
 LOG2 = math.log(2.0)
 
@@ -531,6 +531,22 @@ class TestEntropyEstimate:
 
 
 class TestBoundTable:
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 10, 31, 99, 100, 101, 707, 708, 999, 1000, 1001,
+                                   10 ** 6, 10 ** 6 + 1])
+    def test_sizes_match_lowering_loops(self, q, monkeypatch):
+        # the capped sizes are the ones the lowering loops reached, at every
+        # level the loops can still run and where the grid budget is crossed
+        seen = []
+        monkeypatch.setattr(rp, "entropy_dimension_estimate",
+                            lambda params, depth, level: seen.append((level, depth)) or 0.5)
+        monkeypatch.setattr(rp, "peyriere_dimension",
+                            lambda params, depth, m: seen.append(depth) or rp.PeyriereEstimate(0.5, True))
+        for entropy_level in (-1, 0, 1, 2, 5, 7, 9, 13, 40):
+            seen.clear()
+            rp.bound_table_row(rp.RieszParams(1.0, q), entropy_level)
+            level, spectrum_depth, depth = lowered_table_row_sizes(q, entropy_level)
+            assert seen == [(level, spectrum_depth), depth], entropy_level
+
     def test_row_fields(self):
         row = rp.bound_table_row(rp.RieszParams(1.0, 4), entropy_level=3)
         assert row.prop4 is not None
