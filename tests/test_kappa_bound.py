@@ -214,15 +214,10 @@ class TestGaleEvenness:
 
     def test_orbits_match_full_vertex_set(self):
         # one vertex per dihedral orbit gives the maxima and the witness of
-        # all the orbits' vertices, for every band and unit multiple with
-        # q <= 24, and the orbits expand to the Gale count of vertices
+        # all the orbits' vertices, for every band and unit multiple with q <= 24
         for b in [b for q in range(3, 25) for b in bands(q)]:
             p = kb.FeasiblePolytope.from_residues(b)
             full = over_vertex_set(p, expanded_orbits(b))
-            q, r = b.q, p.band[1]
-            count = len(full.vertex_set)
-            assert count == kb.gale_vertex_count(q, r), b
-            assert (q - r) * count == q * math.comb(q - r, r), b
             orbit, whole = kb.kappa_prime_1(p), kb.kappa_prime_1(full)
             assert abs(orbit.value - whole.value) <= 1e-14, b
             np.testing.assert_allclose(orbit.witness, whole.witness, rtol=0, atol=1e-12,
@@ -270,6 +265,14 @@ class TestGaleEvenness:
         assert count <= kb.MAX_BAND_ORBITS and count * 148 * 300 > kb.MAX_BAND_TERMS
         with pytest.raises(ResourceLimitError, match=r"71744 dihedral-orbit vertices of 148 pairs"):
             kb.kappa(0.5, polytope(300, [*range(1, 149), *range(152, 300)]))
+
+    def test_vertex_count_formula(self):
+        # the expanded orbits, for every band and unit multiple with q <= 24
+        for b in [b for q in range(3, 25) for b in bands(q)]:
+            q, (u, r) = b.q, kb.band_multiplier(b)
+            count = len(expanded_orbits(b))
+            assert count == kb.gale_vertex_count(q, r), b
+            assert (q - r) * count == q * math.comb(q - r, r), b
 
     def test_active_sets_are_adjacent_pair_unions(self):
         # Gale evenness: each vertex of u*{+-1, ..., +-r} is active on r disjoint
