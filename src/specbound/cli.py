@@ -39,7 +39,7 @@ from . import riesz_products as rp
 from . import verify
 from . import zq_spectral as zq
 from .errors import (InvalidInputError, NumericalError, PreconditionError, ResourceLimitError,
-                     check_budget)
+                     check_budget, shown)
 
 TABLE_COLUMNS = [
     "q", "B", "kappa_prime_1", "bound", "subgroup_bound", "delta",
@@ -148,16 +148,18 @@ def cmd_riesz(options: dict) -> tuple[dict, list[verify.CheckResult]]:
 
 
 def cmd_sweep(options: dict) -> tuple[dict, list[verify.CheckResult]]:
+    rp.max_entropy_level(options["q_range"][-1])  # a range past the entropy grid runs no row
     rows = []
     checks = []
     for q in options["q_range"]:
         params = rp.RieszParams(options["a"], q)
         row, row_checks = _riesz_row(params, options)
-        row["fan_consistency"] = rp.fan_consistency(params)
+        row["fan_consistency"] = rp.fan_consistency(q, row["theorem3"], row["fan_main"])
         rows.append(row)
         checks.extend(row_checks)
         checks.append(verify.CheckResult(
-            f"sweep/q={q}/fan_consistency_bounded", rp.fan_consistency_bounded(params),
+            f"sweep/q={q}/fan_consistency_bounded",
+            rp.fan_consistency_bounded(params, row["theorem3"], row["fan_main"]),
             row["fan_consistency"], "|theorem3 - fan_main| * q * log q"))
     return {"table": rows, "extra_columns": ["fan_consistency"]}, checks
 
@@ -223,16 +225,16 @@ def _parse_residues(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InvalidInputError(f"cannot parse residue list {text!r}") from exc
+        raise InvalidInputError(f"cannot parse residue list {shown(text)}") from exc
 
 
 def _parse_p_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
-        raise InvalidInputError(f"cannot parse p list {text!r}") from exc
+        raise InvalidInputError(f"cannot parse p list {shown(text)}") from exc
     if not all(math.isfinite(p) for p in values):
-        raise InvalidInputError(f"p values must be finite, got {text!r}")
+        raise InvalidInputError(f"p values must be finite, got {shown(text)}")
     return values
 
 
@@ -249,16 +251,16 @@ def _parse_range(text: str, step: str) -> tuple[int, ...]:
         else:
             lo = hi = int(text)
     except ValueError as exc:
-        raise InvalidInputError(f"cannot parse q range {text!r}") from exc
+        raise InvalidInputError(f"cannot parse q range {shown(text)}") from exc
     if hi < lo:
-        raise InvalidInputError(f"empty q range {text!r}")
+        raise InvalidInputError(f"empty q range {shown(text)}")
     if lo < 1:
-        raise InvalidInputError(f"q range must start at 1 or more, got {text!r}")
+        raise InvalidInputError(f"q range must start at 1 or more, got {shown(text)}")
     multiplicative = step.startswith("x")
     try:
         inc = int(step[1:] if multiplicative else step)
     except ValueError as exc:
-        raise InvalidInputError(f"cannot parse step {step!r}") from exc
+        raise InvalidInputError(f"cannot parse step {shown(step)}") from exc
     if multiplicative:
         if inc < 2:
             raise InvalidInputError("multiplicative step must be >= 2")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, shown
 
 SEED_MAX = 2 ** 64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -45,7 +45,7 @@ class Stream:
 
     def __init__(self, seed: int):
         if not 0 <= seed <= SEED_MAX:
-            raise InvalidInputError(f"seed must be in 0..2**64-1, got {seed}")
+            raise InvalidInputError(f"seed must be in 0..2**64-1, got {shown(seed)}")
         self._seed = int(seed)
         self._next = 1  # index of the next word served
         self._ahead = np.empty(0, dtype=np.uint64)  # words _next, _next + 1, ..., mixed

@@ -29,6 +29,16 @@ def max_exponent(base: int, budget: int) -> int:
     return k
 
 
+def shown(value: int | float | str) -> str:
+    """``value`` as a message prints it: quoted text or digits, but a text over 39 characters
+    by its length and an integer over 128 bits (39 digits) by its bit length."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 39 else f"a {len(value)}-character text"
+    if isinstance(value, int) and value.bit_length() > 128:
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit number"
+    return str(value)
+
+
 def check_budget(what: str, count: int | float, budget: int, exponent: int = 1) -> None:
     """Raise :class:`ResourceLimitError` unless ``count ** exponent`` is at most ``budget``.
 
@@ -36,13 +46,12 @@ def check_budget(what: str, count: int | float, budget: int, exponent: int = 1) 
     the sized object is built.  A NaN count fails.  A power (``exponent`` other
     than 1, ``count`` an integer >= 2) is compared through :func:`max_exponent`
     and never built.  The message reads "<what> = <count>, over the <budget>
-    budget", with a power shown as count**exponent and an integer of over 128
-    bits, which may be too long to print, by its bit length.
+    budget", with the count as :func:`shown` prints it and a power as
+    count**exponent.
     """
     if (count <= budget) if exponent == 1 else exponent <= max_exponent(count, budget):
         return
-    big = isinstance(count, int) and count.bit_length() > 128
-    shown = f"a {count.bit_length()}-bit number" if big else str(count)
+    text = shown(count)
     if exponent != 1:
-        shown = f"({shown})**{exponent}" if big else f"{shown}**{exponent}"
-    raise ResourceLimitError(f"{what} = {shown}, over the {budget:.0e} budget")
+        text = f"({text})**{exponent}" if " " in text else f"{text}**{exponent}"  # a phrase
+    raise ResourceLimitError(f"{what} = {text}, over the {budget:.0e} budget")

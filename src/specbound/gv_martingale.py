@@ -4,8 +4,8 @@ The grid {j/q**N} carries a q-regular tree: the level-k atoms are the residue
 classes j mod q**k, and the level-k function f_k averages f over the coset
 x + (1/q**(N-k))Z.  Averaging one level at a time (a reshape-and-mean over the
 class arrays) reproduces the direct coset average exactly, in O(N * q**N)
-instead of O(q**(2N)).  The checks in this module verify, with explicit
-residuals, that
+instead of O(q**(2N)).  Every check below reads the spectrum that the levels
+were built from, and verifies, with explicit residuals, that
 
   * level k and its sibling differences are the q**k-point synthesis of the
     source frequencies divisible by q**(N-k), each divided by q**(N-k) (the
@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError, check_budget
+from .errors import InvalidInputError, PreconditionError, check_budget, shown
 from .kappa_bound import SLACK, FeasiblePolytope, kappa, power_mean
 from .spectrum import SparseSpectrum, centered_interval_masses, synthesize_on_grid
 from .zq_spectral import ResidueSet, in_cb, wb_basis
@@ -43,9 +43,9 @@ class QadicGrid:
 
     def __post_init__(self):
         if self.q < 3:
-            raise InvalidInputError(f"base must be >= 3, got {self.q}")
+            raise InvalidInputError(f"base must be >= 3, got {shown(self.q)}")
         if self.levels < 1:
-            raise InvalidInputError(f"need at least one level, got {self.levels}")
+            raise InvalidInputError(f"need at least one level, got {shown(self.levels)}")
         check_budget("grid points q**N", self.q, MAX_GRID, self.levels)
 
     @property
@@ -74,16 +74,16 @@ def sample_on_grid(spec: SparseSpectrum, grid: QadicGrid) -> np.ndarray:
 
 @dataclass
 class MartingaleSequence:
-    """All levels f_0..f_N, stored as one value per tree atom.
+    """All levels f_0..f_N of the density with spectrum ``source``, one value per tree atom.
 
     ``class_values[k]`` has length q**k; entry c is the constant value of f_k
-    on the atom {j : j = c mod q**k}.  ``class_values[N]`` is the source grid
-    function itself.
+    on the atom {j : j = c mod q**k}.  The spectral checks read ``source``, the
+    spectrum that :func:`martingale_levels` sampled as ``class_values[N]``.
     """
 
     grid: QadicGrid
     class_values: list[np.ndarray]
-    source: SparseSpectrum | None = None
+    source: SparseSpectrum
 
     @property
     def levels(self) -> int:
@@ -100,35 +100,27 @@ class MartingaleSequence:
         return self.sibling_matrix(k) - self.class_values[k - 1][None, :]
 
 
-def martingale_levels(f: np.ndarray, grid: QadicGrid,
-                      source: SparseSpectrum | None = None) -> MartingaleSequence:
-    """Build f_N = f and the coarser levels by repeated q-fold coset averaging.
+def martingale_levels(spec: SparseSpectrum, grid: QadicGrid) -> MartingaleSequence:
+    """Sample the density of ``spec`` on ``grid`` as f_N (see :func:`sample_on_grid`)
+    and build the coarser levels by repeated q-fold coset averaging.
 
     One step is f_k(x) = (1/q) * sum_i f_{k+1}(x + i/q**(N-k)), i.e. class c of
     level k averages the level-(k+1) classes c + i*q**k; associativity of the
     subgroup-tower averages makes the composition equal the direct definition.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (grid.size,):
-        raise InvalidInputError(f"expected a grid function of length {grid.size}")
     levels = [None] * (grid.levels + 1)
-    levels[grid.levels] = f.copy()
+    # a contiguous copy of the real part frees the complex synthesis
+    levels[grid.levels] = np.ascontiguousarray(sample_on_grid(spec, grid))
     for k in range(grid.levels - 1, -1, -1):
         levels[k] = levels[k + 1].reshape(grid.q, -1).mean(axis=0)
-    return MartingaleSequence(grid=grid, class_values=levels, source=source)
-
-
-def _source(seq: MartingaleSequence) -> SparseSpectrum:
-    if seq.source is None:
-        raise PreconditionError("sequence carries no source spectrum to validate")
-    return seq.source
+    return MartingaleSequence(grid, levels, spec)
 
 
 def _cofactors(seq: MartingaleSequence, k: int) -> SparseSpectrum:
     """Level k's cofactors d = l / q**(N-k) of the source frequencies l that
     q**(N-k) divides, with their coefficients: exp(2*pi*i*l*c/q**N) =
     exp(2*pi*i*d*c/q**k), so class c is their q**k-point synthesis at c."""
-    spec, grid = _source(seq), seq.grid
+    spec, grid = seq.source, seq.grid
     if not 0 <= k <= grid.levels:
         raise InvalidInputError(f"level {k} outside 0..{grid.levels}")
     step = grid.q ** (grid.levels - k)
@@ -183,7 +175,7 @@ def wb_membership_check(seq: MartingaleSequence, b: ResidueSet) -> float:
     Requires the source spectrum to lie in the restricted set (raises
     :class:`PreconditionError` naming the first offending frequency otherwise).
     """
-    _require_spectrum_in_cb(_source(seq), b)
+    _require_spectrum_in_cb(seq.source, b)
     basis = wb_basis(b)
     worst = 0.0
     for k in range(1, seq.levels + 1):
@@ -213,11 +205,11 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
     All comparisons allow multiplicative ``SLACK`` plus a tiny absolute floor.
     This chain is the engine of the dimension bound; a failure means a bug, not
     an unlucky input.  :func:`set_average_check` reads its ``norm`` and ``global_rhs``.
+    A spectrum outside the restricted set of ``b``, or a negative density: :class:`PreconditionError`.
     """
     if not p >= 1.0:
         raise InvalidInputError(f"p must be >= 1, got {p}")
-    if seq.source is not None:
-        _require_spectrum_in_cb(seq.source, b)
+    _require_spectrum_in_cb(seq.source, b)
     if float(seq.class_values[seq.levels].min()) < -1e-10:
         raise PreconditionError("source density must be non-negative")
     kappa_theta = kappa(1.0 / p, FeasiblePolytope.from_residues(b))

@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .draws import Stream
-from .errors import InvalidInputError, NumericalError, check_budget, max_exponent
+from .errors import InvalidInputError, NumericalError, check_budget, max_exponent, shown
 from .kappa_bound import xlogx
 from .quadrature import tanh_sinh_full
 from .spectrum import SparseSpectrum, uniform_interval_masses
@@ -35,7 +34,6 @@ FAN_CONSISTENCY_ALLOWANCE = 10.0  # see fan_consistency_bounded
 PEYRIERE_SLACK = 0.02
 ENTROPY_SLACK = 0.05
 ENDPOINT_GRID = 1001  # phi grid of endpoint_optimality_gap
-CHEBYSHEV_POINTS = 100  # random amplitudes of chebyshev_product_relerr
 
 LOG2 = math.log(2.0)
 
@@ -49,7 +47,7 @@ class RieszParams:
 
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 3:
-            raise InvalidInputError(f"base must be an integer >= 3, got {self.q!r}")
+            raise InvalidInputError(f"base must be an integer >= 3, got {shown(self.q)}")
         if not abs(self.a) <= 1.0:
             raise InvalidInputError(f"amplitude must satisfy |a| <= 1, got {self.a}")
 
@@ -179,10 +177,10 @@ def chebyshev_identity_residual(q: int) -> float:
     return abs(lhs - rhs)
 
 
-def chebyshev_product_relerr(q: int, seed: int = 0) -> float:
+def chebyshev_product_relerr(q: int, a: np.ndarray) -> float:
     """Max mismatch between 2**(2-q) * T_{q/2}(a)**2 and the node product
-    prod_j |a - cos((2j+1)*pi/q)| at random a in (-1, 1), relative to 2**(2-q),
-    the sup of the product on [-1, 1].
+    prod_j |a - cos((2j+1)*pi/q)| over the amplitudes ``a`` in [-1, 1],
+    relative to 2**(2-q), the sup of the product on [-1, 1].
 
     Near a node both sides are tiny and cos(p*arccos(a)) keeps only an
     absolute accuracy, so a mismatch relative to |lhs| would grow like
@@ -190,7 +188,6 @@ def chebyshev_product_relerr(q: int, seed: int = 0) -> float:
     """
     if q % 2 != 0 or q < 4:
         raise InvalidInputError(f"factorization check needs even q >= 4, got {q}")
-    a = Stream(seed).uniform(-1.0, 1.0, size=CHEBYSHEV_POINTS)
     p = q // 2
     cheb = np.cos(p * np.arccos(a))
     lhs = 2.0 ** (2 - q) * cheb ** 2
@@ -257,19 +254,18 @@ def fan_main_term(params: RieszParams) -> float:
     return 1.0 - float(factor_entropy(params.a)) / math.log(params.q)
 
 
-def fan_consistency(params: RieszParams) -> float:
-    """|theorem3 - fan_main| * q * log q, the scaled gap between the certified
-    bound and the asymptotic main term."""
-    q = params.q
-    return abs(bound_theorem3(q) - fan_main_term(params)) * q * math.log(q)
+def fan_consistency(q: int, theorem3: float, fan_main: float) -> float:
+    """|theorem3 - fan_main| * q * log q, the scaled gap between the caller's
+    certified bound ``bound_theorem3(q)`` and asymptotic main term ``fan_main_term``."""
+    return abs(theorem3 - fan_main) * q * math.log(q)
 
 
-def fan_consistency_bounded(params: RieszParams) -> bool:
-    """The paper's agreement: ``fan_consistency`` <= 10 at |a| = 1.  For |a| < 1
-    only (theorem3 - fan_main) * q * log q <= 10 holds: theorem3 does not depend
-    on a, while fan_main rises by (h(1) - h(a))/log q, so the gap grows like q."""
-    return (fan_consistency(params) <= FAN_CONSISTENCY_ALLOWANCE
-            or (abs(params.a) < 1.0 and bound_theorem3(params.q) < fan_main_term(params)))
+def fan_consistency_bounded(params: RieszParams, theorem3: float, fan_main: float) -> bool:
+    """The paper's agreement, ``fan_consistency`` <= 10, at |a| = 1.  For |a| < 1 only
+    (theorem3 - fan_main) * q * log q <= 10 holds: theorem3 does not depend on a,
+    while fan_main rises by (h(1) - h(a))/log q, so the gap grows like q."""
+    return (fan_consistency(params.q, theorem3, fan_main) <= FAN_CONSISTENCY_ALLOWANCE
+            or (abs(params.a) < 1.0 and theorem3 < fan_main))
 
 
 class PeyriereEstimate(NamedTuple):
@@ -361,11 +357,17 @@ def entropy_dimension_estimate(params: RieszParams, depth: int, level: int) -> f
     certified lower bounds must not exceed.
     """
     if level < 1:
-        raise InvalidInputError(f"level must be >= 1, got {level}")
+        raise InvalidInputError(f"level must be >= 1, got {shown(level)}")
     if depth < level:
         raise InvalidInputError(f"product depth {depth} must be >= level {level}")
     check_budget("interval masses q**level", params.q, MAX_ENTROPY_GRID, level)
     return _level_entropy(riesz_spectrum(params, depth), params.q, level)
+
+
+def max_entropy_level(q: int) -> int:
+    """The largest level L with q**L within ``MAX_ENTROPY_GRID``; none fits for q > 10**6."""
+    check_budget("interval masses q**level", q, MAX_ENTROPY_GRID)
+    return max_exponent(q, MAX_ENTROPY_GRID)
 
 
 def _level_entropy(spec: SparseSpectrum, q: int, level: int) -> float:
@@ -394,16 +396,16 @@ class BoundTableRow:
 def bound_table_row(params: RieszParams, entropy_level: int = 5) -> BoundTableRow:
     """Assemble the full comparison row.
 
-    The entropy proxy runs first, so that its grid guard fires before any other
-    column costs time.  It uses ``entropy_level``, capped at the largest level
-    L >= 1 with q**L within ``MAX_ENTROPY_GRID``, on a spectrum of depth 2*L,
-    capped at the largest depth within ``MAX_SPECTRUM_TERMS``.  The Peyriere
+    The entropy proxy's grid guard, :func:`max_entropy_level`, fires before
+    any column costs time.  The proxy runs at level L, ``entropy_level`` capped
+    at that function's level, on a spectrum of depth 2*L, capped at the
+    largest depth within ``MAX_SPECTRUM_TERMS``.  The Peyriere
     proxy runs at product depth d, the largest d <= 8 with q**d <= 5e5 (and
     d = 1 for q > 707), on a grid of at least 2e5 points and at least three
     blocks of q**d.
     """
     q = params.q
-    level = min(entropy_level, max(1, max_exponent(q, MAX_ENTROPY_GRID)))
+    level = min(entropy_level, max_entropy_level(q))
     spectrum_depth = min(2 * level, max_exponent(3, MAX_SPECTRUM_TERMS))
     entropy_est = entropy_dimension_estimate(params, spectrum_depth, level)
     depth = min(8, max(1, max_exponent(q, 5 * 10 ** 5)))

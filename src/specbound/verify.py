@@ -2,8 +2,8 @@
 dimension-bound machinery relies on, run with explicit residuals.
 
 Each suite returns a flat list of :class:`CheckResult`; a suite passes iff all
-its checks do.  Randomized checks draw from one seeded :class:`draws.Stream`
-per suite, so failures are reproducible from the reported configuration.
+its checks do.  Every random draw of a suite comes from its one seeded
+:class:`draws.Stream`, so failures are reproducible from the reported configuration.
 The martingale suite runs the checks of :mod:`gv_martingale` and synthesizes nothing.
 """
 
@@ -20,7 +20,7 @@ from . import gv_martingale as gv
 from . import kappa_bound as kb
 from . import riesz_products as rp
 from . import zq_spectral as zq
-from .errors import InvalidInputError, check_budget
+from .errors import InvalidInputError, check_budget, shown
 
 FD_STEPS = np.array([1e-2, 1e-3, 1e-4])
 FD_Q_MAX = 8  # largest q whose kappa'(1) gets the difference-quotient checks
@@ -31,6 +31,7 @@ MAX_KAPPA_SUBSETS = 10 ** 8
 # subsets x grid points drawn by the set-average chain: the default 100 subsets
 # fit on every grid that gv.MAX_GRID admits
 MAX_SUBSET_POINTS = 100 * gv.MAX_GRID
+CHEBYSHEV_POINTS = 100  # amplitudes of the Chebyshev factorization, drawn before the Lipschitz pairs
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
     ``MAX_KAPPA_SUBSETS`` (1e8).  A symmetric B has d_B = |B|.
     """
     if q_max < 3:
-        raise InvalidInputError(f"kappa suite needs q_max >= 3, got {q_max}")
+        raise InvalidInputError(f"kappa suite needs q_max >= 3, got {shown(q_max)}")
     solves = 0
     for q in range(3, q_max + 1):
         solves += sum(math.comb(q, len(b.members))
@@ -207,11 +208,12 @@ def _counterexample_check(q: int = 4, l: int = 1) -> CheckResult:
 def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
     # checked before any quadrature: chebyshev_identity_residual takes even q in 4..64
     if not 4 <= q_max <= 64:
-        raise InvalidInputError(f"riesz identities need q_max in 4..64, got q_max={q_max}")
+        raise InvalidInputError(f"riesz identities need q_max in 4..64, got q_max={shown(q_max)}")
     stream = draws.Stream(seed)
+    amplitudes = stream.uniform(-1.0, 1.0, size=CHEBYSHEV_POINTS)
     identity = [(rp.chebyshev_identity_residual(q), f"q={q}")
                 for q in range(4, q_max + 1, 2)]
-    factorization = [(rp.chebyshev_product_relerr(q, seed=seed), f"q={q}")
+    factorization = [(rp.chebyshev_product_relerr(q, amplitudes), f"q={q}")
                      for q in range(4, q_max + 1, 2)]
     cross: list[tuple[float, str]] = []
     endpoint: list[tuple[float, str]] = []
@@ -228,7 +230,8 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
         np.abs(rp.factor_entropy(pairs[:, 0]) - rp.factor_entropy(pairs[:, 1]))
         - np.abs(pairs[:, 0] - pairs[:, 1])
     ))
-    fan = [(rp.fan_consistency(rp.RieszParams(1.0, q)), f"q={q}") for q in (8, 16, 32, 64, 128)]
+    fan = [(rp.fan_consistency(q, rp.bound_theorem3(q), rp.fan_main_term(rp.RieszParams(1.0, q))),
+            f"q={q}") for q in (8, 16, 32, 64, 128)]
     prop5_dom = [(rp.bound_prop5(q) - rp.bound_theorem3(q), f"q={q}")
                  for q in range(3, max(q_max, 32) + 1)]
     prop4_gaps = {q: rp.bound_prop4(q) - rp.bound_theorem3(q) for q in range(4, q_max + 1, 2)}
@@ -270,36 +273,28 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
     ``MAX_SUBSET_POINTS`` (1e9) raises :class:`ResourceLimitError` before any work.
     """
     if subsets < 1:
-        raise InvalidInputError(f"need at least one random subset, got {subsets}")
+        raise InvalidInputError(f"need at least one random subset, got {shown(subsets)}")
     stream = draws.Stream(seed)
     params = rp.RieszParams(a, q)
     b = zq.ResidueSet.of(q, [1, q - 1])
     grid = gv.QadicGrid(q, n)
-    check_budget(f"points in {subsets} subsets of the {grid.size}-point grid",
+    check_budget(f"points in {shown(subsets)} subsets of the {grid.size}-point grid",
                  subsets * grid.size, MAX_SUBSET_POINTS)
-    spec = rp.riesz_spectrum(params, n)
-    f = gv.sample_on_grid(spec, grid)
-    seq = gv.martingale_levels(f, grid, source=spec)
+    seq = gv.martingale_levels(rp.riesz_spectrum(params, n), grid)
+    f = seq.class_values[grid.levels]
     sup = max(1.0, float(np.max(np.abs(f))))
 
-    two_path = float(np.max(np.abs(
-        f - rp.partial_product_values(params, n, grid.size)
-    ))) / sup
+    two_path = float(np.max(np.abs(f - rp.partial_product_values(params, n, grid.size)))) / sup
 
     projection = [(gv.spectral_projection_check(seq, k) / sup, f"k={k}")
                   for k in range(grid.levels + 1)]
 
-    direct_average = []
-    leaf = seq.class_values[grid.levels]
-    for k in range(grid.levels + 1):
-        direct = leaf.reshape(grid.size // q ** k, q ** k).mean(axis=0)
-        direct_average.append(
-            (float(np.max(np.abs(direct - seq.class_values[k]))) / sup, f"k={k}")
-        )
+    direct_average = [(float(np.max(np.abs(f.reshape(-1, q ** k).mean(axis=0)
+                                           - seq.class_values[k]))) / sup, f"k={k}")
+                      for k in range(grid.levels + 1)]
 
-    tree_sums = []
-    for k in range(1, grid.levels + 1):
-        tree_sums.append((float(np.max(np.abs(seq.differences(k).sum(axis=0)))) / sup, f"k={k}"))
+    tree_sums = [(float(np.max(np.abs(seq.differences(k).sum(axis=0)))) / sup, f"k={k}")
+                 for k in range(1, grid.levels + 1)]
 
     sibling_synthesis = gv.sibling_synthesis_check(seq) / sup
     membership = gv.wb_membership_check(seq, b) / sup

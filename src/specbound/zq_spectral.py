@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidInputError, check_budget
+from .errors import InvalidInputError, check_budget, shown
 from .spectrum import SparseSpectrum
 
 TWO_PI = 2.0 * math.pi
@@ -33,11 +33,11 @@ class ResidueSet:
 
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 3:
-            raise InvalidInputError(f"modulus must be an integer >= 3, got {self.q!r}")
+            raise InvalidInputError(f"modulus must be an integer >= 3, got {shown(self.q)}")
         object.__setattr__(self, "members", frozenset(int(m) for m in self.members))
         for m in self.members:
             if not 1 <= m <= self.q - 1:
-                raise InvalidInputError(f"residue {m} outside 1..{self.q - 1}")
+                raise InvalidInputError(f"residue {shown(m)} outside 1..{shown(self.q - 1)}")
 
     @classmethod
     def of(cls, q: int, members: Iterable[int]) -> "ResidueSet":
@@ -98,7 +98,7 @@ def wb_basis(b: ResidueSet) -> SubspaceBasis:
         )
     q = b.q
     # a symmetric B has one basis column per member
-    check_budget(f"floats in the subspace basis for q={q} and {len(b.members)} residues",
+    check_budget(f"floats in the subspace basis for q={shown(q)} and {len(b.members)} residues",
                  q * max(1, len(b.members)), MAX_ARRAY_FLOATS)
     j = np.arange(q)
     cols = []

@@ -186,6 +186,60 @@ class TestOversizedInputs:
         assert err.startswith("resource guard: ") and err.count("\n") == 1
 
 
+NINES = "9" * 4000
+
+
+class TestLongArguments:
+    # a 4000-digit integer or a 4000-character text in a message is shown by
+    # its size: one short stderr line, with the exit code of the same message
+    # for a normal-size value
+    @pytest.mark.parametrize("argv,code,message", [
+        (["bound", "--q", NINES], 3, "resource guard: floats in the subspace basis for "
+         "q=a 13288-bit number and 0 residues = a 13288-bit number, over the 1e+07 budget"),
+        (["bound", "--q", "10", "--b", NINES], 2,
+         "error: residue a 13288-bit number outside 1..9"),
+        (["bound", "--q", "10", "--b", "1," + "x" * 4000], 2,
+         "error: cannot parse residue list a 4002-character text"),
+        (["verify", "--suite", "martingale", "--subsets", NINES], 3,
+         "resource guard: points in a 13288-bit number subsets of the 729-point grid = "
+         "a 13298-bit number, over the 1e+09 budget"),
+        (["verify", "--suite", "martingale", "--subsets", "-" + NINES], 2,
+         "error: need at least one random subset, got a negative 13288-bit number"),
+        (["verify", "--suite", "martingale", "--n", "-" + NINES], 2,
+         "error: need at least one level, got a negative 13288-bit number"),
+        (["verify", "--suite", "martingale", "--p", "x" * 4000], 2,
+         "error: cannot parse p list a 4000-character text"),
+        (["verify", "--suite", "riesz-identities", "--q-max", NINES], 2,
+         "error: riesz identities need q_max in 4..64, got q_max=a 13288-bit number"),
+        (["verify", "--suite", "kappa", "--q-max", "-" + NINES], 2,
+         "error: kappa suite needs q_max >= 3, got a negative 13288-bit number"),
+        (["verify", "--suite", "all", "--seed", NINES], 2,
+         "error: seed must be in 0..2**64-1, got a 13288-bit number"),
+        (["riesz", "--q", "4", "--entropy-level", "-" + NINES], 2,
+         "error: level must be >= 1, got a negative 13288-bit number"),
+        (["riesz", "--q", "-" + NINES], 2,
+         "error: base must be an integer >= 3, got a negative 13288-bit number"),
+        (["sweep", "--q", NINES + "..3"], 2, "error: empty q range a 4003-character text"),
+        (["sweep", "--q", "3..5", "--step", NINES + "x"], 2,
+         "error: cannot parse step a 4001-character text"),
+    ], ids=["bound_q", "bound_b", "bound_b_text", "subsets", "subsets_negative", "n_negative",
+            "p_text", "riesz_q_max", "kappa_q_max_negative", "seed", "entropy_level_negative",
+            "riesz_q_negative", "sweep_q_text", "sweep_step_text"])
+    def test_one_short_line(self, argv, code, message, capsys):
+        start = time.monotonic()
+        assert run_main(argv, capsys) == (code, "", message + "\n")
+        assert time.monotonic() - start < 1.0
+
+    def test_normal_size_wording_kept(self, capsys):
+        assert run_main(["riesz", "--q", "-5"], capsys) == (
+            2, "", "error: base must be an integer >= 3, got -5\n")
+        assert run_main(["sweep", "--q", "3..x"], capsys) == (
+            2, "", "error: cannot parse q range '3..x'\n")
+        big = str(2 ** 128 - 1)  # 39 digits, the longest shown in full
+        assert run_main(["verify", "--suite", "all", "--seed", big], capsys)[2] == (
+            f"error: seed must be in 0..2**64-1, got {big}\n")
+
+
 class TestSweepCommand:
     def test_multiplicative_range(self, capsys):
         code, data = payload(["sweep", "--q", "8..128", "--step", "x2",
@@ -204,6 +258,31 @@ class TestSweepCommand:
         assert code == 0
         assert data["results"]["table"][-1]["fan_consistency"] > 10.0
         assert all(c["passed"] for c in data["checks"])
+
+    @pytest.mark.parametrize("a", ["1", "0.5"])
+    def test_one_theorem3_sum_per_row(self, a, capsys, monkeypatch):
+        # the fan-consistency column and check read the row's theorem3 and
+        # fan_main: one O(q) entropy sum per row
+        calls = []
+        objective = rp.entropy_objective
+        monkeypatch.setattr(rp, "entropy_objective",
+                            lambda *args: calls.append(args) or objective(*args))
+        code, _, _ = run_main(["sweep", "--q", "8..128", "--step", "x2", "--a", a,
+                               "--format", "csv"], capsys)
+        assert code == 0
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("q,step", [("3..1600000", "x2"), ("500000..1000001", "500001")])
+    def test_range_past_entropy_grid_exits_at_once(self, q, step, capsys, monkeypatch):
+        # the last q fits no entropy grid: the guard fires before the first row
+        def forbidden(*args, **kwargs):
+            raise AssertionError("row computed before the entropy guard")
+
+        monkeypatch.setattr(rp, "bound_table_row", forbidden)
+        code, out, err = run_main(["sweep", "--q", q, "--step", step], capsys)
+        assert (code, out) == (3, "")
+        last = cli._parse_range(q, step)[-1]
+        assert err == f"resource guard: interval masses q**level = {last}, over the 1e+06 budget\n"
 
     def test_keeps_one_polytope(self, capsys):
         # a finished row's polytope (its q x 2 basis is 16 MB at q = 10^6) is

@@ -12,14 +12,20 @@ from specbound.errors import InvalidInputError, PreconditionError, ResourceLimit
 from specbound.spectrum import SparseSpectrum
 
 
-def sequence_of(spec, grid):
-    return gv.martingale_levels(gv.sample_on_grid(spec, grid), grid, source=spec)
-
-
 def riesz_sequence(q=3, a=1.0, depth=6):
     grid = gv.QadicGrid(q, depth)
     spec = rp.riesz_spectrum(rp.RieszParams(a, q), depth)
-    return sequence_of(spec, grid), spec, grid
+    return gv.martingale_levels(spec, grid), spec, grid
+
+
+def random_real_spectrum(rng, grid):
+    """Random conjugate-symmetric coefficients on every |l| < q**N / 2: on an
+    odd-q grid its density is an arbitrary real grid function."""
+    freqs = np.arange((grid.size + 1) // 2)
+    coeffs = rng.normal(size=freqs.size) + 1j * rng.normal(size=freqs.size)
+    coeffs[0] = coeffs[0].real
+    return SparseSpectrum(np.concatenate((freqs, -freqs[1:])),
+                          np.concatenate((coeffs, coeffs[1:].conj())))
 
 
 def sibling_differences(seq, k, cls):
@@ -63,7 +69,7 @@ class TestSampling:
 class TestLevels:
     def test_constant_function(self):
         grid = gv.QadicGrid(3, 4)
-        seq = gv.martingale_levels(np.full(grid.size, 2.5), grid)
+        seq = gv.martingale_levels(SparseSpectrum.from_dict({0: 2.5}), grid)
         for k in range(5):
             assert np.allclose(seq.class_values[k], 2.5)
 
@@ -72,9 +78,8 @@ class TestLevels:
         q, n = 3, 4
         grid = gv.QadicGrid(q, n)
         freq = q ** (n - 1)
-        spec = SparseSpectrum.from_dict({freq: 0.5, -freq: 0.5})
-        f = gv.sample_on_grid(spec, grid)
-        seq = gv.martingale_levels(f, grid, source=spec)
+        seq = gv.martingale_levels(SparseSpectrum.from_dict({freq: 0.5, -freq: 0.5}), grid)
+        f = seq.class_values[n]
         for k in range(1, n + 1):
             assert np.max(np.abs(f.reshape(-1, q ** k) - seq.class_values[k])) <= 1e-12
         assert np.max(np.abs(seq.class_values[0])) <= 1e-12
@@ -82,9 +87,8 @@ class TestLevels:
     def test_level_zero_is_grid_mean(self):
         rng = np.random.default_rng(0)
         grid = gv.QadicGrid(4, 3)
-        f = rng.uniform(0, 2, size=grid.size)
-        seq = gv.martingale_levels(f, grid)
-        assert abs(seq.class_values[0][0] - f.mean()) <= 1e-12
+        seq = gv.martingale_levels(random_real_spectrum(rng, grid), grid)
+        assert abs(seq.class_values[0][0] - seq.class_values[grid.levels].mean()) <= 1e-12
 
     def test_parent_is_mean_of_children(self):
         seq, _, grid = riesz_sequence(3, 1.0, 5)
@@ -97,8 +101,8 @@ class TestLevels:
         rng = np.random.default_rng(1)
         q, n = 3, 4
         grid = gv.QadicGrid(q, n)
-        f = rng.uniform(0, 1, size=grid.size)
-        seq = gv.martingale_levels(f, grid)
+        seq = gv.martingale_levels(random_real_spectrum(rng, grid), grid)
+        f = seq.class_values[n]
         for k in range(n + 1):
             direct = np.empty(grid.size)
             shift = q ** k
@@ -106,11 +110,6 @@ class TestLevels:
             for j in range(grid.size):
                 direct[j] = np.mean(f[(j + shift * np.arange(count)) % grid.size])
             assert np.max(np.abs(direct.reshape(-1, shift) - seq.class_values[k])) <= 1e-12
-
-    def test_shape_validation(self):
-        grid = gv.QadicGrid(3, 2)
-        with pytest.raises(InvalidInputError):
-            gv.martingale_levels(np.ones(5), grid)
 
 
 class TestSpectralProjection:
@@ -128,7 +127,7 @@ class TestSpectralProjection:
             params = rp.RieszParams(float(rng.uniform(-1, 1)), q)
             grid = gv.QadicGrid(q, 5)
             spec = rp.riesz_spectrum(params, 5)
-            seq = sequence_of(spec, grid)
+            seq = gv.martingale_levels(spec, grid)
             sup = max(1.0, float(np.abs(seq.class_values[grid.levels]).max()))
             for k in range(grid.levels + 1):
                 assert gv.spectral_projection_check(seq, k) <= 1e-10 * sup
@@ -141,8 +140,8 @@ class TestSpectralProjection:
             assert abs(residual - full_grid_projection_residual(seq, k)) <= 1e-12
         # a source that does not match the levels gives an O(1) residual, and
         # both syntheses must report the same one
-        other = gv.martingale_levels(seq.class_values[grid.levels], grid,
-                                     source=rp.riesz_spectrum(rp.RieszParams(0.5, q), depth))
+        other = gv.MartingaleSequence(grid, seq.class_values,
+                                      rp.riesz_spectrum(rp.RieszParams(0.5, q), depth))
         residual = gv.spectral_projection_check(other, grid.levels)
         assert residual > 0.1
         assert abs(residual - full_grid_projection_residual(other, grid.levels)) <= 1e-12
@@ -151,7 +150,7 @@ class TestSpectralProjection:
 class TestSiblingDifferences:
     def test_constant_source_gives_zero(self):
         grid = gv.QadicGrid(3, 3)
-        seq = gv.martingale_levels(np.ones(grid.size), grid)
+        seq = gv.martingale_levels(SparseSpectrum.from_dict({0: 1.0}), grid)
         assert np.allclose(sibling_differences(seq, 2, 2), 0.0)
 
     def test_zero_sum(self):
@@ -209,8 +208,7 @@ class TestSubspaceMembership:
 
     def test_spectrum_outside_restriction_raises(self):
         grid = gv.QadicGrid(4, 3)
-        spec = SparseSpectrum.from_dict({0: 1.0, 1: 0.25, -1: 0.25})
-        seq = sequence_of(spec, grid)
+        seq = gv.martingale_levels(SparseSpectrum.from_dict({0: 1.0, 1: 0.25, -1: 0.25}), grid)
         with pytest.raises(PreconditionError, match="frequency -?1"):
             gv.wb_membership_check(seq, zq.ResidueSet.of(4, [2]))
 
@@ -241,8 +239,7 @@ class TestGrowth:
     def test_constant_density_has_exponent_slack(self):
         q = 3
         grid = gv.QadicGrid(q, 4)
-        spec = SparseSpectrum.from_dict({0: 1.0})
-        seq = sequence_of(spec, grid)
+        seq = gv.martingale_levels(SparseSpectrum.from_dict({0: 1.0}), grid)
         report = gv.growth_check(seq, zq.ResidueSet.of(q, [1, 2]), 2.0)
         assert report.passed
         # every level norm is 1, so the per-step slack is exp(kappa) - 1
@@ -272,10 +269,19 @@ class TestGrowth:
         assert np.max(np.abs(np.diff(norms))) <= 1e-12
 
     def test_negative_source_rejected(self):
+        # cos(2*pi*x): its spectrum lies in C_B for the full set B = {1, 2}
         grid = gv.QadicGrid(3, 3)
-        seq = gv.martingale_levels(np.linspace(-1, 1, grid.size), grid)
-        with pytest.raises(PreconditionError):
+        seq = gv.martingale_levels(SparseSpectrum.from_dict({1: 0.5, -1: 0.5}), grid)
+        with pytest.raises(PreconditionError, match="non-negative"):
             gv.growth_check(seq, zq.ResidueSet.of(3, [1, 2]), 2.0)
+
+    def test_spectrum_outside_restriction_raises(self):
+        # 1 + 0.1*cos(4*pi*x) is positive, but its frequencies +-2 are not in
+        # C_B for B = {1, 4} mod 5: no growth certificate for it
+        grid = gv.QadicGrid(5, 3)
+        seq = gv.martingale_levels(SparseSpectrum.from_dict({0: 1.0, 2: 0.05, -2: 0.05}), grid)
+        with pytest.raises(PreconditionError, match="frequency -?2 is outside"):
+            gv.growth_check(seq, zq.ResidueSet.of(5, [1, 4]), 2.0)
 
     def test_nan_exponent_rejected(self):
         seq, _, _ = riesz_sequence(3, 1.0, 3)

@@ -1,14 +1,12 @@
 import functools
 import math
-import os
-import subprocess
-import sys
 import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from cli_child import loaded_after_import
 from specbound import kappa_bound as kb
 from specbound import zq_spectral as zq
 from specbound.verify import symmetric_residue_sets
@@ -718,13 +716,5 @@ def test_import_loads_only_what_the_module_uses():
     # the package namespace re-exports nothing, so importing kappa_bound in a
     # fresh interpreter leaves the martingale, Riesz, quadrature, draw and
     # verify modules unloaded
-    src = os.path.dirname(os.path.dirname(kb.__file__))
     unused = ["gv_martingale", "riesz_products", "quadrature", "draws", "verify"]
-    code = ("import sys\n"
-            "import specbound.kappa_bound\n"
-            f"print([m for m in {unused!r} if 'specbound.' + m in sys.modules])\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert loaded_after_import("kappa_bound", unused) == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specbound import draws
 from specbound import kappa_bound as kb
 from specbound import riesz_products as rp
 from specbound import verify
@@ -11,6 +12,7 @@ from specbound.errors import InvalidInputError, NumericalError, ResourceLimitErr
 from specbound.quadrature import tanh_sinh_full
 from specbound.spectrum import SparseSpectrum
 
+from cli_child import loaded_after_import
 from oracles import direct_synthesis, lowered_table_row_sizes, per_piece_log_integral
 
 LOG2 = math.log(2.0)
@@ -250,11 +252,13 @@ class TestChebyshevIdentity:
         assert abs(2.0 ** (-2) * t2 ** 2 - prod) <= 1e-15
 
     def test_factorization_random_points(self):
-        # seed 468110 draws a = -0.8314, 3.8e-5 from a node of q = 14: both sides
-        # are near 0 there, and a mismatch relative to |lhs| reached 1.15e-9
+        # the riesz suite's amplitudes: at seed 468110 it draws a = -0.8314,
+        # 3.8e-5 from a node of q = 14; both sides are near 0 there, and a
+        # mismatch relative to |lhs| reached 1.15e-9
         for seed in (0, 468110):
+            a = draws.Stream(seed).uniform(-1.0, 1.0, size=verify.CHEBYSHEV_POINTS)
             for q in (4, 8, 12, 14, 16, 32):
-                assert rp.chebyshev_product_relerr(q, seed=seed) <= 1e-9
+                assert rp.chebyshev_product_relerr(q, a) <= 1e-9
 
     def test_range_check(self):
         with pytest.raises(InvalidInputError):
@@ -299,18 +303,20 @@ class TestFanTerm:
     def test_fan_consistency_bounded_at_unit_amplitude(self):
         for q in (8, 16, 32, 64, 128):
             params = rp.RieszParams(1.0, q)
-            gap = abs(rp.bound_theorem3(q) - rp.fan_main_term(params))
-            assert rp.fan_consistency(params) == gap * q * math.log(q) <= 10.0
-            assert rp.fan_consistency_bounded(params)
+            theorem3, fan_main = rp.bound_theorem3(q), rp.fan_main_term(params)
+            gap = abs(theorem3 - fan_main)
+            assert rp.fan_consistency(q, theorem3, fan_main) == gap * q * math.log(q) <= 10.0
+            assert rp.fan_consistency_bounded(params, theorem3, fan_main)
 
     def test_fan_consistency_one_sided_below_unit_amplitude(self):
         # theorem3 does not move with a, fan_main does: the two-sided gap
         # outgrows the allowance, theorem3 - fan_main stays below it
         for a in (0.5, -0.5, 0.8):
             params = rp.RieszParams(a, 128)
-            assert rp.fan_consistency(params) > 10.0
-            assert rp.bound_theorem3(128) < rp.fan_main_term(params)
-            assert rp.fan_consistency_bounded(params)
+            theorem3, fan_main = rp.bound_theorem3(128), rp.fan_main_term(params)
+            assert rp.fan_consistency(128, theorem3, fan_main) > 10.0
+            assert theorem3 < fan_main
+            assert rp.fan_consistency_bounded(params, theorem3, fan_main)
 
     def test_factor_entropy_matches_quadrature_reference(self):
         # the defining integral over the symmetric half-period, by tanh-sinh
@@ -535,7 +541,8 @@ class TestBoundTable:
                                    10 ** 6, 10 ** 6 + 1])
     def test_sizes_match_lowering_loops(self, q, monkeypatch):
         # the capped sizes are the ones the lowering loops reached, at every
-        # level the loops can still run and where the grid budget is crossed
+        # level the loops can still run; where no level fits the grid budget,
+        # its guard fires before any column, whatever the level asked for
         seen = []
         monkeypatch.setattr(rp, "entropy_dimension_estimate",
                             lambda params, depth, level: seen.append((level, depth)) or 0.5)
@@ -543,9 +550,21 @@ class TestBoundTable:
                             lambda params, depth, m: seen.append(depth) or rp.PeyriereEstimate(0.5, True))
         for entropy_level in (-1, 0, 1, 2, 5, 7, 9, 13, 40):
             seen.clear()
+            if q > rp.MAX_ENTROPY_GRID:
+                with pytest.raises(ResourceLimitError, match=rf"^interval masses q\*\*level = {q}, over"):
+                    rp.bound_table_row(rp.RieszParams(1.0, q), entropy_level)
+                assert seen == []
+                continue
             rp.bound_table_row(rp.RieszParams(1.0, q), entropy_level)
             level, spectrum_depth, depth = lowered_table_row_sizes(q, entropy_level)
             assert seen == [(level, spectrum_depth), depth], entropy_level
+
+    def test_max_entropy_level(self):
+        assert rp.max_entropy_level(4) == 9
+        assert rp.max_entropy_level(1000) == 2
+        assert rp.max_entropy_level(10 ** 6) == 1
+        with pytest.raises(ResourceLimitError, match=r"^interval masses q\*\*level = 1000001, over"):
+            rp.max_entropy_level(10 ** 6 + 1)
 
     def test_row_fields(self):
         row = rp.bound_table_row(rp.RieszParams(1.0, 4), entropy_level=3)
@@ -556,3 +575,9 @@ class TestBoundTable:
     def test_odd_q_has_no_prop4(self):
         row = rp.bound_table_row(rp.RieszParams(1.0, 5), entropy_level=2)
         assert row.prop4 is None
+
+
+def test_import_leaves_draws_unloaded():
+    # the module takes its random inputs as arguments and draws none itself
+    unused = ["draws", "gv_martingale", "verify", "cli"]
+    assert loaded_after_import("riesz_products", unused) == []

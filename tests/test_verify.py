@@ -140,13 +140,12 @@ class TestDftLemmaResidual:
     @pytest.mark.parametrize("q,depth", [(3, 6), (4, 6), (5, 6), (7, 5)])
     def test_matches_outer_product_reference(self, q, depth):
         grid = gv.QadicGrid(q, depth)
-        spec = rp.riesz_spectrum(rp.RieszParams(1.0, q), depth)
-        f = gv.sample_on_grid(spec, grid)
-        seq = gv.martingale_levels(f, grid, source=spec)
+        seq = gv.martingale_levels(rp.riesz_spectrum(rp.RieszParams(1.0, q), depth), grid)
         assert abs(gv.sibling_synthesis_check(seq) - outer_product_sibling_residual(seq)) <= 1e-12
         # a source that does not match the levels gives an O(1) residual, and
         # both syntheses must report the same one
-        other = gv.martingale_levels(f, grid, source=rp.riesz_spectrum(rp.RieszParams(0.5, q), depth))
+        other = gv.MartingaleSequence(grid, seq.class_values,
+                                      rp.riesz_spectrum(rp.RieszParams(0.5, q), depth))
         residual = gv.sibling_synthesis_check(other)
         assert residual > 0.1
         assert abs(residual - outer_product_sibling_residual(other)) <= 1e-12
