@@ -148,17 +148,17 @@ def cmd_riesz(options: dict) -> tuple[dict, list[verify.CheckResult]]:
 
 
 def cmd_sweep(options: dict) -> tuple[dict, list[verify.CheckResult]]:
-    rp.max_entropy_level(options["q_range"][-1])  # a range past the entropy grid runs no row
+    sweep = [rp.RieszParams(options["a"], q) for q in options["q_range"]]
+    rp.max_entropy_level(sweep[-1])  # a range past the entropy grid runs no row
     rows = []
     checks = []
-    for q in options["q_range"]:
-        params = rp.RieszParams(options["a"], q)
+    for params in sweep:
         row, row_checks = _riesz_row(params, options)
-        row["fan_consistency"] = rp.fan_consistency(q, row["theorem3"], row["fan_main"])
+        row["fan_consistency"] = rp.fan_consistency(params.q, row["theorem3"], row["fan_main"])
         rows.append(row)
         checks.extend(row_checks)
         checks.append(verify.CheckResult(
-            f"sweep/q={q}/fan_consistency_bounded",
+            f"sweep/q={params.q}/fan_consistency_bounded",
             rp.fan_consistency_bounded(params, row["theorem3"], row["fan_main"]),
             row["fan_consistency"], "|theorem3 - fan_main| * q * log q"))
     return {"table": rows, "extra_columns": ["fan_consistency"]}, checks

@@ -53,5 +53,5 @@ def check_budget(what: str, count: int | float, budget: int, exponent: int = 1) 
         return
     text = shown(count)
     if exponent != 1:
-        text = f"({text})**{exponent}" if " " in text else f"{text}**{exponent}"  # a phrase
+        text = f"{text}**{exponent}" if text == str(count) else f"({text})**{exponent}"
     raise ResourceLimitError(f"{what} = {text}, over the {budget:.0e} budget")

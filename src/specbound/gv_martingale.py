@@ -85,14 +85,10 @@ class MartingaleSequence:
     class_values: list[np.ndarray]
     source: SparseSpectrum
 
-    @property
-    def levels(self) -> int:
-        return self.grid.levels
-
     def sibling_matrix(self, k: int) -> np.ndarray:
         """Children of all level-(k-1) atoms: shape (q, q**(k-1)); row i holds child i."""
-        if not 1 <= k <= self.levels:
-            raise InvalidInputError(f"level {k} outside 1..{self.levels}")
+        if not 1 <= k <= self.grid.levels:
+            raise InvalidInputError(f"level {k} outside 1..{self.grid.levels}")
         return self.class_values[k].reshape(self.grid.q, -1)
 
     def differences(self, k: int) -> np.ndarray:
@@ -151,7 +147,7 @@ def sibling_synthesis_check(seq: MartingaleSequence) -> float:
     """
     q = seq.grid.q
     worst = 0.0
-    for k in range(1, seq.levels + 1):
+    for k in range(1, seq.grid.levels + 1):
         d = _cofactors(seq, k)
         keep = np.mod(d.frequencies, q) != 0
         synthesized = synthesize_on_grid(SparseSpectrum(d.frequencies[keep], d.coefficients[keep]),
@@ -178,7 +174,7 @@ def wb_membership_check(seq: MartingaleSequence, b: ResidueSet) -> float:
     _require_spectrum_in_cb(seq.source, b)
     basis = wb_basis(b)
     worst = 0.0
-    for k in range(1, seq.levels + 1):
+    for k in range(1, seq.grid.levels + 1):
         residual = basis.project_off(seq.differences(k))
         worst = max(worst, float(np.max(np.sqrt(np.sum(residual ** 2, axis=0)))))
     return worst
@@ -210,18 +206,19 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
     if not p >= 1.0:
         raise InvalidInputError(f"p must be >= 1, got {p}")
     _require_spectrum_in_cb(seq.source, b)
-    if float(seq.class_values[seq.levels].min()) < -1e-10:
+    q, n = seq.grid.q, seq.grid.levels
+    if float(seq.class_values[n].min()) < -1e-10:
         raise PreconditionError("source density must be non-negative")
     kappa_theta = kappa(1.0 / p, FeasiblePolytope.from_residues(b))
     step_factor = math.exp(kappa_theta)
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(seq.class_values[seq.levels]))))
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(seq.class_values[n]))))
     failures: list[str] = []
     # every atom of a level carries the same grid weight
     norms = [float(power_mean(values, p)) for values in seq.class_values]
 
     worst_step = math.inf
     worst_atom = math.inf
-    for k in range(1, seq.levels + 1):
+    for k in range(1, n + 1):
         lhs = norms[k]
         rhs = step_factor * norms[k - 1]
         worst_step = min(worst_step, rhs * (1.0 + SLACK) + floor - lhs)
@@ -235,8 +232,8 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
         for c in bad[:5]:
             failures.append(f"atom level={k - 1} class={int(c)}: localized growth violated")
 
-    global_rhs = seq.grid.q * math.exp(kappa_theta * seq.levels) * float(seq.class_values[0][0])
-    global_lhs = norms[seq.levels]
+    global_rhs = q * math.exp(kappa_theta * n) * float(seq.class_values[0][0])
+    global_lhs = norms[n]
     global_slack = global_rhs * (1.0 + SLACK) + floor - global_lhs
     if global_slack < 0:
         failures.append(f"global: ||f||_p={global_lhs:.12g} > q*e^(kappa*N)*mass={global_rhs:.12g}")
@@ -278,7 +275,7 @@ def set_average_check(seq: MartingaleSequence, subset: Sequence[int],
         raise InvalidInputError("subset indices outside the grid")
     # sort-based dedup: numpy's hash-based np.unique is ~50x slower on 10**6 ints
     subset = subset[np.diff(subset, prepend=-1) != 0]
-    f = seq.class_values[seq.levels]
+    f = seq.class_values[seq.grid.levels]
     average = float(np.sum(f[subset])) / seq.grid.size
     share = (subset.size / seq.grid.size) ** ((growth.p - 1.0) / growth.p)
     hoelder = growth.norm * share

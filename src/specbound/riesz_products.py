@@ -364,10 +364,10 @@ def entropy_dimension_estimate(params: RieszParams, depth: int, level: int) -> f
     return _level_entropy(riesz_spectrum(params, depth), params.q, level)
 
 
-def max_entropy_level(q: int) -> int:
+def max_entropy_level(params: RieszParams) -> int:
     """The largest level L with q**L within ``MAX_ENTROPY_GRID``; none fits for q > 10**6."""
-    check_budget("interval masses q**level", q, MAX_ENTROPY_GRID)
-    return max_exponent(q, MAX_ENTROPY_GRID)
+    check_budget("interval masses q**level", params.q, MAX_ENTROPY_GRID)
+    return max_exponent(params.q, MAX_ENTROPY_GRID)
 
 
 def _level_entropy(spec: SparseSpectrum, q: int, level: int) -> float:
@@ -405,7 +405,7 @@ def bound_table_row(params: RieszParams, entropy_level: int = 5) -> BoundTableRo
     blocks of q**d.
     """
     q = params.q
-    level = min(entropy_level, max_entropy_level(q))
+    level = min(entropy_level, max_entropy_level(params))
     spectrum_depth = min(2 * level, max_exponent(3, MAX_SPECTRUM_TERMS))
     entropy_est = entropy_dimension_estimate(params, spectrum_depth, level)
     depth = min(8, max(1, max_exponent(q, 5 * 10 ** 5)))

@@ -133,6 +133,11 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
                 off = np.linalg.norm(polytope.basis.project_off(vertices.T), axis=0)
                 feasibility.append((float((-1.0 - vertices.min())), tag))
                 membership.append((float(off.max()), tag))
+                pairs = [(stream.dirichlet(len(vertices)) @ vertices, stream.uniform(1.1, 5.0))
+                         for _ in range(3)]
+                b_rows, ps = (np.array(column) for column in zip(*pairs))
+                for ok, p in zip(kb.def_reform_check(1.0, b_rows, ps, polytope), ps):
+                    reform.append((0.0 if ok else 1.0, f"{tag} p={p:.3f}"))
             result = kb.dimension_bound(b)
             re_eval = -np.sum(kb.xlogx(np.clip(1.0 + np.array(result.witness_vertex), 0, None))) / q
             witness.append((abs(re_eval - result.kappa_prime_1), tag))
@@ -150,13 +155,6 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
                 drift = max(chain[i] - chain[i + 1] for i in range(len(chain) - 1))
                 fd_monotone.append((drift, tag))
                 fd_close.append((abs(quotients[-1] - result.kappa_prime_1), tag))
-
-            if len(vertices):
-                pairs = [(stream.dirichlet(len(vertices)) @ vertices, stream.uniform(1.1, 5.0))
-                         for _ in range(3)]
-                b_rows, ps = (np.array(column) for column in zip(*pairs))
-                for ok, p in zip(kb.def_reform_check(1.0, b_rows, ps, polytope), ps):
-                    reform.append((0.0 if ok else 1.0, f"{tag} p={p:.3f}"))
 
         for small, small_bound in bounds.items():
             for large, large_bound in bounds.items():
@@ -284,17 +282,23 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
     f = seq.class_values[grid.levels]
     sup = max(1.0, float(np.max(np.abs(f))))
 
-    two_path = float(np.max(np.abs(f - rp.partial_product_values(params, n, grid.size)))) / sup
+    two_path = float(np.max(np.abs(
+        f - rp.partial_product_values(params, n, grid.size)
+    ))) / sup
 
     projection = [(gv.spectral_projection_check(seq, k) / sup, f"k={k}")
                   for k in range(grid.levels + 1)]
 
-    direct_average = [(float(np.max(np.abs(f.reshape(-1, q ** k).mean(axis=0)
-                                           - seq.class_values[k]))) / sup, f"k={k}")
-                      for k in range(grid.levels + 1)]
+    direct_average = []
+    for k in range(grid.levels + 1):
+        direct = f.reshape(grid.size // q ** k, q ** k).mean(axis=0)
+        direct_average.append(
+            (float(np.max(np.abs(direct - seq.class_values[k]))) / sup, f"k={k}")
+        )
 
-    tree_sums = [(float(np.max(np.abs(seq.differences(k).sum(axis=0)))) / sup, f"k={k}")
-                 for k in range(1, grid.levels + 1)]
+    tree_sums = []
+    for k in range(1, grid.levels + 1):
+        tree_sums.append((float(np.max(np.abs(seq.differences(k).sum(axis=0)))) / sup, f"k={k}"))
 
     sibling_synthesis = gv.sibling_synthesis_check(seq) / sup
     membership = gv.wb_membership_check(seq, b) / sup

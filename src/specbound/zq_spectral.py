@@ -73,8 +73,6 @@ class SubspaceBasis:
 
     def project_off(self, v: np.ndarray) -> np.ndarray:
         """Component of ``v`` orthogonal to the subspace."""
-        if self.dim == 0:
-            return np.asarray(v, dtype=float)
         return v - self.columns @ (self.columns.T @ v)
 
 

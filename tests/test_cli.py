@@ -284,6 +284,16 @@ class TestSweepCommand:
         last = cli._parse_range(q, step)[-1]
         assert err == f"resource guard: interval masses q**level = {last}, over the 1e+06 budget\n"
 
+    @pytest.mark.parametrize("q,step", [("1", "1"), ("1..1", "1"), ("1..2", "2"), ("1..2", "1"),
+                                        ("1..1600000", "x2")])
+    def test_range_below_base_is_usage_error(self, q, step):
+        # every q is checked as a base before the last one's entropy level is
+        # sought: at q = 1 that search would never end.  A fresh interpreter
+        # under a timeout turns a hang into a failure
+        proc = run_cli(["sweep", "--q", q, "--step", step], "", capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: base must be an integer >= 3, got 1\n"
+
     def test_keeps_one_polytope(self, capsys):
         # a finished row's polytope (its q x 2 basis is 16 MB at q = 10^6) is
         # not kept for the rest of the range

@@ -560,11 +560,10 @@ class TestBoundTable:
             assert seen == [(level, spectrum_depth), depth], entropy_level
 
     def test_max_entropy_level(self):
-        assert rp.max_entropy_level(4) == 9
-        assert rp.max_entropy_level(1000) == 2
-        assert rp.max_entropy_level(10 ** 6) == 1
+        for q, level in ((4, 9), (1000, 2), (10 ** 6, 1)):
+            assert rp.max_entropy_level(rp.RieszParams(1.0, q)) == level
         with pytest.raises(ResourceLimitError, match=r"^interval masses q\*\*level = 1000001, over"):
-            rp.max_entropy_level(10 ** 6 + 1)
+            rp.max_entropy_level(rp.RieszParams(1.0, 10 ** 6 + 1))
 
     def test_row_fields(self):
         row = rp.bound_table_row(rp.RieszParams(1.0, 4), entropy_level=3)
