@@ -23,7 +23,6 @@ config and seed except for the wall_time_s field.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import inspect
 import io
@@ -69,6 +68,7 @@ def _csv_cell(value) -> str:
 
 
 def _csv(rows: list[dict], columns: list[str]) -> str:
+    import csv  # only CSV reports load it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -113,10 +113,9 @@ def cmd_bound(options: dict) -> tuple[dict, list[verify.CheckResult]]:
     return results, checks
 
 
-def _riesz_row(params: rp.RieszParams, options: dict) -> tuple[dict, list[verify.CheckResult]]:
+def _riesz_row(params: rp.RieszParams) -> tuple[dict, list[verify.CheckResult]]:
     q = params.q
-    level = {k: v for k, v in options.items() if k == "entropy_level"}
-    table = rp.bound_table_row(params, **level)
+    table = rp.bound_table_row(params)
     dim = kb.dimension_bound(zq.ResidueSet.of(q, [1, q - 1]))
     row = _bound_row(dim)
     row.update((k, v) for k, v in dataclasses.asdict(table).items() if k not in ("q", "a"))
@@ -143,7 +142,7 @@ def _riesz_row(params: rp.RieszParams, options: dict) -> tuple[dict, list[verify
 
 
 def cmd_riesz(options: dict) -> tuple[dict, list[verify.CheckResult]]:
-    row, checks = _riesz_row(rp.RieszParams(options["a"], options["q"]), options)
+    row, checks = _riesz_row(rp.RieszParams(options["a"], options["q"]))
     return {"table": [row]}, checks
 
 
@@ -153,7 +152,7 @@ def cmd_sweep(options: dict) -> tuple[dict, list[verify.CheckResult]]:
     rows = []
     checks = []
     for params in sweep:
-        row, row_checks = _riesz_row(params, options)
+        row, row_checks = _riesz_row(params)
         row["fan_consistency"] = rp.fan_consistency(params.q, row["theorem3"], row["fan_main"])
         rows.append(row)
         checks.extend(row_checks)
@@ -288,8 +287,17 @@ def _parse_lists(options: dict) -> None:
         options["q_range"] = _parse_range(options.pop("q"), options.pop("step"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error keeps argparse's wording and exit code 2, on one stderr line,
+    with each word over 39 characters (an echoed argument) as :func:`shown` prints it."""
+
+    def error(self, message: str):
+        words = (shown(word.strip("'")) if len(word) > 39 else word for word in message.split(" "))
+        self.exit(2, f"{self.prog}: error: {' '.join(words)}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specbound",
         description="Dimension bounds for circle measures with restricted spectrum",
     )
@@ -314,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_riesz = add_command("riesz", "bound comparison table for the product measure")
     p_riesz.add_argument("--q", type=int, required=True)
     p_riesz.add_argument("--a", type=float, default=1.0)
-    p_riesz.add_argument("--entropy-level", type=int)
 
     p_verify = add_command("verify", "run a named property suite")
     # each option is named as the keyword of the suites that read it
@@ -325,13 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--a", type=float)
     p_verify.add_argument("--n", type=int, help="martingale grid depth N")
     p_verify.add_argument("--p", help="comma list of exponents, e.g. '1.25,2,4'")
-    p_verify.add_argument("--subsets", type=int)
 
     p_sweep = add_command("sweep", "bound formulas across a q range")
     p_sweep.add_argument("--q", required=True, help="range like '8..128' or a single value")
     p_sweep.add_argument("--step", default="1", help="'k' additive or 'xk' multiplicative")
     p_sweep.add_argument("--a", type=float, default=1.0)
-    p_sweep.add_argument("--entropy-level", type=int)
     return parser
 
 

@@ -22,7 +22,9 @@ class NumericalError(ArithmeticError):
 
 
 def max_exponent(base: int, budget: int) -> int:
-    """The largest k >= 0 with base**k <= budget, for an integer base >= 2 and budget >= 1."""
+    """The largest k >= 0 with base**k <= budget, for budget >= 1; a base below 2 raises."""
+    if base < 2:
+        raise InvalidInputError(f"power base must be >= 2, got {shown(base)}")
     k, power = 0, base
     while power <= budget:
         k, power = k + 1, power * base

@@ -28,6 +28,7 @@ from .spectrum import SparseSpectrum, uniform_interval_masses
 MAX_SPECTRUM_TERMS = 10 ** 7
 MAX_ENTROPY_GRID = 10 ** 6
 MAX_PEYRIERE_GRID = 10 ** 7
+ENTROPY_LEVEL = 5  # the table row's entropy proxy level, before the grid cap
 FAN_CONSISTENCY_ALLOWANCE = 10.0  # see fan_consistency_bounded
 # how far theorem3 may sit above a converged Peyriere estimate, and above the
 # entropy proxy, in the certified_below_* checks of the riesz table
@@ -356,10 +357,8 @@ def entropy_dimension_estimate(params: RieszParams, depth: int, level: int) -> f
     spectrum and raises.  The result is an upper proxy for the dimension that
     certified lower bounds must not exceed.
     """
-    if level < 1:
-        raise InvalidInputError(f"level must be >= 1, got {shown(level)}")
-    if depth < level:
-        raise InvalidInputError(f"product depth {depth} must be >= level {level}")
+    if not 1 <= level <= depth:
+        raise InvalidInputError(f"need 1 <= level <= depth, got level {level}, depth {depth}")
     check_budget("interval masses q**level", params.q, MAX_ENTROPY_GRID, level)
     return _level_entropy(riesz_spectrum(params, depth), params.q, level)
 
@@ -393,19 +392,19 @@ class BoundTableRow:
     entropy_est: float
 
 
-def bound_table_row(params: RieszParams, entropy_level: int = 5) -> BoundTableRow:
+def bound_table_row(params: RieszParams) -> BoundTableRow:
     """Assemble the full comparison row.
 
     The entropy proxy's grid guard, :func:`max_entropy_level`, fires before
-    any column costs time.  The proxy runs at level L, ``entropy_level`` capped
-    at that function's level, on a spectrum of depth 2*L, capped at the
+    any column costs time.  The proxy runs at level L, ``ENTROPY_LEVEL`` (5)
+    capped at that function's level, on a spectrum of depth 2*L, capped at the
     largest depth within ``MAX_SPECTRUM_TERMS``.  The Peyriere
     proxy runs at product depth d, the largest d <= 8 with q**d <= 5e5 (and
     d = 1 for q > 707), on a grid of at least 2e5 points and at least three
     blocks of q**d.
     """
     q = params.q
-    level = min(entropy_level, max_entropy_level(params))
+    level = min(ENTROPY_LEVEL, max_entropy_level(params))
     spectrum_depth = min(2 * level, max_exponent(3, MAX_SPECTRUM_TERMS))
     entropy_est = entropy_dimension_estimate(params, spectrum_depth, level)
     depth = min(8, max(1, max_exponent(q, 5 * 10 ** 5)))

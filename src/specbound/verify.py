@@ -28,9 +28,6 @@ FD_Q_MAX = 8  # largest q whose kappa'(1) gets the difference-quotient checks
 # suite enumerates exhaustively (bands solve none): q_max 18 needs 2.0e7 (about
 # 100 s), q_max 20 needs 1.55e8
 MAX_KAPPA_SUBSETS = 10 ** 8
-# subsets x grid points drawn by the set-average chain: the default 100 subsets
-# fit on every grid that gv.MAX_GRID admits
-MAX_SUBSET_POINTS = 100 * gv.MAX_GRID
 CHEBYSHEV_POINTS = 100  # amplitudes of the Chebyshev factorization, drawn before the Lipschitz pairs
 
 
@@ -261,23 +258,19 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
 
 def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
                      p: tuple[float, ...] = (1.25, 2.0, 4.0),
-                     seed: int = 0, subsets: int = 100) -> list[CheckResult]:
+                     seed: int = 0) -> list[CheckResult]:
     """The martingale checks on the Riesz product at (q, a) over the q**n grid.
 
     The growth check runs once at each exponent in ``p``, and subset i of the
     set-average chain reads the report at ``p[i % len(p)]``, with 1 replaced by
-    2 (the chain needs p > 1).  Each of the ``subsets`` random subsets costs
-    time linear in the grid size, so ``subsets * q**n`` above
-    ``MAX_SUBSET_POINTS`` (1e9) raises :class:`ResourceLimitError` before any work.
+    2 (the chain needs p > 1).  The chain draws 100 random subsets, each
+    costing time linear in the grid size, so the grid's own size guard
+    (``gv.MAX_GRID`` points) also bounds the chain's work.
     """
-    if subsets < 1:
-        raise InvalidInputError(f"need at least one random subset, got {shown(subsets)}")
     stream = draws.Stream(seed)
     params = rp.RieszParams(a, q)
     b = zq.ResidueSet.of(q, [1, q - 1])
     grid = gv.QadicGrid(q, n)
-    check_budget(f"points in {shown(subsets)} subsets of the {grid.size}-point grid",
-                 subsets * grid.size, MAX_SUBSET_POINTS)
     seq = gv.martingale_levels(rp.riesz_spectrum(params, n), grid)
     f = seq.class_values[grid.levels]
     sup = max(1.0, float(np.max(np.abs(f))))
@@ -316,7 +309,7 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
         ))
 
     subset_entries = []
-    for i in range(subsets):
+    for i in range(100):
         count = stream.integer(1, grid.size)
         subset = stream.subset(grid.size, count)
         exponent = chain_p[i % len(p)]

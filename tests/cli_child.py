@@ -33,10 +33,11 @@ def run_cli(argv, report: str, **kwargs) -> subprocess.CompletedProcess:
 
 
 def loaded_after_import(module: str, candidates: list[str]) -> list[str]:
-    """The ``candidates`` that importing ``specbound.<module>`` loads, in a fresh interpreter."""
+    """The ``candidates``, full module names, that importing ``specbound.<module>`` loads,
+    in a fresh interpreter."""
     code = ("import json, sys\n"
             f"import specbound.{module}\n"
-            f"print(json.dumps([m for m in {candidates!r} if 'specbound.' + m in sys.modules]))\n")
+            f"print(json.dumps([m for m in {candidates!r} if m in sys.modules]))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -65,13 +65,13 @@ def per_piece_log_integral(q):
     return sum(tanh_sinh_full(integrand, a, b).value for a, b in zip(cuts[:-1], cuts[1:]))
 
 
-def lowered_table_row_sizes(q, entropy_level):
+def lowered_table_row_sizes(q):
     """Reference: the entropy level, spectrum depth and Peyriere product depth
     of ``riesz_products.bound_table_row``, each lowered (or raised) one step at
-    a time until its power fits the budget."""
+    a time until its power fits the budget; the entropy level starts at 5."""
     from specbound import riesz_products as rp
 
-    level = entropy_level
+    level = 5
     while q ** level > rp.MAX_ENTROPY_GRID and level > 1:
         level -= 1
     spectrum_depth = 2 * level

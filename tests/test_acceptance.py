@@ -141,7 +141,7 @@ def test_criterion_08_dimension_proxies_dominate():
     # when that estimate converged
     crit.expect_suite_checks(["riesz/q=4/certified_below_peyriere",
                               "riesz/q=4/certified_below_entropy"],
-                             lambda: cli._riesz_row(rp.RieszParams(1.0, 4), {})[1])
+                             lambda: cli._riesz_row(rp.RieszParams(1.0, 4))[1])
     crit.done()
 
 

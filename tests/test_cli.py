@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from cli_child import REPORT_PEAK_RSS, peak_rss_kb, run_cli
+from cli_child import REPORT_PEAK_RSS, loaded_after_import, peak_rss_kb, run_cli
 from specbound import cli
 from specbound import kappa_bound as kb
 from specbound import riesz_products as rp
@@ -18,7 +18,10 @@ from specbound.verify import CheckResult
 
 
 def run_main(argv, capsys):
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -38,12 +41,11 @@ def payload(argv, capsys):
 SUITE_READS = {
     "kappa": {"--seed", "--q-max"},
     "riesz-identities": {"--seed", "--q-max"},
-    "martingale": {"--seed", "--q", "--a", "--n", "--p", "--subsets"},
+    "martingale": {"--seed", "--q", "--a", "--n", "--p"},
 }
-FLAG_VALUES = {"--seed": "1", "--q": "3", "--q-max": "4", "--a": "0.5", "--n": "3", "--p": "2",
-               "--subsets": "3"}
+FLAG_VALUES = {"--seed": "1", "--q": "3", "--q-max": "4", "--a": "0.5", "--n": "3", "--p": "2"}
 TINY_SUITE = {"kappa": {"--q-max": "4"}, "riesz-identities": {"--q-max": "4"},
-              "martingale": {"--n": "3", "--subsets": "3"}}
+              "martingale": {"--n": "3"}}
 
 
 class TestBoundCommand:
@@ -121,16 +123,14 @@ class TestBoundCommand:
 
 class TestRieszCommand:
     def test_q4_table(self, capsys):
-        code, data = payload(["riesz", "--q", "4", "--a", "1", "--entropy-level", "3"],
-                             capsys)
+        code, data = payload(["riesz", "--q", "4", "--a", "1"], capsys)
         assert code == 0
         row = data["results"]["table"][0]
         assert abs(row["theorem3"] - 0.5) <= 1e-12
         assert row["peyriere_converged"] is True
 
     def test_q3_prop4_absent(self, capsys):
-        code, data = payload(["riesz", "--q", "3", "--a", "1", "--entropy-level", "2"],
-                             capsys)
+        code, data = payload(["riesz", "--q", "3", "--a", "1"], capsys)
         assert code == 0
         row = data["results"]["table"][0]
         assert row["prop4"] is None
@@ -138,8 +138,7 @@ class TestRieszCommand:
         assert row["prop5"] < 0
 
     def test_lebesgue_peyriere_exact(self, capsys):
-        code, data = payload(["riesz", "--q", "4", "--a", "0", "--entropy-level", "2"],
-                             capsys)
+        code, data = payload(["riesz", "--q", "4", "--a", "0"], capsys)
         assert code == 0
         assert data["results"]["table"][0]["peyriere"] == 1.0
 
@@ -155,17 +154,6 @@ class TestRieszCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("resource guard: interval masses q**level = 1000001, over")
-
-    def test_entropy_level_capped_at_once(self, capsys):
-        # q = 4 fits level 9 (4**9 intervals); a higher level is that row, with
-        # no level-by-level search down from 4**100000
-        start = time.monotonic()
-        code, capped = payload(["riesz", "--q", "4", "--entropy-level", "100000"], capsys)
-        assert time.monotonic() - start < 3.0
-        assert code == 0
-        _, level_9 = payload(["riesz", "--q", "4", "--entropy-level", "9"], capsys)
-        assert capped["results"] == level_9["results"]
-        assert capped["checks"] == level_9["checks"]
 
 
 class TestOversizedInputs:
@@ -187,12 +175,14 @@ class TestOversizedInputs:
 
 
 NINES = "9" * 4000
+NINES_PAST_INT = "9" * 5000  # past the 4300 digits int() reads
 
 
 class TestLongArguments:
     # a 4000-digit integer or a 4000-character text in a message is shown by
     # its size: one short stderr line, with the exit code of the same message
-    # for a normal-size value
+    # for a normal-size value.  argparse's own usage errors, here on a value
+    # int() cannot read, an unknown option or a retired one, do the same
     @pytest.mark.parametrize("argv,code,message", [
         (["bound", "--q", NINES], 3, "resource guard: floats in the subspace basis for "
          "q=a 13288-bit number and 0 residues = a 13288-bit number, over the 1e+07 budget"),
@@ -200,11 +190,17 @@ class TestLongArguments:
          "error: residue a 13288-bit number outside 1..9"),
         (["bound", "--q", "10", "--b", "1," + "x" * 4000], 2,
          "error: cannot parse residue list a 4002-character text"),
-        (["verify", "--suite", "martingale", "--subsets", NINES], 3,
-         "resource guard: points in a 13288-bit number subsets of the 729-point grid = "
-         "a 13298-bit number, over the 1e+09 budget"),
+        (["bound", "--q", NINES_PAST_INT], 2,
+         "specbound bound: error: argument --q: invalid int value: a 5000-character text"),
+        (["bound", "--q", "4", "--zzz", NINES_PAST_INT], 2,
+         "specbound: error: unrecognized arguments: --zzz a 5000-character text"),
+        (["verify", "--suite", NINES_PAST_INT], 2,
+         "specbound verify: error: argument --suite: invalid choice: a 5000-character text "
+         "(choose from 'kappa', 'riesz-identities', 'martingale', 'all')"),
+        (["verify", "--suite", "martingale", "--subsets", NINES], 2,
+         "specbound: error: unrecognized arguments: --subsets a 4000-character text"),
         (["verify", "--suite", "martingale", "--subsets", "-" + NINES], 2,
-         "error: need at least one random subset, got a negative 13288-bit number"),
+         "specbound: error: unrecognized arguments: --subsets a 4001-character text"),
         (["verify", "--suite", "martingale", "--n", "-" + NINES], 2,
          "error: need at least one level, got a negative 13288-bit number"),
         (["verify", "--suite", "martingale", "--p", "x" * 4000], 2,
@@ -216,13 +212,14 @@ class TestLongArguments:
         (["verify", "--suite", "all", "--seed", NINES], 2,
          "error: seed must be in 0..2**64-1, got a 13288-bit number"),
         (["riesz", "--q", "4", "--entropy-level", "-" + NINES], 2,
-         "error: level must be >= 1, got a negative 13288-bit number"),
+         "specbound: error: unrecognized arguments: --entropy-level a 4001-character text"),
         (["riesz", "--q", "-" + NINES], 2,
          "error: base must be an integer >= 3, got a negative 13288-bit number"),
         (["sweep", "--q", NINES + "..3"], 2, "error: empty q range a 4003-character text"),
         (["sweep", "--q", "3..5", "--step", NINES + "x"], 2,
          "error: cannot parse step a 4001-character text"),
-    ], ids=["bound_q", "bound_b", "bound_b_text", "subsets", "subsets_negative", "n_negative",
+    ], ids=["bound_q", "bound_b", "bound_b_text", "bound_q_past_int", "unknown_option",
+            "suite_choice", "subsets", "subsets_negative", "n_negative",
             "p_text", "riesz_q_max", "kappa_q_max_negative", "seed", "entropy_level_negative",
             "riesz_q_negative", "sweep_q_text", "sweep_step_text"])
     def test_one_short_line(self, argv, code, message, capsys):
@@ -242,8 +239,7 @@ class TestLongArguments:
 
 class TestSweepCommand:
     def test_multiplicative_range(self, capsys):
-        code, data = payload(["sweep", "--q", "8..128", "--step", "x2",
-                              "--entropy-level", "2"], capsys)
+        code, data = payload(["sweep", "--q", "8..128", "--step", "x2"], capsys)
         assert code == 0
         table = data["results"]["table"]
         assert [row["q"] for row in table] == [8, 16, 32, 64, 128]
@@ -303,8 +299,7 @@ class TestSweepCommand:
 
     def test_even_only(self, capsys):
         # an even start and step 2 give the even q of the range
-        code, data = payload(["sweep", "--q", "4..9", "--step", "2",
-                              "--entropy-level", "2"], capsys)
+        code, data = payload(["sweep", "--q", "4..9", "--step", "2"], capsys)
         assert code == 0
         assert [row["q"] for row in data["results"]["table"]] == [4, 6, 8]
         for row in data["results"]["table"]:
@@ -345,8 +340,8 @@ class TestSweepCommand:
             cli._parse_range(f"3..{q}", str(step))
 
     def test_csv_schema(self, capsys):
-        code, out, _ = run_main(["sweep", "--q", "4..6", "--step", "2",
-                                 "--entropy-level", "2", "--format", "csv"], capsys)
+        code, out, _ = run_main(["sweep", "--q", "4..6", "--step", "2", "--format", "csv"],
+                                capsys)
         assert code == 0
         header = out.splitlines()[0]
         assert header == ("q,B,kappa_prime_1,bound,subgroup_bound,delta,theorem3,"
@@ -363,7 +358,7 @@ class TestVerifyCommand:
 
     def test_martingale_suite_passes(self, capsys):
         code, data = payload(["verify", "--suite", "martingale", "--q", "3", "--n", "4",
-                              "--a", "1", "--p", "1.25,2", "--subsets", "10"], capsys)
+                              "--a", "1", "--p", "1.25,2"], capsys)
         assert code == 0
         assert data["results"]["failed"] == 0
         names = {c["name"] for c in data["checks"]}
@@ -372,7 +367,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("options", [
         ["--suite", "martingale", "--n", "0"],
         ["--suite", "martingale", "--q", "0"],
-        ["--suite", "martingale", "--subsets", "0"],
+        ["--suite", "kappa", "--q-max", "0"],
         ["--suite", "kappa", "--q-max", "2"],
         ["--suite", "riesz-identities", "--q-max", "3"],
     ])
@@ -384,13 +379,13 @@ class TestVerifyCommand:
         assert err.startswith("error: ")
 
     def test_subset_budget_exit_code(self, capsys):
-        # 1e9 subsets of the default 729-point grid would run for days
+        # the chain's 100 subsets each cost a pass over the grid, so the grid's
+        # own guard prices them: one level past it exits 3 before any work
         start = time.monotonic()
-        code, out, err = run_main(["verify", "--suite", "martingale", "--subsets", "1000000000"],
+        code, out, err = run_main(["verify", "--suite", "martingale", "--q", "3", "--n", "15"],
                                   capsys)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("resource guard: ")
+        assert (code, out) == (3, "")
+        assert err == "resource guard: grid points q**N = 3**15, over the 1e+07 budget\n"
         assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("suite,flag", itertools.product(SUITE_READS, FLAG_VALUES))
@@ -418,7 +413,7 @@ class TestVerifyCommand:
 
     def test_all_suites_read_every_option(self, capsys):
         code, data = payload(["verify", "--suite", "all", "--q-max", "5", "--q", "3",
-                              "--a", "0.5", "--n", "3", "--p", "2", "--subsets", "3"], capsys)
+                              "--a", "0.5", "--n", "3", "--p", "2"], capsys)
         assert code == 0
         assert data["results"]["failed"] == 0
 
@@ -470,7 +465,7 @@ class TestVerifyCommand:
 
     def test_huge_exponent_passes_with_finite_residuals(self, capsys):
         code, data = payload(["verify", "--suite", "martingale", "--q", "3", "--n", "4",
-                              "--p", "1e6", "--subsets", "5"], capsys)
+                              "--p", "1e6"], capsys)
         assert code == 0
         names = {c["name"] for c in data["checks"]}
         assert "martingale/growth_p=1000000.0" in names
@@ -479,15 +474,14 @@ class TestVerifyCommand:
 
     def test_checks_csv(self, capsys):
         code, out, _ = run_main(["verify", "--suite", "martingale", "--q", "3", "--n",
-                                 "3", "--subsets", "5", "--format", "csv"], capsys)
+                                 "3", "--format", "csv"], capsys)
         assert code == 0
         assert out.splitlines()[0] == "name,passed,residual,detail"
 
 
 class TestEnvelope:
     def test_determinism_excluding_wall_time(self, capsys):
-        args = ["verify", "--suite", "martingale", "--q", "3", "--n", "4",
-                "--subsets", "20", "--seed", "7"]
+        args = ["verify", "--suite", "martingale", "--q", "3", "--n", "4", "--seed", "7"]
         _, first = payload(args, capsys)
         _, second = payload(args, capsys)
         first.pop("wall_time_s")
@@ -502,17 +496,16 @@ class TestEnvelope:
     @pytest.mark.parametrize("argv,keys", [
         (["bound", "--q", "4", "--b", "2"], {"q", "b"}),
         (["bound", "--q", "5"], {"q"}),
-        (["riesz", "--q", "4", "--entropy-level", "2"], {"q", "a", "entropy_level"}),
+        (["riesz", "--q", "4"], {"q", "a"}),
         (["sweep", "--q", "4..5", "--output", "report.json"],
          {"q_range", "a", "output"}),
         (["verify", "--suite", "kappa", "--q-max", "4"], {"suite", "q_max", "seed"}),
-        (["verify", "--suite", "martingale", "--q", "3", "--n", "3", "--p", "2",
-          "--subsets", "3", "--a", "0.5"],
-         {"suite", "q", "n", "p", "subsets", "a", "seed"}),
+        (["verify", "--suite", "martingale", "--q", "3", "--n", "3", "--p", "2", "--a", "0.5"],
+         {"suite", "q", "n", "p", "a", "seed"}),
     ])
     def test_config_lists_set_options_and_parser_defaults(self, argv, keys, tmp_path,
                                                           monkeypatch, capsys):
-        # library defaults, such as the entropy level, are not listed
+        # options left unset, such as bound's --b, are not listed
         monkeypatch.setenv("SPECBOUND_OUTPUT_DIR", str(tmp_path))
         code, out, _ = run_main(argv + ["--format", "json"], capsys)
         assert code == 0
@@ -556,8 +549,8 @@ class TestEnvelope:
         ["bound", "--q", "8", "--b", "1,7"],  # a band
         ["bound", "--q", "8", "--b", "2,4,6"],  # exhaustive enumeration
         ["bound", "--q", "5"],  # empty B
-        ["riesz", "--q", "4", "--entropy-level", "2"],
-        ["sweep", "--q", "3..4", "--entropy-level", "2"],
+        ["riesz", "--q", "4"],
+        ["sweep", "--q", "3..4"],
         ["verify", "--suite", "all"],
     ])
     def test_report_holds_only_json_types(self, argv, monkeypatch, capsys):
@@ -612,6 +605,11 @@ class TestEnvelope:
         assert out == ""
         assert err.startswith(f"error: cannot write report to {blocker / 'r.json'}: ")
         assert err.count("\n") == 1
+
+
+def test_import_leaves_csv_unloaded():
+    # only a CSV report loads the csv module
+    assert loaded_after_import("cli", ["csv"]) == []
 
 
 def test_console_entry_point():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from specbound.errors import ResourceLimitError, check_budget, max_exponent
+from specbound.errors import InvalidInputError, ResourceLimitError, check_budget, max_exponent
 
 
 class TestMaxExponent:
@@ -20,6 +20,14 @@ class TestMaxExponent:
         assert max_exponent(708, 5 * 10 ** 5) == 1
         assert max_exponent(10 ** 6 + 1, 10 ** 6) == 0
         assert max_exponent(int("9" * 4000), 10 ** 7) == 0
+
+    @pytest.mark.parametrize("base", [-1, 0, 1])
+    def test_base_below_2_rejected(self, base):
+        # no power of -1, 0 or 1 ever passes the budget, so the search would not end
+        with pytest.raises(InvalidInputError, match=rf"^power base must be >= 2, got {base}$"):
+            max_exponent(base, 10)
+        with pytest.raises(InvalidInputError):
+            check_budget("x", base, 10, exponent=5)
 
 
 class TestCheckBudget:

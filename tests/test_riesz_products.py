@@ -389,7 +389,7 @@ def table_row_peyriere_args(q):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rp, "peyriere_dimension", spy)
-        rp.bound_table_row(rp.RieszParams(0.0, q), entropy_level=1)
+        rp.bound_table_row(rp.RieszParams(0.0, q))
     return seen[0]
 
 
@@ -532,6 +532,8 @@ class TestEntropyEstimate:
     def test_guards(self):
         with pytest.raises(InvalidInputError):
             rp.entropy_dimension_estimate(rp.RieszParams(1.0, 3), 2, 4)  # depth < level
+        with pytest.raises(InvalidInputError):
+            rp.entropy_dimension_estimate(rp.RieszParams(1.0, 3), 2, 0)
         with pytest.raises(ResourceLimitError):
             rp.entropy_dimension_estimate(rp.RieszParams(1.0, 10), 8, 7)
 
@@ -540,24 +542,21 @@ class TestBoundTable:
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 10, 31, 99, 100, 101, 707, 708, 999, 1000, 1001,
                                    10 ** 6, 10 ** 6 + 1])
     def test_sizes_match_lowering_loops(self, q, monkeypatch):
-        # the capped sizes are the ones the lowering loops reached, at every
-        # level the loops can still run; where no level fits the grid budget,
-        # its guard fires before any column, whatever the level asked for
+        # the capped sizes are the ones the lowering loops reached; where no
+        # level fits the grid budget, its guard fires before any column
         seen = []
         monkeypatch.setattr(rp, "entropy_dimension_estimate",
                             lambda params, depth, level: seen.append((level, depth)) or 0.5)
         monkeypatch.setattr(rp, "peyriere_dimension",
                             lambda params, depth, m: seen.append(depth) or rp.PeyriereEstimate(0.5, True))
-        for entropy_level in (-1, 0, 1, 2, 5, 7, 9, 13, 40):
-            seen.clear()
-            if q > rp.MAX_ENTROPY_GRID:
-                with pytest.raises(ResourceLimitError, match=rf"^interval masses q\*\*level = {q}, over"):
-                    rp.bound_table_row(rp.RieszParams(1.0, q), entropy_level)
-                assert seen == []
-                continue
-            rp.bound_table_row(rp.RieszParams(1.0, q), entropy_level)
-            level, spectrum_depth, depth = lowered_table_row_sizes(q, entropy_level)
-            assert seen == [(level, spectrum_depth), depth], entropy_level
+        if q > rp.MAX_ENTROPY_GRID:
+            with pytest.raises(ResourceLimitError, match=rf"^interval masses q\*\*level = {q}, over"):
+                rp.bound_table_row(rp.RieszParams(1.0, q))
+            assert seen == []
+            return
+        rp.bound_table_row(rp.RieszParams(1.0, q))
+        level, spectrum_depth, depth = lowered_table_row_sizes(q)
+        assert seen == [(level, spectrum_depth), depth]
 
     def test_max_entropy_level(self):
         for q, level in ((4, 9), (1000, 2), (10 ** 6, 1)):
@@ -566,17 +565,17 @@ class TestBoundTable:
             rp.max_entropy_level(rp.RieszParams(1.0, 10 ** 6 + 1))
 
     def test_row_fields(self):
-        row = rp.bound_table_row(rp.RieszParams(1.0, 4), entropy_level=3)
+        row = rp.bound_table_row(rp.RieszParams(1.0, 4))
         assert row.prop4 is not None
         assert row.peyriere_converged
         assert abs(row.theorem3 - 0.5) <= 1e-12
 
     def test_odd_q_has_no_prop4(self):
-        row = rp.bound_table_row(rp.RieszParams(1.0, 5), entropy_level=2)
+        row = rp.bound_table_row(rp.RieszParams(1.0, 5))
         assert row.prop4 is None
 
 
 def test_import_leaves_draws_unloaded():
     # the module takes its random inputs as arguments and draws none itself
-    unused = ["draws", "gv_martingale", "verify", "cli"]
+    unused = [f"specbound.{m}" for m in ("draws", "gv_martingale", "verify", "cli")]
     assert loaded_after_import("riesz_products", unused) == []

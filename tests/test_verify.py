@@ -67,12 +67,12 @@ class TestSuites:
         assert "q=4: +0.057305" in prop4.detail and "q=64: " in prop4.detail
 
     def test_martingale_suite_passes(self):
-        checks = verify.martingale_suite(q=4, a=1.0, n=4, subsets=15)
+        checks = verify.martingale_suite(q=4, a=1.0, n=4)
         assert checks and all(c.passed for c in checks)
 
     def test_set_average_detail_names_the_exponent(self):
         # the chain needs p > 1, so p = 1 runs at p = 2, and the detail says so
-        checks = {c.name: c for c in verify.martingale_suite(q=3, n=4, p=(1.0,), subsets=3)}
+        checks = {c.name: c for c in verify.martingale_suite(q=3, n=4, p=(1.0,))}
         chain = checks["martingale/set_average_chain"]
         assert chain.passed and "(p=2.0, #C=" in chain.detail
 
@@ -91,8 +91,8 @@ class TestSuites:
         assert sorted(calls) == [0.25, 0.5, 0.8]
 
     def test_martingale_suite_seeded(self):
-        one = verify.martingale_suite(q=3, a=0.8, n=4, seed=42, subsets=10)
-        two = verify.martingale_suite(q=3, a=0.8, n=4, seed=42, subsets=10)
+        one = verify.martingale_suite(q=3, a=0.8, n=4, seed=42)
+        two = verify.martingale_suite(q=3, a=0.8, n=4, seed=42)
         assert [c.as_dict() for c in one] == [c.as_dict() for c in two]
 
     def test_kappa_budget_counts_every_subset_solve(self, monkeypatch):
