@@ -256,6 +256,8 @@ class SetAverageReport(NamedTuple):
     average: float            # (1/q**N) * sum over C of f
     hoelder_rhs: float        # ||f||_p * (#C/q**N)**((p-1)/p)
     growth_rhs: float         # q * e**(kappa(1/p)*N) * mass * (#C/q**N)**((p-1)/p)
+    hoelder_slack: float      # hoelder_rhs * (1 + SLACK) + floor - average
+    growth_slack: float       # growth_rhs * (1 + SLACK) + floor - hoelder_rhs
 
 
 def set_average_check(seq: MartingaleSequence, subset: Sequence[int],
@@ -265,6 +267,8 @@ def set_average_check(seq: MartingaleSequence, subset: Sequence[int],
     (1/q**N) * sum_{x in C} f(x) <= ||f||_p * (#C * q**-N)**((p-1)/p)
                                  <= q * e**(kappa(1/p)*N) * mass * (#C * q**-N)**((p-1)/p).
     ``growth``, :func:`growth_check`'s report at p, gives ||f||_p and the global bound.
+    Both comparisons allow ``SLACK`` and the floor 1e-12 * max(1, max |f|) of
+    :func:`growth_check`; the report carries each one's signed slack.
     """
     if growth.p <= 1.0:
         raise PreconditionError(f"the chain needs p > 1, got {growth.p}")
@@ -281,9 +285,11 @@ def set_average_check(seq: MartingaleSequence, subset: Sequence[int],
     hoelder = growth.norm * share
     bound = growth.global_rhs * share
     floor = 1e-12 * max(1.0, float(np.max(np.abs(f))))
-    passed = (average <= hoelder * (1.0 + SLACK) + floor
-              and hoelder <= bound * (1.0 + SLACK) + floor)
-    return SetAverageReport(passed, average, hoelder, bound)
+    hoelder_slack = hoelder * (1.0 + SLACK) + floor - average
+    growth_slack = bound * (1.0 + SLACK) + floor - hoelder
+    # written so that NaN fails
+    passed = hoelder_slack >= 0 and growth_slack >= 0
+    return SetAverageReport(passed, average, hoelder, bound, hoelder_slack, growth_slack)
 
 
 class SandwichReport(NamedTuple):

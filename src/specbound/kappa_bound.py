@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, PreconditionError, check_budget
+from .errors import InvalidInputError, NumericalError, check_budget
 from .zq_spectral import ResidueSet, SubspaceBasis, symmetrize, wb_basis
 
 FEASIBILITY_TOL = 1e-9
@@ -605,34 +605,3 @@ def dimension_bound(b: ResidueSet) -> DimensionBound:
         symmetrized=was_symmetrized,
     )
 
-
-def def_reform_check(a: float, b_vec, p, polytope: FeasiblePolytope) -> bool | np.ndarray:
-    """Single-step growth inequality for admissible displacements.
-
-    Checks ((1/q) * sum_j |a + b_j|**p)**(1/p) <= a * exp(kappa(1/p)) for a >= 0
-    and b in the subspace with b_j >= -a: for a scalar ``p`` and one length-q
-    ``b_vec``, or one bool per row of ``b_vec`` (k, q) and entry of ``p`` (k,),
-    from one :func:`kappa` call.  A violated precondition, on any row, raises
-    :class:`PreconditionError`; the return value reports only the inequality.
-    """
-    if a < 0:
-        raise PreconditionError(f"scale a must be non-negative, got {a}")
-    p = np.asarray(p, dtype=float)
-    # written so that NaN fails
-    if not np.all(p > 1.0):
-        raise PreconditionError(f"exponent p must exceed 1, got {p}")
-    b_vec = np.asarray(b_vec, dtype=float)
-    q = polytope.q
-    if p.ndim > 1 or b_vec.shape != p.shape + (q,):
-        raise PreconditionError(f"expected a length-{q} vector per exponent")
-    rows = b_vec.reshape(-1, q)
-    scale = np.maximum(1.0, np.abs(rows).max(axis=1))
-    off = np.linalg.norm(polytope.basis.project_off(rows.T), axis=0)
-    if not np.all(off <= 1e-12 * scale):
-        raise PreconditionError("vector is not in the admissible subspace")
-    if not np.all(rows.min(axis=1) >= -a - 1e-12 * max(1.0, a)):
-        raise PreconditionError("vector entries must be >= -a")
-    lhs = np.array([power_mean(a + row, e) for row, e in zip(rows, p.ravel())]).reshape(p.shape)
-    rhs = a * np.exp(kappa(1.0 / p, polytope))
-    ok = lhs <= rhs * (1.0 + SLACK) + 1e-15
-    return bool(ok) if ok.ndim == 0 else ok

@@ -92,9 +92,12 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
     combination of points of the polytope, so it lies in the polytope, as
     the single-step check needs.
 
-    One :func:`kb.kappa` call gives the quotients at every step of
-    ``FD_STEPS``, and one :func:`kb.def_reform_check` call checks all three
-    (mix, exponent) pairs, so each objective reads the representatives once.
+    The single-step check draws three (mix b, exponent p) pairs per B and
+    states ||1 + b||_p <= e^kappa(1/p), the power mean of 1 + b on the left,
+    with ``kb.SLACK`` and a 1e-15 floor; its residual is the worst excess of
+    the left side over the slackened right.  One :func:`kb.kappa` call per B
+    takes the three 1/p and, for q <= ``FD_Q_MAX``, the three 1 - h of
+    ``FD_STEPS``, so each B's representatives are read once for all its exponents.
 
     Raises :class:`ResourceLimitError` before any enumeration once the C(q, d_B)
     vertex-subset solves of the B that are not bands add up to over
@@ -117,7 +120,7 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
     positivity: list[tuple[float, str]] = []
     fd_monotone: list[tuple[float, str]] = []
     fd_close: list[tuple[float, str]] = []
-    reform: list[tuple[float, str]] = []
+    single_step: list[tuple[float, str]] = []
     monotone_b: list[tuple[float, str]] = []
 
     for q in range(3, q_max + 1):
@@ -126,15 +129,20 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
             tag = f"q={q} B={sorted(b.members)}"
             polytope = kb.FeasiblePolytope.from_residues(b)
             vertices = np.concatenate([np.zeros((0, q)), *kb.representatives(polytope)])
+            mixes, ps = np.zeros((0, q)), np.zeros(0)
             if len(vertices):
                 off = np.linalg.norm(polytope.basis.project_off(vertices.T), axis=0)
                 feasibility.append((float((-1.0 - vertices.min())), tag))
                 membership.append((float(off.max()), tag))
                 pairs = [(stream.dirichlet(len(vertices)) @ vertices, stream.uniform(1.1, 5.0))
                          for _ in range(3)]
-                b_rows, ps = (np.array(column) for column in zip(*pairs))
-                for ok, p in zip(kb.def_reform_check(1.0, b_rows, ps, polytope), ps):
-                    reform.append((0.0 if ok else 1.0, f"{tag} p={p:.3f}"))
+                mixes, ps = (np.array(column) for column in zip(*pairs))
+            thetas = np.concatenate((1.0 / ps, 1.0 - FD_STEPS if q <= FD_Q_MAX else []))
+            if len(thetas):
+                kappas = kb.kappa(thetas, polytope)
+                for mix, p, rhs in zip(mixes, ps, np.exp(kappas[:len(ps)])):
+                    excess = kb.power_mean(1.0 + mix, p) - (rhs * (1.0 + kb.SLACK) + 1e-15)
+                    single_step.append((float(excess), f"{tag} p={p:.3f}"))
             result = kb.dimension_bound(b)
             re_eval = -np.sum(kb.xlogx(np.clip(1.0 + np.array(result.witness_vertex), 0, None))) / q
             witness.append((abs(re_eval - result.kappa_prime_1), tag))
@@ -147,7 +155,7 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
 
             if q <= FD_Q_MAX:
                 # (kappa(1) - kappa(1-h))/h rises toward kappa'(1) as h shrinks, by convexity
-                quotients = -kb.kappa(1.0 - FD_STEPS, polytope) / FD_STEPS
+                quotients = -kappas[len(ps):] / FD_STEPS
                 chain = [*quotients, result.kappa_prime_1]
                 drift = max(chain[i] - chain[i + 1] for i in range(len(chain) - 1))
                 fd_monotone.append((drift, tag))
@@ -168,7 +176,7 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
         _worst("kappa/positive_bound_off_full_set", positivity, 1e-12, larger_is_worse=False),
         _worst("kappa/fd_quotients_increase_to_derivative", fd_monotone, 1e-10),
         _worst("kappa/fd_quotient_close_at_1e-4", fd_close, 1e-3),
-        _worst("kappa/single_step_reformulation", reform, 0.5),
+        _worst("kappa/single_step_reformulation", single_step, 0.0),
         _worst("kappa/monotone_in_residue_set", monotone_b, 1e-12),
         _counterexample_check(),
     ]
@@ -265,8 +273,15 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
     set-average chain reads the report at ``p[i % len(p)]``, with 1 replaced by
     2 (the chain needs p > 1).  The chain draws 100 random subsets, each
     costing time linear in the grid size, so the grid's own size guard
-    (``gv.MAX_GRID`` points) also bounds the chain's work.
+    (``gv.MAX_GRID`` points) also bounds the chain's work.  A repeated
+    exponent raises :class:`InvalidInputError`: it would repeat its growth
+    check and weigh the chain's rotation toward it.
     """
+    seen: set[float] = set()
+    for exponent in map(float, p):
+        if exponent in seen:
+            raise InvalidInputError(f"exponent {exponent} is repeated in p")
+        seen.add(exponent)
     stream = draws.Stream(seed)
     params = rp.RieszParams(a, q)
     b = zq.ResidueSet.of(q, [1, q - 1])
@@ -314,9 +329,9 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
         subset = stream.subset(grid.size, count)
         exponent = chain_p[i % len(p)]
         report = gv.set_average_check(seq, subset, growth[exponent])
-        margin = min(report.hoelder_rhs - report.average, report.growth_rhs - report.hoelder_rhs)
-        subset_entries.append((0.0 if report.passed else 1.0,
-                               f"subset {i} (p={exponent}, #C={count}, margin={margin:.3e})"))
+        # np.minimum keeps a NaN slack, so that it fails
+        subset_entries.append((-float(np.minimum(report.hoelder_slack, report.growth_slack)),
+                               f"subset {i} (p={exponent}, #C={count})"))
 
     sandwich_level = min(n, 4)
     sandwich = gv.phi_kernel_mass_sandwich(
@@ -337,7 +352,7 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
         CheckResult("martingale/levels_nonnegative", nonneg >= -1e-10, -nonneg,
                     "non-negative source keeps every level non-negative"),
         *growth_checks,
-        _worst("martingale/set_average_chain", subset_entries, 0.5),
+        _worst("martingale/set_average_chain", subset_entries, 0.0),
         CheckResult("martingale/plateau_kernel_sandwich", sandwich.passed,
                     -min(sandwich.min_lower_margin, sandwich.min_upper_margin),
                     f"worst grid point {sandwich.worst_point}"),

@@ -378,6 +378,13 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_repeated_exponent_is_usage_error(self, capsys):
+        # a repeated exponent would print its growth check twice and weigh
+        # the set-average chain's rotation toward it
+        code, out, err = run_main(["verify", "--suite", "martingale", "--q", "3", "--n", "3",
+                                   "--p", "2,2.0"], capsys)
+        assert (code, out, err) == (2, "", "error: exponent 2.0 is repeated in p\n")
+
     def test_subset_budget_exit_code(self, capsys):
         # the chain's 100 subsets each cost a pass over the grid, so the grid's
         # own guard prices them: one level past it exits 3 before any work

@@ -306,6 +306,18 @@ class TestSetAverage:
         shuffled = np.concatenate([np.arange(grid.size)[::-1], np.arange(0, grid.size, 7)])
         assert gv.set_average_check(seq, shuffled, growth) == report
 
+    def test_slacks_decide_the_outcome(self):
+        # a growth report whose norm is 0 breaks the Hoelder step by the
+        # average, less the floor 1e-12 * max(1, max |f|)
+        seq, _, grid = riesz_sequence(3, 1.0, 5)
+        growth = growth_at(seq)
+        report = gv.set_average_check(seq, np.arange(grid.size), growth)
+        assert report.passed and report.hoelder_slack > 0 and report.growth_slack > 0
+        broken = gv.set_average_check(seq, np.arange(grid.size), growth._replace(norm=0.0))
+        floor = 1e-12 * max(1.0, float(np.max(np.abs(seq.class_values[grid.levels]))))
+        assert not broken.passed and broken.growth_slack > 0
+        assert broken.hoelder_slack == floor - broken.average < 0
+
     def test_singleton(self):
         seq, _, grid = riesz_sequence(3, 1.0, 5)
         report = gv.set_average_check(seq, [0], growth_at(seq))

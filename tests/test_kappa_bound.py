@@ -10,8 +10,7 @@ from cli_child import loaded_after_import
 from specbound import kappa_bound as kb
 from specbound import zq_spectral as zq
 from specbound.verify import symmetric_residue_sets
-from specbound.errors import (InvalidInputError, NumericalError, PreconditionError,
-                              ResourceLimitError)
+from specbound.errors import InvalidInputError, NumericalError, ResourceLimitError
 
 LOG2 = math.log(2.0)
 
@@ -500,6 +499,20 @@ class TestKappa:
         # kappa(theta) -> log(max_j(1+v_j)) + theta*log(count/q) as theta -> 0
         assert abs(value - (LOG2 + 1e-3 * math.log(2 / 4))) <= 1e-9
 
+    def test_power_mean_attains_kappa_at_a_maximizing_vertex(self):
+        # the single-step inequality ||1 + v||_p <= e^kappa(1/p) is an
+        # equality at a vertex whose 1/theta power mean is the largest
+        vertex = np.array([1.0, -1.0, 1.0, -1.0])
+        rhs = math.exp(kb.kappa(0.5, polytope(4, [2])))
+        assert abs(kb.power_mean(1.0 + vertex, 2.0) - rhs) <= 1e-12
+
+    def test_power_mean_at_huge_exponent_does_not_overflow(self):
+        # |1 + v|**p overflows at p=1e6; the power mean factors out max |1 + v|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = kb.power_mean(1.0 + np.array([-1.0, -1.0, 2.0]), 1e6)
+        assert abs(value - 3.0) <= 1e-5
+
 
 class TestKappaPrime:
     @pytest.mark.parametrize("q,members,expected", [
@@ -642,74 +655,6 @@ class TestSubgroupBound:
         dim = kb.dimension_bound(zq.ResidueSet.of(8, [2, 6]))
         assert dim.proper_inclusion
         assert dim.bound >= dim.subgroup_bound + 1e-6
-
-
-class TestDefReform:
-    def test_degenerate_scale(self):
-        assert kb.def_reform_check(0.0, np.zeros(4), 2.0, polytope(4, [2]))
-
-    def test_equality_at_vertex(self):
-        p = polytope(4, [2])
-        vertex = np.array([1.0, -1.0, 1.0, -1.0])
-        assert kb.def_reform_check(1.0, vertex, 2.0, p)
-        lhs = np.mean(np.abs(1.0 + vertex) ** 2) ** 0.5
-        rhs = math.exp(kb.kappa(0.5, p))
-        assert abs(lhs - rhs) <= 1e-12
-
-    def test_random_interior_points(self):
-        rng = np.random.default_rng(11)
-        for q, members in [(4, [1, 3]), (5, [1, 4]), (6, [2, 4])]:
-            p = polytope(q, members)
-            vs = p.vertex_set
-            for _ in range(20):
-                weights = rng.dirichlet(np.ones(len(vs)))
-                b_vec = weights @ vs
-                assert kb.def_reform_check(1.0, b_vec, float(rng.uniform(1.1, 6.0)), p)
-
-    def test_huge_exponent_does_not_overflow(self):
-        # |1 + v|**p overflows at p=1e6; the power mean factors out max |1 + v|
-        p = polytope(3, [1, 2])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert kb.def_reform_check(1.0, np.array([-1.0, -1.0, 2.0]), 1e6, p)
-
-    def test_rows_match_scalar_calls(self):
-        # one bool per row, from one kappa call, equal to each row's own call
-        rng = np.random.default_rng(12)
-        for q, members in [(4, [1, 3]), (5, [1, 4]), (8, [1, 3, 5, 7]), (9, [1, 8])]:
-            p = polytope(q, members)
-            rows = np.concatenate(list(kb.representatives(p)))
-            b_rows = rng.dirichlet(np.ones(len(rows)), size=4) @ rows
-            b_rows[0] = rows[0]  # a vertex, where lhs equals rhs up to round-off
-            exponents = rng.uniform(1.1, 6.0, size=4)
-            batched = kb.def_reform_check(1.0, b_rows, exponents, p)
-            expected = [kb.def_reform_check(1.0, row, e, p) for row, e in zip(b_rows, exponents)]
-            assert batched.shape == (4,) and batched.tolist() == expected, (q, members)
-
-    def test_any_row_breaking_a_precondition_raises(self):
-        p = polytope(4, [2])
-        good = np.array([1.0, -1.0, 1.0, -1.0])
-        for bad_row, exponents in [(np.array([1.0, 0.0, 0.0, -1.0]), [2.0, 3.0]),  # not in span
-                                   (np.array([2.0, -2.0, 2.0, -2.0]), [2.0, 3.0]),  # below -a
-                                   (np.array([np.nan] * 4), [2.0, 3.0]),
-                                   (good, [2.0, 1.0]),                              # p <= 1
-                                   (good, [2.0, np.nan])]:
-            for rows in (np.array([good, bad_row]), np.array([bad_row, good])):
-                with pytest.raises(PreconditionError):
-                    kb.def_reform_check(1.0, rows, np.array(exponents), p)
-        with pytest.raises(PreconditionError):  # one exponent per row
-            kb.def_reform_check(1.0, np.array([good, good]), np.array([2.0, 3.0, 4.0]), p)
-
-    def test_precondition_violations(self):
-        p = polytope(4, [2])
-        with pytest.raises(PreconditionError):
-            kb.def_reform_check(1.0, np.array([1.0, 0.0, 0.0, -1.0]), 2.0, p)  # not in span
-        with pytest.raises(PreconditionError):
-            kb.def_reform_check(0.5, np.array([1.0, -1.0, 1.0, -1.0]), 2.0, p)  # below -a
-        with pytest.raises(PreconditionError):
-            kb.def_reform_check(-1.0, np.zeros(4), 2.0, p)
-        with pytest.raises(PreconditionError):
-            kb.def_reform_check(1.0, np.zeros(4), 1.0, p)
 
 
 def test_import_loads_only_what_the_module_uses():

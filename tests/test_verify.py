@@ -56,6 +56,33 @@ class TestSuites:
         assert all(c.passed for c in checks)
         assert enumerated and set(enumerated) == {None}
 
+    def test_kappa_suite_reads_one_kappa_per_residue_set(self, monkeypatch):
+        # the single-step exponents 1/p and the difference steps 1 - h share
+        # one call: 42 symmetric B with q <= 8, the empty ones included
+        calls = []
+        kappa = kb.kappa
+
+        def counted(theta, polytope):
+            calls.append(polytope.q)
+            return kappa(theta, polytope)
+
+        monkeypatch.setattr(kb, "kappa", counted)
+        assert all(c.passed for c in verify.kappa_suite(q_max=8))
+        assert len(calls) == sum(len(list(verify.symmetric_residue_sets(q, nonempty=False)))
+                                 for q in range(3, 9)) == 42
+
+    def test_single_step_margin_reports_an_under_reported_kappa(self, monkeypatch):
+        # e^kappa(1/p) is attained at a vertex, so 0.05 less leaves some mix
+        # above the right side: the residual is that excess, not a flag
+        checks = {c.name: c for c in verify.kappa_suite(q_max=5)}
+        single_step = checks["kappa/single_step_reformulation"]
+        assert single_step.passed and single_step.residual < 0
+        kappa = kb.kappa
+        monkeypatch.setattr(kb, "kappa", lambda theta, polytope: kappa(theta, polytope) - 0.05)
+        checks = {c.name: c for c in verify.kappa_suite(q_max=5)}
+        single_step = checks["kappa/single_step_reformulation"]
+        assert not single_step.passed and single_step.residual > 0
+
     def test_riesz_suite_passes(self):
         checks = verify.riesz_identity_suite(q_max=8)
         assert checks and all(c.passed for c in checks)
@@ -75,6 +102,25 @@ class TestSuites:
         checks = {c.name: c for c in verify.martingale_suite(q=3, n=4, p=(1.0,))}
         chain = checks["martingale/set_average_chain"]
         assert chain.passed and "(p=2.0, #C=" in chain.detail
+
+    def test_set_average_chain_reports_its_least_slack(self, monkeypatch):
+        # the residual is minus the least slack of the 100 subsets, and the
+        # detail names the subset that has it
+        reports = []
+        set_average_check = gv.set_average_check
+
+        def recorded(*args):
+            reports.append(set_average_check(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(gv, "set_average_check", recorded)
+        checks = {c.name: c for c in verify.martingale_suite(q=3, n=5, seed=3)}
+        chain = checks["martingale/set_average_chain"]
+        slacks = [min(r.hoelder_slack, r.growth_slack) for r in reports]
+        worst = int(np.argmin(slacks))
+        assert len(reports) == 100 and chain.passed
+        assert chain.residual == -slacks[worst] < 0
+        assert chain.detail.startswith(f"subset {worst} (")
 
     def test_martingale_suite_reads_one_kappa_per_exponent(self, monkeypatch):
         # the set-average chain reads the growth report at its exponent, so
