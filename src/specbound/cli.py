@@ -3,8 +3,8 @@ verification suites, and q-sweeps with machine-readable output.
 
 The commands pass the options the user set through to the library, whose
 signatures hold every default and whose functions hold the formulas of the
-verify checks and of sweep's fan-consistency check.  The six other row checks
-are stated here, two in ``cmd_bound`` and four in ``_riesz_row``.
+verify checks and the residual of sweep's fan check.  The six other row checks
+are stated here, two in ``cmd_bound`` and four in ``_riesz_row``, as residuals.
 Each subparser is the only declaration of its options: an option whose
 default lives in the library is absent from the parsed options unless the user
 set it.  A verify option is named as its suite's keyword, and ``cmd_verify``
@@ -45,7 +45,7 @@ TABLE_COLUMNS = [
     "theorem3", "prop4", "prop5", "fan_main",
     "peyriere", "peyriere_converged", "entropy_est",
 ]
-CHECK_COLUMNS = ["name", "passed", "residual", "detail"]
+CHECK_COLUMNS = ["name", "passed", "residual", "bound", "detail"]
 
 
 # a row is priced at SWEEP_ROW_Q + q units of 6e-6 s, so a range of MAX_SWEEP_Q
@@ -105,10 +105,10 @@ def cmd_bound(options: dict) -> tuple[dict, list[verify.CheckResult]]:
         "symmetrized": result.symmetrized,
     }
     checks = [
-        verify.CheckResult("bound/delta_nonnegative", result.delta >= -1e-12,
-                           result.delta, "certified bound dominates the subgroup bound"),
+        verify.CheckResult("bound/delta_nonnegative", -result.delta, 1e-12,
+                           "certified bound dominates the subgroup bound"),
         verify.CheckResult("bound/value_in_unit_interval",
-                           0.0 <= result.bound <= 1.0, result.bound, ""),
+                           max(-result.bound, result.bound - 1.0), 0.0, ""),
     ]
     return results, checks
 
@@ -121,22 +121,19 @@ def _riesz_row(params: rp.RieszParams) -> tuple[dict, list[verify.CheckResult]]:
     row.update((k, v) for k, v in dataclasses.asdict(table).items() if k not in ("q", "a"))
     checks = [
         verify.CheckResult(f"riesz/q={q}/theorem3_in_unit_interval",
-                           0.0 <= table.theorem3 <= 1.0, table.theorem3, ""),
+                           max(-table.theorem3, table.theorem3 - 1.0), 0.0, ""),
         verify.CheckResult(f"riesz/q={q}/theorem3_matches_vertex_bound",
-                           abs(table.theorem3 - dim.raw_bound) <= 1e-9,
-                           abs(table.theorem3 - dim.raw_bound),
+                           abs(table.theorem3 - dim.raw_bound), 1e-9,
                            "closed form vs the bound over the band's Gale vertices"),
     ]
     if table.peyriere_converged:
         checks.append(verify.CheckResult(
             f"riesz/q={q}/certified_below_peyriere",
-            table.theorem3 <= table.peyriere + rp.PEYRIERE_SLACK,
-            table.theorem3 - table.peyriere,
+            table.theorem3 - table.peyriere, rp.PEYRIERE_SLACK,
             "a lower bound must not exceed the dimension estimate"))
     checks.append(verify.CheckResult(
         f"riesz/q={q}/certified_below_entropy",
-        table.theorem3 <= table.entropy_est + rp.ENTROPY_SLACK,
-        table.theorem3 - table.entropy_est,
+        table.theorem3 - table.entropy_est, rp.ENTROPY_SLACK,
         "entropy proxy dominates any valid lower bound"))
     return row, checks
 
@@ -153,13 +150,14 @@ def cmd_sweep(options: dict) -> tuple[dict, list[verify.CheckResult]]:
     checks = []
     for params in sweep:
         row, row_checks = _riesz_row(params)
-        row["fan_consistency"] = rp.fan_consistency(params.q, row["theorem3"], row["fan_main"])
+        gap = rp.fan_gap(params, row["theorem3"], row["fan_main"])
+        row["fan_consistency"] = abs(gap)
         rows.append(row)
         checks.extend(row_checks)
         checks.append(verify.CheckResult(
             f"sweep/q={params.q}/fan_consistency_bounded",
-            rp.fan_consistency_bounded(params, row["theorem3"], row["fan_main"]),
-            row["fan_consistency"], "|theorem3 - fan_main| * q * log q"))
+            gap, rp.FAN_CONSISTENCY_ALLOWANCE,
+            "(theorem3 - fan_main) * q * log q, absolute at |a| = 1"))
     return {"table": rows, "extra_columns": ["fan_consistency"]}, checks
 
 
@@ -209,8 +207,8 @@ def render(envelope: dict, fmt: str) -> str:
         lines.append(f"  {key}: {value}")
     for c in envelope["checks"]:
         mark = "PASS" if c["passed"] else "FAIL"
-        residual = "" if c.get("residual") is None else f"  residual={c['residual']:.3e}"
-        lines.append(f"  [{mark}] {c['name']}{residual}")
+        residual = "" if c["residual"] is None else f"  residual={c['residual']:.3e}"
+        lines.append(f"  [{mark}] {c['name']}{residual}  bound={c['bound']:.3e}")
         if not c["passed"] and c.get("detail"):
             lines.append(f"         {c['detail']}")
     lines.append(f"  wall_time_s: {envelope['wall_time_s']:.3f}")

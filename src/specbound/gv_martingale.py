@@ -181,7 +181,6 @@ def wb_membership_check(seq: MartingaleSequence, b: ResidueSet) -> float:
 
 
 class GrowthReport(NamedTuple):
-    passed: bool
     p: float
     kappa_theta: float       # growth exponent at 1/p
     norm: float              # ||f_N||_p
@@ -200,7 +199,8 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
     (iii) global:  ||f_N||_p <= q * e**(kappa(1/p)*N) * total mass.
     All comparisons allow multiplicative ``SLACK`` plus a tiny absolute floor.
     This chain is the engine of the dimension bound; a failure means a bug, not
-    an unlucky input.  :func:`set_average_check` reads its ``norm`` and ``global_rhs``.
+    an unlucky input.  A NaN slack propagates to the minima and is listed in
+    ``failures``.  :func:`set_average_check` reads its ``norm`` and ``global_rhs``.
     A spectrum outside the restricted set of ``b``, or a negative density: :class:`PreconditionError`.
     """
     if not p >= 1.0:
@@ -216,43 +216,41 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
     # every atom of a level carries the same grid weight
     norms = [float(power_mean(values, p)) for values in seq.class_values]
 
-    worst_step = math.inf
-    worst_atom = math.inf
+    step_slacks = []
+    atom_slacks = []
     for k in range(1, n + 1):
         lhs = norms[k]
         rhs = step_factor * norms[k - 1]
-        worst_step = min(worst_step, rhs * (1.0 + SLACK) + floor - lhs)
-        if lhs > rhs * (1.0 + SLACK) + floor:
+        step_slacks.append(rhs * (1.0 + SLACK) + floor - lhs)
+        if not step_slacks[-1] >= 0:
             failures.append(f"step k={k}: ||f_k||_p={lhs:.12g} > e^kappa*||f_(k-1)||_p={rhs:.12g}")
         local_lhs = power_mean(seq.sibling_matrix(k), p)
         local_rhs = step_factor * np.abs(seq.class_values[k - 1])
         slacks = local_rhs * (1.0 + SLACK) + floor - local_lhs
-        worst_atom = min(worst_atom, float(slacks.min()))
-        bad = np.flatnonzero(slacks < 0)
+        atom_slacks.append(slacks.min())
+        bad = np.flatnonzero(~(slacks >= 0))
         for c in bad[:5]:
             failures.append(f"atom level={k - 1} class={int(c)}: localized growth violated")
 
     global_rhs = q * math.exp(kappa_theta * n) * float(seq.class_values[0][0])
     global_lhs = norms[n]
     global_slack = global_rhs * (1.0 + SLACK) + floor - global_lhs
-    if global_slack < 0:
+    if not global_slack >= 0:
         failures.append(f"global: ||f||_p={global_lhs:.12g} > q*e^(kappa*N)*mass={global_rhs:.12g}")
 
     return GrowthReport(
-        passed=not failures,
         p=p,
         kappa_theta=kappa_theta,
         norm=global_lhs,
         global_rhs=global_rhs,
-        worst_step_slack=worst_step,
-        worst_atom_slack=worst_atom,
+        worst_step_slack=float(np.min(step_slacks)),
+        worst_atom_slack=float(np.min(atom_slacks)),
         global_slack=global_slack,
         failures=tuple(failures),
     )
 
 
 class SetAverageReport(NamedTuple):
-    passed: bool
     average: float            # (1/q**N) * sum over C of f
     hoelder_rhs: float        # ||f||_p * (#C/q**N)**((p-1)/p)
     growth_rhs: float         # q * e**(kappa(1/p)*N) * mass * (#C/q**N)**((p-1)/p)
@@ -287,13 +285,10 @@ def set_average_check(seq: MartingaleSequence, subset: Sequence[int],
     floor = 1e-12 * max(1.0, float(np.max(np.abs(f))))
     hoelder_slack = hoelder * (1.0 + SLACK) + floor - average
     growth_slack = bound * (1.0 + SLACK) + floor - hoelder
-    # written so that NaN fails
-    passed = hoelder_slack >= 0 and growth_slack >= 0
-    return SetAverageReport(passed, average, hoelder, bound, hoelder_slack, growth_slack)
+    return SetAverageReport(average, hoelder, bound, hoelder_slack, growth_slack)
 
 
 class SandwichReport(NamedTuple):
-    passed: bool
     min_lower_margin: float  # min over x of smoothed - inner interval mass
     min_upper_margin: float  # min over x of outer interval mass - smoothed
     worst_point: int
@@ -323,7 +318,7 @@ def phi_kernel_mass_sandwich(spec: SparseSpectrum, grid: QadicGrid) -> SandwichR
     value scaled by q**-n must sit between the mass of the inner interval
     [x - 1/(2q**n), x + 1/(2q**n)] and the mass of the outer interval of
     radius 1/(2q**(n-1)).  Everything is computed in closed form from the
-    spectrum, so violations beyond 1e-10 are real failures.
+    spectrum, so a least margin below -1e-10 is a real failure.
     """
     q, n = grid.q, grid.levels
     density = sample_on_grid(spec, grid)
@@ -338,5 +333,4 @@ def phi_kernel_mass_sandwich(spec: SparseSpectrum, grid: QadicGrid) -> SandwichR
     lower_margin = smoothed - inner
     upper_margin = outer - smoothed
     worst = int(np.argmin(np.minimum(lower_margin, upper_margin)))
-    passed = bool(lower_margin.min() >= -1e-10 and upper_margin.min() >= -1e-10)
-    return SandwichReport(passed, float(lower_margin.min()), float(upper_margin.min()), worst)
+    return SandwichReport(float(lower_margin.min()), float(upper_margin.min()), worst)

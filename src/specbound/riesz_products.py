@@ -29,7 +29,7 @@ MAX_SPECTRUM_TERMS = 10 ** 7
 MAX_ENTROPY_GRID = 10 ** 6
 MAX_PEYRIERE_GRID = 10 ** 7
 ENTROPY_LEVEL = 5  # the table row's entropy proxy level, before the grid cap
-FAN_CONSISTENCY_ALLOWANCE = 10.0  # see fan_consistency_bounded
+FAN_CONSISTENCY_ALLOWANCE = 10.0  # the bound on fan_gap
 # how far theorem3 may sit above a converged Peyriere estimate, and above the
 # entropy proxy, in the certified_below_* checks of the riesz table
 PEYRIERE_SLACK = 0.02
@@ -255,18 +255,13 @@ def fan_main_term(params: RieszParams) -> float:
     return 1.0 - float(factor_entropy(params.a)) / math.log(params.q)
 
 
-def fan_consistency(q: int, theorem3: float, fan_main: float) -> float:
-    """|theorem3 - fan_main| * q * log q, the scaled gap between the caller's
-    certified bound ``bound_theorem3(q)`` and asymptotic main term ``fan_main_term``."""
-    return abs(theorem3 - fan_main) * q * math.log(q)
-
-
-def fan_consistency_bounded(params: RieszParams, theorem3: float, fan_main: float) -> bool:
-    """The paper's agreement, ``fan_consistency`` <= 10, at |a| = 1.  For |a| < 1 only
-    (theorem3 - fan_main) * q * log q <= 10 holds: theorem3 does not depend on a,
-    while fan_main rises by (h(1) - h(a))/log q, so the gap grows like q."""
-    return (fan_consistency(params.q, theorem3, fan_main) <= FAN_CONSISTENCY_ALLOWANCE
-            or (abs(params.a) < 1.0 and theorem3 < fan_main))
+def fan_gap(params: RieszParams, theorem3: float, fan_main: float) -> float:
+    """(theorem3 - fan_main) * q * log q for the caller's ``bound_theorem3(q)`` and
+    ``fan_main_term``, at most ``FAN_CONSISTENCY_ALLOWANCE`` in the paper, taken
+    absolute at |a| = 1.  At |a| < 1 only the signed gap is bounded: theorem3 does
+    not depend on a, while fan_main rises by (h(1) - h(a))/log q."""
+    gap = theorem3 - fan_main
+    return (gap if abs(params.a) < 1.0 else abs(gap)) * params.q * math.log(params.q)
 
 
 class PeyriereEstimate(NamedTuple):

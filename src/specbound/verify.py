@@ -33,10 +33,16 @@ CHEBYSHEV_POINTS = 100  # amplitudes of the Chebyshev factorization, drawn befor
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Passes when its residual is at most its bound (so NaN fails) or is None (no cases)."""
+
     name: str
-    passed: bool
-    residual: float | None = None
+    residual: float | None
+    bound: float
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.residual is None or bool(self.residual <= self.bound)
 
     def as_dict(self) -> dict:
         """JSON-safe view: a non-finite residual becomes None, noted in detail."""
@@ -46,8 +52,9 @@ class CheckResult:
             residual = None
         return {
             "name": self.name,
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "residual": None if residual is None else float(residual),
+            "bound": float(self.bound),
             "detail": detail,
         }
 
@@ -63,16 +70,12 @@ def symmetric_residue_sets(q: int, nonempty: bool = True):
             yield zq.ResidueSet.of(q, [x for orbit in combo for x in orbit])
 
 
-def _worst(name: str, entries: list[tuple[float, str]], threshold: float,
-           larger_is_worse: bool = True) -> CheckResult:
-    """Collapse per-case residuals into one check, keeping the worst offender."""
+def _worst(name: str, entries: list[tuple[float, str]], bound: float) -> CheckResult:
+    """Collapse per-case residuals into one check, keeping the largest (a NaN first)."""
     if not entries:
-        return CheckResult(name, True, None, "no cases")
-    values = [v for v, _ in entries]
-    worst_ix = int(np.argmax(values)) if larger_is_worse else int(np.argmin(values))
-    worst_val, worst_detail = entries[worst_ix]
-    ok = worst_val <= threshold if larger_is_worse else worst_val >= threshold
-    return CheckResult(name, bool(ok), worst_val, worst_detail)
+        return CheckResult(name, None, bound, "no cases")
+    residual, detail = entries[int(np.argmax([v for v, _ in entries]))]
+    return CheckResult(name, residual, bound, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +151,9 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
             witness.append((abs(re_eval - result.kappa_prime_1), tag))
             dominance.append((result.subgroup_bound - result.bound, tag))
             if result.proper_inclusion:
-                strictness.append((result.bound - result.subgroup_bound, tag))
+                strictness.append((result.subgroup_bound - result.bound, tag))
             if set(b.members) != set(range(1, q)):
-                positivity.append((result.bound, tag))
+                positivity.append((-result.bound, tag))
             bounds[b.members] = result.bound
 
             if q <= FD_Q_MAX:
@@ -172,8 +175,8 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
         _worst("kappa/vertex_subspace_membership", membership, 1e-10),
         _worst("kappa/witness_reproduces_value", witness, 1e-12),
         _worst("kappa/bound_dominates_subgroup", dominance, 1e-12),
-        _worst("kappa/strict_gain_when_proper", strictness, 1e-6, larger_is_worse=False),
-        _worst("kappa/positive_bound_off_full_set", positivity, 1e-12, larger_is_worse=False),
+        _worst("kappa/strict_gain_when_proper", strictness, -1e-6),
+        _worst("kappa/positive_bound_off_full_set", positivity, -1e-12),
         _worst("kappa/fd_quotients_increase_to_derivative", fd_monotone, 1e-10),
         _worst("kappa/fd_quotient_close_at_1e-4", fd_close, 1e-3),
         _worst("kappa/single_step_reformulation", single_step, 0.0),
@@ -185,23 +188,22 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
 
 def _counterexample_check(q: int = 4, l: int = 1) -> CheckResult:
     """Complex atomic measure whose spectrum is restricted yet has dimension zero:
-    documents that non-negativity is a necessary hypothesis of the bounds."""
+    documents that non-negativity is a necessary hypothesis of the bounds.  The
+    residual is at most 0 when every weight has modulus within 1e-12 of 1/q and
+    some |imaginary part| is at least 0.1/q; each frequency outside C_B adds 1."""
     spec = zq.counterexample_measure(q, l)
-    b = zq.ResidueSet.of(q, [l])
-    restricted = bool(zq.in_cb(spec.frequencies, b).all())
+    outside_cb = int(np.sum(~zq.in_cb(spec.frequencies, zq.ResidueSet.of(q, [l]))))
     # the inverse transform on Z_q of the indicator of residue l
     weights = np.exp(2j * np.pi * l * np.arange(q) / q) / q
-    atoms = int(np.sum(np.abs(weights) > 1e-12))
     uniform = float(np.max(np.abs(np.abs(weights) - 1.0 / q)))
     # weights must be genuinely complex, not just off the non-negative cone
-    complex_weights = bool(np.max(np.abs(weights.imag)) > 0.1 / q)
-    passed = restricted and atoms == q and uniform < 1e-12 and complex_weights
+    margin = max(uniform - 1e-12, 0.1 / q - float(np.max(np.abs(weights.imag)))) + outside_cb
     detail = (
-        f"complex measure with spectrum in the class {l} mod {q}: {atoms} atoms of "
+        f"complex measure with spectrum in the class {l} mod {q}: {q} atoms of "
         f"modulus 1/{q}, not non-negative, dimension 0 -- the restricted-spectrum "
         f"dimension bound needs non-negativity"
     )
-    return CheckResult("kappa/counterexample_needs_nonnegativity", passed, uniform, detail)
+    return CheckResult("kappa/counterexample_needs_nonnegativity", margin, 0.0, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,16 @@ def _counterexample_check(q: int = 4, l: int = 1) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
-    # checked before any quadrature: chebyshev_identity_residual takes even q in 4..64
+    """Closed forms, the quadrature identity and the auxiliary lemmas of the Riesz product.
+
+    The sum-integral identity, the Chebyshev factorization and the prop4 report
+    take the even q in 4..q_max; ``q_max`` must lie in 4..64, the even q that
+    :func:`rp.chebyshev_identity_residual` accepts, and is checked before any
+    quadrature.  The vertex-solver cross-check and the endpoint optimality take
+    q = 3..min(q_max, 12), prop5 q = 3..max(q_max, 32), the fan main term
+    q = 8, 16, ..., 128.  Draws from the one stream: the 100 Chebyshev
+    amplitudes first, then the 10^4 Lipschitz pairs.
+    """
     if not 4 <= q_max <= 64:
         raise InvalidInputError(f"riesz identities need q_max in 4..64, got q_max={shown(q_max)}")
     stream = draws.Stream(seed)
@@ -228,13 +239,14 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
         endpoint.append((rp.endpoint_optimality_gap(q), f"q={q}"))
 
     deriv = rp.g_derivative_bound_check()
+    lipschitz = deriv.lipschitz_constant
     pairs = stream.uniform(-1.0, 1.0, size=20_000).reshape(10_000, 2)
     lip_excess = float(np.max(
         np.abs(rp.factor_entropy(pairs[:, 0]) - rp.factor_entropy(pairs[:, 1]))
         - np.abs(pairs[:, 0] - pairs[:, 1])
     ))
-    fan = [(rp.fan_consistency(q, rp.bound_theorem3(q), rp.fan_main_term(rp.RieszParams(1.0, q))),
-            f"q={q}") for q in (8, 16, 32, 64, 128)]
+    fan = [(rp.fan_gap(params, rp.bound_theorem3(params.q), rp.fan_main_term(params)),
+            f"q={params.q}") for params in (rp.RieszParams(1.0, q) for q in (8, 16, 32, 64, 128))]
     prop5_dom = [(rp.bound_prop5(q) - rp.bound_theorem3(q), f"q={q}")
                  for q in range(3, max(q_max, 32) + 1)]
     prop4_gaps = {q: rp.bound_prop4(q) - rp.bound_theorem3(q) for q in range(4, q_max + 1, 2)}
@@ -244,18 +256,18 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
         _worst("riesz/chebyshev_factorization", factorization, 1e-9),
         _worst("riesz/closed_form_matches_vertex_solver", cross, 1e-9),
         _worst("riesz/entropy_objective_peaks_at_endpoints", endpoint, 1e-9),
-        CheckResult("riesz/derivative_bounded_by_2", deriv.sup_estimate <= 2.0,
-                    deriv.sup_estimate,
+        CheckResult("riesz/derivative_bounded_by_2",
+                    deriv.sup_estimate, 2.0,
                     "exact sup of the factor-entropy derivative over |a| <= 1"),
         CheckResult("riesz/lipschitz_constant_in_window",
-                    1.2 <= deriv.lipschitz_constant <= 1.25, deriv.lipschitz_constant,
+                    max(1.2 - lipschitz, lipschitz - 1.25), 0.0,
                     "sup of sin(x)(1 + log(1 + cos x)) on [0, pi/2]"),
-        CheckResult("riesz/factor_entropy_1_lipschitz", lip_excess <= 1e-6, lip_excess,
+        CheckResult("riesz/factor_entropy_1_lipschitz", lip_excess, 1e-6,
                     "10^4 random amplitude pairs"),
         _worst("riesz/fan_main_term_agreement", fan, rp.FAN_CONSISTENCY_ALLOWANCE),
         _worst("riesz/prop5_below_theorem3", prop5_dom, 1e-9),
-        CheckResult("riesz/prop4_sign_discrepancy_report", prop4_residual <= 1e-12,
-                    prop4_residual, "verbatim prop4 minus theorem3, as derived: " + ", ".join(
+        CheckResult("riesz/prop4_sign_discrepancy_report", prop4_residual, 1e-12,
+                    "verbatim prop4 minus theorem3, as derived: " + ", ".join(
                         f"q={q}: {gap:+.6f}" for q, gap in prop4_gaps.items())),
     ]
 
@@ -310,16 +322,17 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
 
     sibling_synthesis = gv.sibling_synthesis_check(seq) / sup
     membership = gv.wb_membership_check(seq, b) / sup
-    nonneg = float(min(np.min(seq.class_values[k]) for k in range(grid.levels + 1)))
+    nonneg = float(np.min([np.min(values) for values in seq.class_values]))
 
     chain_p = [exponent if exponent > 1 else 2.0 for exponent in map(float, p)]
     growth = {e: gv.growth_check(seq, b, e) for e in dict.fromkeys((*p, *chain_p))}
     growth_checks = []
     for exponent in p:
         report = growth[exponent]
-        slack = min(report.worst_step_slack, report.worst_atom_slack, report.global_slack)
+        # np.min and np.minimum keep a NaN slack, so that it fails
+        slack = float(np.min((report.worst_step_slack, report.worst_atom_slack, report.global_slack)))
         growth_checks.append(CheckResult(
-            f"martingale/growth_p={exponent}", report.passed, -slack,
+            f"martingale/growth_p={exponent}", -slack, 0.0,
             f"kappa(1/p)={report.kappa_theta:.6f}; " + ("; ".join(report.failures) or "all steps and atoms pass"),
         ))
 
@@ -329,7 +342,6 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
         subset = stream.subset(grid.size, count)
         exponent = chain_p[i % len(p)]
         report = gv.set_average_check(seq, subset, growth[exponent])
-        # np.minimum keeps a NaN slack, so that it fails
         subset_entries.append((-float(np.minimum(report.hoelder_slack, report.growth_slack)),
                                f"subset {i} (p={exponent}, #C={count})"))
 
@@ -339,22 +351,22 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
     )
 
     return [
-        CheckResult("martingale/two_path_sampling", two_path <= 1e-10, two_path,
+        CheckResult("martingale/two_path_sampling", two_path, 1e-10,
                     "factor product vs spectrum synthesis"),
         _worst("martingale/spectral_projection", projection, 1e-10),
         _worst("martingale/direct_average_agreement", direct_average, 1e-10),
         _worst("martingale/difference_vectors_sum_to_zero", tree_sums, 1e-12),
         CheckResult("martingale/sibling_synthesis_from_spectrum",
-                    sibling_synthesis <= 1e-10, sibling_synthesis,
+                    sibling_synthesis, 1e-10,
                     "inverse cyclic transform of the digit-filtered spectrum"),
         CheckResult("martingale/differences_in_admissible_subspace",
-                    membership <= 1e-10, membership, f"B={sorted(b.members)}"),
-        CheckResult("martingale/levels_nonnegative", nonneg >= -1e-10, -nonneg,
+                    membership, 1e-10, f"B={sorted(b.members)}"),
+        CheckResult("martingale/levels_nonnegative", -nonneg, 1e-10,
                     "non-negative source keeps every level non-negative"),
         *growth_checks,
         _worst("martingale/set_average_chain", subset_entries, 0.0),
-        CheckResult("martingale/plateau_kernel_sandwich", sandwich.passed,
-                    -min(sandwich.min_lower_margin, sandwich.min_upper_margin),
+        CheckResult("martingale/plateau_kernel_sandwich",
+                    -float(np.minimum(sandwich.min_lower_margin, sandwich.min_upper_margin)), 1e-10,
                     f"worst grid point {sandwich.worst_point}"),
     ]
 

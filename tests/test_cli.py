@@ -463,7 +463,7 @@ class TestVerifyCommand:
             raise ValueError(f"non-standard JSON token {token}")
 
         monkeypatch.setitem(cli.COMMANDS, "bound",
-                            lambda options: ({}, [CheckResult("x", False, float("inf"))]))
+                            lambda options: ({}, [CheckResult("x", float("inf"), 0.0)]))
         code, out, _ = run_main(["bound", "--q", "4", "--format", "json"], capsys)
         assert code == 1
         data = json.loads(out, parse_constant=reject)
@@ -483,7 +483,31 @@ class TestVerifyCommand:
         code, out, _ = run_main(["verify", "--suite", "martingale", "--q", "3", "--n",
                                  "3", "--format", "csv"], capsys)
         assert code == 0
-        assert out.splitlines()[0] == "name,passed,residual,detail"
+        assert out.splitlines()[0] == "name,passed,residual,bound,detail"
+
+
+class TestPassRule:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "all", "--seed", "0"],
+        ["bound", "--q", "14", "--b", "2,4,10,12"],
+        ["riesz", "--q", "4"],
+        ["sweep", "--q", "8..32", "--step", "x2", "--a", "0.5"],  # a negative fan gap
+    ])
+    def test_passed_is_residual_at_most_bound(self, argv, capsys):
+        # every check row reports a finite bound, and passes exactly when its
+        # residual is a number at most that bound, or when it had no cases
+        code, data = payload(argv, capsys)
+        checks = data["checks"]
+        assert checks
+        for check in checks:
+            assert isinstance(check["bound"], float) and math.isfinite(check["bound"]), check
+            residual = check["residual"]
+            expected = check["detail"] == "no cases" if residual is None else residual <= check["bound"]
+            assert check["passed"] is expected, check
+        assert code == (0 if all(c["passed"] for c in checks) else 1)
+        if argv[0] == "sweep":
+            fan = [c for c in checks if c["name"].endswith("/fan_consistency_bounded")]
+            assert len(fan) == 3 and all(c["residual"] < 0 and c["passed"] for c in fan)
 
 
 class TestEnvelope:
@@ -546,10 +570,11 @@ class TestEnvelope:
 
     def test_failed_check_gives_exit_one(self, monkeypatch, capsys):
         monkeypatch.setitem(cli.COMMANDS, "bound", lambda options: (
-            {}, [CheckResult("x", True), CheckResult("y", False, 1.0, "too large")]))
+            {}, [CheckResult("x", None, 0.0), CheckResult("y", 1.0, 0.5, "too large")]))
         code, out, err = run_main(["bound", "--q", "4"], capsys)
         assert code == 1
-        assert "[PASS] x" in out and "[FAIL] y  residual=1.000e+00" in out
+        assert "[PASS] x  bound=0.000e+00" in out
+        assert "[FAIL] y  residual=1.000e+00  bound=5.000e-01" in out
         assert "too large" in out and err == ""
 
     @pytest.mark.parametrize("argv", [

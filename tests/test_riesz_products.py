@@ -301,12 +301,15 @@ class TestFanTerm:
         assert rp.fan_main_term(rp.RieszParams(0.0, 7)) == 1.0
 
     def test_fan_consistency_bounded_at_unit_amplitude(self):
+        # at |a| = 1 the gap is two-sided
         for q in (8, 16, 32, 64, 128):
-            params = rp.RieszParams(1.0, q)
-            theorem3, fan_main = rp.bound_theorem3(q), rp.fan_main_term(params)
-            gap = abs(theorem3 - fan_main)
-            assert rp.fan_consistency(q, theorem3, fan_main) == gap * q * math.log(q) <= 10.0
-            assert rp.fan_consistency_bounded(params, theorem3, fan_main)
+            for a in (1.0, -1.0):
+                params = rp.RieszParams(a, q)
+                theorem3, fan_main = rp.bound_theorem3(q), rp.fan_main_term(params)
+                gap = abs(theorem3 - fan_main)
+                assert rp.fan_gap(params, theorem3, fan_main) == gap * q * math.log(q)
+                assert rp.fan_gap(params, theorem3, fan_main) <= rp.FAN_CONSISTENCY_ALLOWANCE
+        assert rp.fan_gap(rp.RieszParams(1.0, 8), 0.5, 0.6) == (0.6 - 0.5) * 8 * math.log(8) > 0
 
     def test_fan_consistency_one_sided_below_unit_amplitude(self):
         # theorem3 does not move with a, fan_main does: the two-sided gap
@@ -314,9 +317,9 @@ class TestFanTerm:
         for a in (0.5, -0.5, 0.8):
             params = rp.RieszParams(a, 128)
             theorem3, fan_main = rp.bound_theorem3(128), rp.fan_main_term(params)
-            assert rp.fan_consistency(128, theorem3, fan_main) > 10.0
-            assert theorem3 < fan_main
-            assert rp.fan_consistency_bounded(params, theorem3, fan_main)
+            assert abs(theorem3 - fan_main) * 128 * math.log(128) > 10.0
+            assert rp.fan_gap(params, theorem3, fan_main) == (theorem3 - fan_main) * 128 * math.log(128)
+            assert rp.fan_gap(params, theorem3, fan_main) < 0
 
     def test_factor_entropy_matches_quadrature_reference(self):
         # the defining integral over the symmetric half-period, by tanh-sinh
@@ -467,8 +470,9 @@ class TestDerivativeBounds:
     def test_report(self):
         report = rp.g_derivative_bound_check()
         checks = {c.name: c for c in verify.riesz_identity_suite(q_max=4)}
+        window = max(1.2 - report.lipschitz_constant, report.lipschitz_constant - 1.25)
         for name, value in [("riesz/derivative_bounded_by_2", report.sup_estimate),
-                            ("riesz/lipschitz_constant_in_window", report.lipschitz_constant)]:
+                            ("riesz/lipschitz_constant_in_window", window)]:
             assert checks[name].passed and checks[name].residual == value
         assert abs(report.lipschitz_constant - 1.2257873768) <= 1e-6
         # the global sup is attained on the |a| = 1 slice

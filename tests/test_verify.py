@@ -163,13 +163,29 @@ class TestCollapse:
         result = verify._worst("x", [(0.1, "a"), (0.9, "b"), (0.3, "c")], 1.0)
         assert result.passed and result.residual == 0.9 and result.detail == "b"
 
-    def test_worst_smallest_mode(self):
-        result = verify._worst("x", [(0.2, "a"), (-0.1, "b")], 0.0,
-                               larger_is_worse=False)
-        assert not result.passed and result.detail == "b"
+    def test_worst_keeps_nan(self):
+        # a NaN case is the worst wherever it sits, and fails
+        result = verify._worst("x", [(0.2, "a"), (math.nan, "b"), (0.9, "c")], 1.0)
+        assert not result.passed and math.isnan(result.residual) and result.detail == "b"
 
     def test_empty_entries_pass(self):
-        assert verify._worst("x", [], 1.0).passed
+        result = verify._worst("x", [], 1.0)
+        assert result.passed and result.residual is None and result.detail == "no cases"
+
+
+class TestCheckResult:
+    def test_passes_when_residual_is_at_most_its_bound(self):
+        assert verify.CheckResult("x", 1.0, 1.0).passed
+        assert not verify.CheckResult("x", 1.5, 1.0).passed
+        assert verify.CheckResult("x", -2e-6, -1e-6).passed
+        assert verify.CheckResult("x", None, 0.0, "no cases").passed
+
+    @pytest.mark.parametrize("residual", [math.nan, math.inf])
+    def test_non_finite_residual_fails(self, residual):
+        check = verify.CheckResult("x", residual, 0.0, "why")
+        assert not check.passed
+        assert check.as_dict() == {"name": "x", "passed": False, "residual": None, "bound": 0.0,
+                                   "detail": f"why (residual {residual} is not finite)"}
 
 
 class TestCounterexampleCheck:
