@@ -1,5 +1,6 @@
 """Command-line front end: bound computation, Riesz comparison tables,
-verification suites, and q-sweeps with machine-readable output.
+verification suites, and q-sweeps, each written to stdout as one text, JSON or
+CSV report.
 
 The commands pass the options the user set through to the library, whose
 signatures hold every default and whose functions hold the formulas of the
@@ -11,13 +12,13 @@ set it.  A verify option is named as its suite's keyword, and ``cmd_verify``
 passes each selected suite the set options its signature names.  Each command
 reads that one options dict and returns its results and checks; ``main`` times
 the call and builds the report, a plain dict whose config block is the same
-options dict and which ``render`` encodes.
+options dict, and writes it to stdout as ``render`` encodes it.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error
 (including a verify option no selected suite reads), violated precondition,
-empty range or a report that cannot be written, 3 resource guard tripped or
-memory exhausted, 4 numerical failure.  JSON payloads are deterministic for a fixed
-config and seed except for the wall_time_s field.
+empty range or a report that cannot be written to stdout, 3 resource guard
+tripped or memory exhausted, 4 numerical failure.  JSON payloads are
+deterministic for a fixed config and seed except for the wall_time_s field.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import inspect
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -308,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         p.add_argument("--format", dest="output_format", choices=("text", "json", "csv"),
                        default="text")
-        p.add_argument("--output",
-                       help="write the report here instead of stdout "
-                            "(relative paths resolve under $SPECBOUND_OUTPUT_DIR)")
         return p
 
     p_bound = add_command("bound", "certified dimension bound for (q, B)")
@@ -346,19 +343,6 @@ COMMANDS = {
 }
 
 
-def _emit(envelope: dict, options: dict) -> None:
-    text = render(envelope, options["output_format"])
-    path = options.get("output")
-    if path:
-        if not os.path.isabs(path):
-            path = os.path.join(os.environ.get("SPECBOUND_OUTPUT_DIR", "."), path)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv: list[str] | None = None) -> int:
     options = vars(build_parser().parse_args(argv))
     try:
@@ -377,11 +361,15 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    text = render(envelope, options["output_format"])
     try:
-        _emit(envelope, options)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write report to {options.get('output') or 'stdout'}: {exc}",
-              file=sys.stderr)
+        # drop the stream: the interpreter's own flush at exit would fail on
+        # the text still buffered and turn exit status 2 into 120
+        sys.stdout = None
+        print(f"error: cannot write report to stdout: {exc}", file=sys.stderr)
         return 2
     return 0 if all(c["passed"] for c in envelope["checks"]) else 1
 

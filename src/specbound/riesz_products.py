@@ -168,8 +168,8 @@ def log_integral(q: int) -> float:
 def chebyshev_identity_residual(q: int) -> float:
     """|entropy sum - its integral closed form| for even q; small residual
     certifies the quadrature and the algebraic reduction simultaneously."""
-    if q % 2 != 0 or not 4 <= q <= 64:
-        raise InvalidInputError(f"identity check needs even q in 4..64, got {q}")
+    if q % 2 != 0 or q < 4:
+        raise InvalidInputError(f"identity check needs even q >= 4, got {q}")
     lhs = float(entropy_objective(q, math.pi / q))
     cos_q = math.cos(math.pi / q)
     rhs = ((1.0 - LOG2) * q + 2.0 * LOG2
@@ -392,16 +392,14 @@ def bound_table_row(params: RieszParams) -> BoundTableRow:
 
     The entropy proxy's grid guard, :func:`max_entropy_level`, fires before
     any column costs time.  The proxy runs at level L, ``ENTROPY_LEVEL`` (5)
-    capped at that function's level, on a spectrum of depth 2*L, capped at the
-    largest depth within ``MAX_SPECTRUM_TERMS``.  The Peyriere
+    capped at that function's level, on a spectrum of depth 2*L.  The Peyriere
     proxy runs at product depth d, the largest d <= 8 with q**d <= 5e5 (and
     d = 1 for q > 707), on a grid of at least 2e5 points and at least three
     blocks of q**d.
     """
     q = params.q
     level = min(ENTROPY_LEVEL, max_entropy_level(params))
-    spectrum_depth = min(2 * level, max_exponent(3, MAX_SPECTRUM_TERMS))
-    entropy_est = entropy_dimension_estimate(params, spectrum_depth, level)
+    entropy_est = entropy_dimension_estimate(params, 2 * level, level)
     depth = min(8, max(1, max_exponent(q, 5 * 10 ** 5)))
     block = q ** depth
     pey = peyriere_dimension(params, depth, block * max(3, -(-200_000 // block)))

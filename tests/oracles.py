@@ -67,16 +67,15 @@ def per_piece_log_integral(q):
 
 def lowered_table_row_sizes(q):
     """Reference: the entropy level, spectrum depth and Peyriere product depth
-    of ``riesz_products.bound_table_row``, each lowered (or raised) one step at
-    a time until its power fits the budget; the entropy level starts at 5."""
+    of ``riesz_products.bound_table_row``, the level and the product depth each
+    lowered (or raised) one step at a time until its power fits the budget; the
+    entropy level starts at 5, and the spectrum depth is twice the level."""
     from specbound import riesz_products as rp
 
     level = 5
     while q ** level > rp.MAX_ENTROPY_GRID and level > 1:
         level -= 1
     spectrum_depth = 2 * level
-    while 3 ** spectrum_depth > rp.MAX_SPECTRUM_TERMS:
-        spectrum_depth -= 1
     depth = 1
     while q ** (depth + 1) <= 5 * 10 ** 5 and depth < 8:
         depth += 1

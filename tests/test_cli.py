@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -206,7 +207,8 @@ class TestLongArguments:
         (["verify", "--suite", "martingale", "--p", "x" * 4000], 2,
          "error: cannot parse p list a 4000-character text"),
         (["verify", "--suite", "riesz-identities", "--q-max", NINES], 2,
-         "error: riesz identities need q_max in 4..64, got q_max=a 13288-bit number"),
+         "error: riesz identities need q_max in 4..512, past which the Chebyshev node product "
+         "underflows, got q_max=a 13288-bit number"),
         (["verify", "--suite", "kappa", "--q-max", "-" + NINES], 2,
          "error: kappa suite needs q_max >= 3, got a negative 13288-bit number"),
         (["verify", "--suite", "all", "--seed", NINES], 2,
@@ -447,11 +449,12 @@ class TestVerifyCommand:
 
     def test_riesz_identities_q_max_limit(self, capsys):
         # refused by the suite itself, before its quadrature runs
-        code, out, err = run_main(["verify", "--suite", "riesz-identities", "--q-max", "66"],
+        code, out, err = run_main(["verify", "--suite", "riesz-identities", "--q-max", "514"],
                                   capsys)
         assert code == 2
         assert out == ""
-        assert err == "error: riesz identities need q_max in 4..64, got q_max=66\n"
+        assert err == ("error: riesz identities need q_max in 4..512, past which the Chebyshev "
+                       "node product underflows, got q_max=514\n")
 
     def test_non_finite_p_rejected(self, capsys):
         code, _, err = run_main(["verify", "--suite", "martingale", "--p", "1,nan"], capsys)
@@ -528,20 +531,16 @@ class TestEnvelope:
         (["bound", "--q", "4", "--b", "2"], {"q", "b"}),
         (["bound", "--q", "5"], {"q"}),
         (["riesz", "--q", "4"], {"q", "a"}),
-        (["sweep", "--q", "4..5", "--output", "report.json"],
-         {"q_range", "a", "output"}),
+        (["sweep", "--q", "4..5"], {"q_range", "a"}),
         (["verify", "--suite", "kappa", "--q-max", "4"], {"suite", "q_max", "seed"}),
         (["verify", "--suite", "martingale", "--q", "3", "--n", "3", "--p", "2", "--a", "0.5"],
          {"suite", "q", "n", "p", "a", "seed"}),
     ])
-    def test_config_lists_set_options_and_parser_defaults(self, argv, keys, tmp_path,
-                                                          monkeypatch, capsys):
+    def test_config_lists_set_options_and_parser_defaults(self, argv, keys, capsys):
         # options left unset, such as bound's --b, are not listed
-        monkeypatch.setenv("SPECBOUND_OUTPUT_DIR", str(tmp_path))
         code, out, _ = run_main(argv + ["--format", "json"], capsys)
         assert code == 0
-        report = (tmp_path / "report.json").read_text() if "--output" in argv else out
-        assert set(json.loads(report)["config"]) == {"command", "output_format"} | keys
+        assert set(json.loads(out)["config"]) == {"command", "output_format"} | keys
 
     @pytest.mark.parametrize("command", [
         ["bound", "--q", "4", "--b", "2"],
@@ -617,31 +616,62 @@ class TestEnvelope:
             for leaf in leaves(report):
                 assert type(leaf) in (str, int, float, bool, type(None)), (leaf, type(leaf))
 
-    def test_output_file_and_env_dir(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SPECBOUND_OUTPUT_DIR", str(tmp_path))
-        code, out, _ = run_main(["bound", "--q", "4", "--b", "2", "--format", "json",
-                                 "--output", "report.json"], capsys)
-        assert code == 0
-        assert out == ""
-        written = json.loads((tmp_path / "report.json").read_text())
-        assert abs(written["results"]["table"][0]["bound"] - 0.5) <= 1e-12
+    def test_unwritable_stdout_is_usage_error(self, monkeypatch, capsys):
+        # a closed pipe on stdout
+        def closed(text):
+            raise BrokenPipeError(32, "Broken pipe")
 
-
-    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
-        # a regular file where the report's directory should be
-        blocker = tmp_path / "report"
-        blocker.write_text("")
-        code, out, err = run_main(["bound", "--q", "4", "--b", "2",
-                                   "--output", str(blocker / "r.json")], capsys)
+        monkeypatch.setattr(sys.stdout, "write", closed)
+        code, out, err = run_main(["bound", "--q", "4", "--b", "2"], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: cannot write report to {blocker / 'r.json'}: ")
+        assert err.startswith("error: cannot write report to stdout: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["bound", "--q", "4", "--b", "2"],
+        ["riesz", "--q", "4"],
+        ["verify", "--suite", "kappa", "--q-max", "4"],
+        ["sweep", "--q", "4"],
+    ])
+    def test_output_option_is_usage_error(self, command, tmp_path, monkeypatch, capsys):
+        # every report goes to stdout; there is no option to write a file
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_main(command + ["--output", "r.json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "specbound: error: unrecognized arguments: --output r.json\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_import_leaves_csv_unloaded():
     # only a CSV report loads the csv module
     assert loaded_after_import("cli", ["csv"]) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+@pytest.mark.parametrize("sink", ["full", "closed pipe"])
+@pytest.mark.parametrize("argv", [
+    ["bound", "--q", "4", "--b", "2"],  # fits the stdout buffer
+    ["bound", "--q", "2000", "--b", "1", "--format", "json"],  # does not
+])
+def test_unwritable_stdout_exits_two_at_once(sink, argv):
+    # a buffered stdout fails at the flush; left to the interpreter's flush at
+    # exit, the same failure printed two lines and exited 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if sink == "full":
+        out = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, out = os.pipe()
+        os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "specbound", *argv], stdout=out,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(out)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write report to stdout: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_console_entry_point():

@@ -1,7 +1,7 @@
 import functools
 import math
 import warnings
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -17,6 +17,11 @@ LOG2 = math.log(2.0)
 
 def polytope(q, members):
     return kb.FeasiblePolytope.from_residues(zq.ResidueSet.of(q, members))
+
+
+def nonempty_symmetric_sets(q):
+    """The symmetric B of Z_q after the empty one, whose polytope has no rows."""
+    return islice(symmetric_residue_sets(q), 1, None)
 
 
 def assert_same_vertex_set(actual: np.ndarray, expected, tol=1e-9):
@@ -124,7 +129,7 @@ class TestVertices:
             return pairwise_greedy(found).reshape(-1, q)
 
         for q in range(3, 11):
-            for b in symmetric_residue_sets(q):
+            for b in nonempty_symmetric_sets(q):
                 p = kb.FeasiblePolytope.from_residues(b)
                 assert_same_vertex_set(p.vertex_set, reference(p), tol=1e-12)
 
@@ -340,7 +345,7 @@ class TestCompletenessOracle:
     def test_linear_maxima_match(self):
         rng = np.random.default_rng(3)
         for q in range(3, 13):
-            for b in symmetric_residue_sets(q):
+            for b in nonempty_symmetric_sets(q):
                 p = kb.FeasiblePolytope.from_residues(b)
                 for c in rng.standard_normal((5, q)):
                     assert abs(self.lp_max(p, c) - np.max(p.vertex_set @ c)) <= 1e-9, (b, c)
@@ -441,7 +446,7 @@ class TestKappa:
     def test_matches_per_row_reference(self, theta):
         # same terms per row; the masked sum and np.log may round the last bit differently
         for q in range(3, 13):
-            for b in symmetric_residue_sets(q):
+            for b in nonempty_symmetric_sets(q):
                 p = kb.FeasiblePolytope.from_residues(b)
                 assert abs(kb.kappa(theta, p) - per_row_kappa(theta, p)) <= 1e-15, (q, b.members)
 
@@ -468,7 +473,7 @@ class TestKappa:
         # bit for bit, except at theta = 1/2: numpy squares for the scalar
         # exponent 2 but calls pow for an array of exponents
         thetas = np.array([[1e-3, 0.2, 0.5], [0.8, 0.999, 1.0]])
-        cases = [b for q in range(3, 11) for b in symmetric_residue_sets(q, nonempty=False)]
+        cases = [b for q in range(3, 11) for b in symmetric_residue_sets(q)]
         for b in cases + [half_band(24)]:
             p = kb.FeasiblePolytope.from_residues(b)
             values = kb.kappa(thetas, p)
@@ -645,7 +650,7 @@ class TestSubgroupBound:
     def test_proper_inclusion_oracle(self, q):
         # every symmetric B, the empty set included: B is proper exactly when
         # it is not all of H minus {0}, listed here element by element
-        for b in symmetric_residue_sets(q, nonempty=False):
+        for b in symmetric_residue_sets(q):
             result = kb.dimension_bound(b)
             g = result.subgroup_generator
             assert g == math.gcd(q, *b.members)

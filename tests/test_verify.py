@@ -17,11 +17,12 @@ from specbound.errors import ResourceLimitError
 
 class TestSymmetricEnumeration:
     def test_counts(self):
-        # reflection orbits: floor((q-1)/2) pairs plus a fixed point for even q
-        assert len(list(verify.symmetric_residue_sets(3))) == 1
-        assert len(list(verify.symmetric_residue_sets(4))) == 3
-        assert len(list(verify.symmetric_residue_sets(10))) == 31
-        assert len(list(verify.symmetric_residue_sets(4, nonempty=False))) == 4
+        # reflection orbits: floor((q-1)/2) pairs plus a fixed point for even q;
+        # the empty set comes first
+        assert len(list(verify.symmetric_residue_sets(3))) == 2
+        assert len(list(verify.symmetric_residue_sets(4))) == 4
+        assert len(list(verify.symmetric_residue_sets(10))) == 32
+        assert next(verify.symmetric_residue_sets(4)).members == frozenset()
 
     def test_all_symmetric(self):
         for b in verify.symmetric_residue_sets(9):
@@ -68,7 +69,7 @@ class TestSuites:
 
         monkeypatch.setattr(kb, "kappa", counted)
         assert all(c.passed for c in verify.kappa_suite(q_max=8))
-        assert len(calls) == sum(len(list(verify.symmetric_residue_sets(q, nonempty=False)))
+        assert len(calls) == sum(len(list(verify.symmetric_residue_sets(q)))
                                  for q in range(3, 9)) == 42
 
     def test_single_step_margin_reports_an_under_reported_kappa(self, monkeypatch):
@@ -145,7 +146,7 @@ class TestSuites:
         # the total must equal C(q, d_B) summed over the sets the suite enumerates
         # exhaustively: a band's vertices come from its sine products
         total = sum(math.comb(q, zq.wb_basis(b).dim) for q in range(3, 8)
-                    for b in verify.symmetric_residue_sets(q, nonempty=False)
+                    for b in verify.symmetric_residue_sets(q)
                     if kb.FeasiblePolytope.from_residues(b).band is None)
         monkeypatch.setattr(verify, "MAX_KAPPA_SUBSETS", total - 1)
         with pytest.raises(ResourceLimitError):
