@@ -108,7 +108,10 @@ def martingale_levels(spec: SparseSpectrum, grid: QadicGrid) -> MartingaleSequen
     # a contiguous copy of the real part frees the complex synthesis
     levels[grid.levels] = np.ascontiguousarray(sample_on_grid(spec, grid))
     for k in range(grid.levels - 1, -1, -1):
-        levels[k] = levels[k + 1].reshape(grid.q, -1).mean(axis=0)
+        # each atom's q children as one contiguous row, which numpy sums
+        # pairwise; a mean over axis 0 adds q strided rows one after another,
+        # and its round-off grows with q
+        levels[k] = np.ascontiguousarray(levels[k + 1].reshape(grid.q, -1).T).mean(axis=1)
     return MartingaleSequence(grid, levels, spec)
 
 

@@ -13,12 +13,13 @@ normalized product of sines (:func:`band_vertices`).  The polytope of every B
 is invariant under the dihedral group j -> c +- j of Z_q, and both objectives
 are symmetric functions of the coordinates, so for a band they are maximized
 over one vertex per dihedral orbit: one per bracelet of the gaps between its r
-active pairs (:func:`bracelets`), and no other band vertex is ever built.
-Every other B is maximized over its vertex set, enumerated by solving for all
-C(q, d) candidate active sets (:func:`polytope_vertices`).  The resulting
-certified lower bound for the dimension of any admissible non-negative
-measure is 1 + kappa'(1)/log q, compared against the coarser subgroup bound
-1 - log|H|/log q.
+active pairs, that is, per necklace of the gaps (:func:`necklaces`) that no
+rotation of its reversal undercuts (:func:`bracelets`).  No other band vertex
+is ever built.  Every other B is maximized over its vertex set, enumerated by
+solving for all C(q, d) candidate active sets (:func:`polytope_vertices`).
+The resulting certified lower bound for the dimension of any admissible
+non-negative measure is 1 + kappa'(1)/log q, compared against the coarser
+subgroup bound 1 - log|H|/log q.
 """
 
 from __future__ import annotations
@@ -171,8 +172,8 @@ def gale_vertex_count(q: int, r: int) -> int:
 
 
 def _rows(stream, n: int, k: int) -> np.ndarray:
-    """The next ``n`` length-``k`` integer tuples of ``stream``, as an (n, k) array."""
-    return np.fromiter(chain.from_iterable(islice(stream, n)), np.intp, count=n * k).reshape(n, k)
+    """The next ``n`` length-``k`` integer tuples of ``stream``, fewer at its end, as k columns."""
+    return np.fromiter(chain.from_iterable(islice(stream, n)), np.intp).reshape(-1, k)
 
 
 def _sine_products(q: int, u: int, starts: np.ndarray) -> np.ndarray:
@@ -232,8 +233,9 @@ def band_orbit_count(q: int, r: int) -> int:
     pairs, with sum q - 2r; rotations and reflections of Z_q rotate and reverse
     that sequence, so the orbits are its bracelets.  Of the r rotations, the
     one by k fixes the sequences of period c = gcd(k, r), which exist when
-    r/c divides q - 2r.  A reversal fixes the palindromes: for odd r, a middle
-    gap and m = (r-1)/2 mirrored pairs; for even r, either two middle gaps and
+    r/c divides q - 2r.  Each of the r reflections fixes the sequences that
+    read the same from both ends of its axis: for odd r, a middle gap and
+    m = (r-1)/2 mirrored pairs; for even r, either two middle gaps and
     m = r/2 - 1 pairs, or r/2 pairs.  Sums over the mirrored pairs' total
     s <= (q - 2r)/2 collapse by the hockey-stick identity.
     """
@@ -258,37 +260,27 @@ def _compositions(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
-def bracelets(parts: int, total: int) -> Iterator[tuple[int, ...]]:
+def necklaces(parts: int, total: int) -> Iterator[tuple[int, ...]]:
     """Each sequence of ``parts`` integers >= 0 with sum ``total``, up to
-    rotation and reversal, once: its lexicographically least form, in
-    lexicographic order.
+    rotation, once: its lexicographically least rotation, in lexicographic
+    order.
 
-    Sawada's bracelet generator (Sawada, "Generating bracelets in constant
-    amortized time", SIAM J. Comput. 31, 2001) with the sum fixed, iterative
-    so that its depth is not limited by the recursion limit.  It extends
-    prenecklaces a_1..a_t as the Fredricksen-Kessler-Maiorana algorithm does
-    (a_t >= a_{t-p}, p the period of the longest Lyndon prefix; a necklace
-    when p divides the length) and prunes a prefix as soon as a rotation of
-    its reversal is smaller.  Only rotations of the reversal that start with
-    a run of a_1 as long as the leading one can be: each time such a run ends
-    at t, a_1..a_t is compared with its own reversal.  A palindromic a_1..a_t
-    leaves a_{t+1}..a_n to be compared with its reversal, which the flag
-    ``rs`` tracks once both halves are set.  A prefix is also pruned when the
-    remaining parts, each at least a_1, cannot meet the sum.
+    The Fredricksen-Kessler-Maiorana algorithm (Ruskey, Savage and Wang,
+    "Generating necklaces", J. Algorithms 13, 1992) with the sum fixed,
+    iterative so that its depth is not limited by the recursion limit.  It
+    extends prenecklaces a_1..a_t by a_t >= a_{t-p}, p the period of the
+    longest Lyndon prefix of a_1..a_{t-1}, and a full-length prenecklace is a
+    necklace when p divides its length.  Every entry of a prenecklace is at
+    least a_1, so a prefix is pruned when the remaining parts cannot meet the
+    sum, and the last entry is what the sum leaves.
     """
     n, k = parts, total
     if n == 1:
         yield (k,)
         return
     a = [0] * (n + 1)
-    # state after a_t is set: Lyndon period, lengths of the leading and
-    # trailing runs of a_1, end of the last palindromic prefix, whether the
-    # reversal is smaller on the part compared so far, and the running sum
+    # state after a_t is set: Lyndon period and the running sum
     period = [1] * (n + 1)
-    lead = [1] * (n + 1)
-    trail = [1] * (n + 1)
-    pal = [1] * (n + 1)
-    smaller = [False] * (n + 1)
     acc = [0] * (n + 1)
     for first in range(k // n + 1):
         a[1] = acc[1] = first
@@ -297,42 +289,47 @@ def bracelets(parts: int, total: int) -> Iterator[tuple[int, ...]]:
             p = period[t - 1]
             ref = a[t - p]
             top = k - acc[t - 1] - (n - t) * first
+            if t == n:
+                if top >= ref and n % (p if top == ref else n) == 0:
+                    a[n] = top
+                    yield tuple(a[1:])
+                t -= 1
+                x = a[t] + 1
+                continue
             if x is None:
-                x = ref if t < n or ref > top else top
+                x = ref
             if x > top:
                 t -= 1
                 x = a[t] + 1
                 continue
             a[t] = x
-            if x == first:
-                v = trail[t - 1] + 1
-                u = t if lead[t - 1] == t - 1 else lead[t - 1]
-            else:
-                v, u = 0, lead[t - 1]
-            r, rs = pal[t - 1], smaller[t - 1]
-            if v == u:
-                for j in range(u + 1, (t + 1) // 2 + 1):
-                    if a[j] != a[t + 1 - j]:
-                        break
-                else:
-                    j = 0  # a_1..a_t is a palindrome
-                if not j:
-                    r, rs = t, False
-                elif a[j] > a[t + 1 - j]:
-                    x += 1
-                    continue
-            if 2 * t > n + r and x != a[n + 1 + r - t]:
-                rs = x < a[n + 1 + r - t]
-            if t == n:
-                if not rs and n % (p if x == ref else t) == 0:
-                    yield tuple(a[1:])
-                t -= 1
-                x = a[t] + 1
-                continue
             period[t] = p if x == ref else t
-            lead[t], trail[t], pal[t], smaller[t] = u, v, r, rs
             acc[t] = acc[t - 1] + x
             t, x = t + 1, None
+
+
+def bracelets(parts: int, total: int) -> Iterator[np.ndarray]:
+    """Each sequence of ``parts`` integers >= 0 with sum ``total``, up to
+    rotation and reversal, once: its lexicographically least form, in
+    lexicographic order, as arrays of rows.
+
+    A necklace is a bracelet exactly when no rotation of its reversal is
+    lexicographically smaller.  The :func:`necklaces` are tested
+    ``_VERTEX_FLOATS // parts`` at a time.  Written as big-endian unsigned
+    integers of the least width that holds ``total``, rows compare
+    lexicographically as byte strings do (numpy drops trailing zero bytes
+    before it compares, which changes no order, as zero is the least byte).
+    Each rotation of a reversal is read in place as a window of the reversal
+    written twice, so the test takes one string comparison per rotation.
+    """
+    n = parts
+    width = np.min_scalar_type(total).newbyteorder(">")
+    size = width.itemsize
+    stream = necklaces(n, total)
+    while len(g := _rows(stream, max(1, _VERTEX_FLOATS // n), n)):
+        twice = np.concatenate((g[:, ::-1], g[:, ::-1]), axis=1).astype(width)
+        turns = np.ndarray((len(g), n), f"S{n * size}", twice, strides=(2 * n * size, size))
+        yield g[(turns >= g.astype(width).view(turns.dtype)).all(axis=1)]
 
 
 def representatives(polytope: FeasiblePolytope) -> Iterator[np.ndarray]:
@@ -350,8 +347,10 @@ def _orbit_chunks(polytope: FeasiblePolytope) -> Iterator[np.ndarray]:
     """One vertex per dihedral orbit of a band, a chunk at a time.
 
     The pairs start at 0 and follow each other at the gaps of one bracelet.
-    Raises :class:`ResourceLimitError` before any is generated when the
-    Burnside count exceeds ``MAX_BAND_ORBITS`` or its log-sine terms exceed
+    The bracelets come one array per chunk of necklaces tested and go to
+    :func:`band_vertices` at most ``_VERTEX_FLOATS // q`` at a time.  Raises
+    :class:`ResourceLimitError` before any is generated when the Burnside
+    count exceeds ``MAX_BAND_ORBITS`` or its log-sine terms exceed
     ``MAX_BAND_TERMS``.
     """
     q, r = polytope.q, polytope.band[1]
@@ -359,11 +358,11 @@ def _orbit_chunks(polytope: FeasiblePolytope) -> Iterator[np.ndarray]:
     check_budget(f"dihedral-orbit vertices of the q={q} band of {r} pairs", count, MAX_BAND_ORBITS)
     check_budget(f"log-sine terms of {count} dihedral-orbit vertices of {r} pairs x {q} "
                  "coordinates", count * r * q, MAX_BAND_TERMS)
-    gaps = bracelets(r, q - 2 * r)
     per = max(1, _VERTEX_FLOATS // q)
-    for lo in range(0, count, per):
-        g = _rows(gaps, min(per, count - lo), r)
-        yield band_vertices(polytope, np.cumsum(g, axis=1) - g + 2 * np.arange(r))
+    for g in bracelets(r, q - 2 * r):
+        starts = np.cumsum(g, axis=1) - g + 2 * np.arange(r)
+        for lo in range(0, len(starts), per):
+            yield band_vertices(polytope, starts[lo:lo + per])
 
 
 def _feasible_solutions(m: np.ndarray, subsets: np.ndarray) -> np.ndarray:

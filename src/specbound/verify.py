@@ -322,7 +322,9 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
 
     tree_sums = []
     for k in range(1, grid.levels + 1):
-        tree_sums.append((float(np.max(np.abs(seq.differences(k).sum(axis=0)))) / sup, f"k={k}"))
+        # each atom's q differences summed along a contiguous row, pairwise, as the levels are
+        sums = np.ascontiguousarray(seq.differences(k).T).sum(axis=1)
+        tree_sums.append((float(np.max(np.abs(sums))) / sup, f"k={k}"))
 
     sibling_synthesis = gv.sibling_synthesis_check(seq) / sup
     membership = gv.wb_membership_check(seq, b) / sup

@@ -162,6 +162,17 @@ class TestSiblingDifferences:
             cls = int(rng.integers(0, 3 ** level))
             assert abs(sibling_differences(seq, level + 1, cls).sum()) <= 1e-12
 
+    @pytest.mark.parametrize("a", [1.0, 0.5])
+    def test_zero_sum_at_large_q(self, a):
+        # each atom averages its q = 1000 children pairwise; added one strided
+        # row after another, they missed the sum by 1.3e-12 (a = 1) and 1.9e-12
+        # (a = 0.5) of sup f, past the suite's 1e-12.  fsum adds each exactly.
+        seq, _, grid = riesz_sequence(1000, a, 2)
+        sup = max(1.0, float(np.max(np.abs(seq.class_values[grid.levels]))))
+        for k in range(1, grid.levels + 1):
+            sums = [math.fsum(children) for children in seq.differences(k).T.tolist()]
+            assert max(map(abs, sums)) <= 1e-12 * sup, k
+
     def test_matches_digit_filtered_synthesis(self):
         # oracle: rebuild the difference vector from the spectrum by hand, one
         # frequency at a time, for a handful of addresses

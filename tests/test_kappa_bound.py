@@ -185,6 +185,19 @@ def first_image_oracle(rows):
     return images[np.lexsort((np.arange(len(images)), *keys.T[::-1]))[0]]
 
 
+def least_forms(parts, total, reflect):
+    """Every sequence of ``parts`` integers >= 0 with sum ``total``, as its
+    least rotation (or rotation of its reversal, with ``reflect``), sorted:
+    canonicalized from each composition of the total."""
+    least = set()
+    for cut in combinations(range(total + parts - 1), parts - 1):
+        ends = (-1, *cut, total + parts - 1)
+        seq = tuple(ends[i + 1] - ends[i] - 1 for i in range(parts))
+        turns = [seq[i:] + seq[:i] for i in range(parts)]
+        least.add(min(turns + [t[::-1] for t in turns] if reflect else turns))
+    return sorted(least)
+
+
 class TestGaleEvenness:
     @pytest.mark.parametrize("q,members,expected", [
         (12, [1, 11], (1, 1)),
@@ -242,19 +255,23 @@ class TestGaleEvenness:
         # every band width at q <= 24, the half-band beyond
         widths = range(1, (q + 1) // 2) if q <= 24 else [q // 4]
         for r in widths:
-            assert sum(1 for _ in kb.bracelets(r, q - 2 * r)) == kb.band_orbit_count(q, r), r
+            assert sum(map(len, kb.bracelets(r, q - 2 * r))) == kb.band_orbit_count(q, r), r
+
+    # every parts <= 7 and total <= 8 (parts = 1 with total = 0, and parts >
+    # total, among them), the wide band's 40 parts of total 3, and totals
+    # whose entries take two and four bytes in the reflection test
+    LEAST_FORM_CASES = [*((parts, total) for parts in range(1, 8) for total in range(9)),
+                        (40, 3), (3, 300), (2, 70000)]
 
     def test_bracelets_are_least_forms(self):
-        # against canonicalizing every composition of the total
-        for parts in range(1, 8):
-            for total in range(0, 9):
-                least = set()
-                for cut in combinations(range(total + parts - 1), parts - 1):
-                    ends = (-1, *cut, total + parts - 1)
-                    seq = tuple(ends[i + 1] - ends[i] - 1 for i in range(parts))
-                    turns = [seq[i:] + seq[:i] for i in range(parts)]
-                    least.add(min(turns + [t[::-1] for t in turns]))
-                assert list(kb.bracelets(parts, total)) == sorted(least), (parts, total)
+        for parts, total in self.LEAST_FORM_CASES:
+            got = [tuple(row) for chunk in kb.bracelets(parts, total) for row in chunk.tolist()]
+            assert got == least_forms(parts, total, reflect=True), (parts, total)
+
+    def test_necklaces_are_least_rotations(self):
+        for parts, total in self.LEAST_FORM_CASES:
+            expected = least_forms(parts, total, reflect=False)
+            assert list(kb.necklaces(parts, total)) == expected, (parts, total)
 
     def test_orbit_budget_guard(self):
         # refused on the Burnside count, before any bracelet is generated
