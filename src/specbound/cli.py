@@ -1,11 +1,11 @@
-"""Command-line front end: bound computation, Riesz comparison tables,
-verification suites, and q-sweeps, each written to stdout as one text, JSON or
-CSV report.
+"""Command-line front end: bound computation, verification suites, and the
+Riesz comparison table over one q or a q range, each written to stdout as one
+text, JSON or CSV report.
 
 The commands pass the options the user set through to the library, whose
 signatures hold every default and whose functions hold the formulas of the
 verify checks and the residual of sweep's fan check.  The six other row checks
-are stated here, two in ``cmd_bound`` and four in ``_riesz_row``, as residuals.
+are stated here, two in ``cmd_bound`` and four in ``cmd_sweep``, as residuals.
 Each subparser is the only declaration of its options: an option whose
 default lives in the library is absent from the parsed options unless the user
 set it.  A verify option is named as its suite's keyword, and ``cmd_verify``
@@ -113,49 +113,38 @@ def cmd_bound(options: dict) -> tuple[dict, list[verify.CheckResult]]:
     return results, checks
 
 
-def _riesz_row(params: rp.RieszParams) -> tuple[dict, list[verify.CheckResult]]:
-    q = params.q
-    table = rp.bound_table_row(params)
-    dim = kb.dimension_bound(zq.ResidueSet.of(q, [1, q - 1]))
-    row = _bound_row(dim)
-    row.update((k, v) for k, v in dataclasses.asdict(table).items() if k not in ("q", "a"))
-    checks = [
-        verify.CheckResult(f"riesz/q={q}/theorem3_in_unit_interval",
-                           max(-table.theorem3, table.theorem3 - 1.0), 0.0, ""),
-        verify.CheckResult(f"riesz/q={q}/theorem3_matches_vertex_bound",
-                           abs(table.theorem3 - dim.raw_bound), 1e-9,
-                           "closed form vs the bound over the band's Gale vertices"),
-    ]
-    if table.peyriere_converged:
-        checks.append(verify.CheckResult(
-            f"riesz/q={q}/certified_below_peyriere",
-            table.theorem3 - table.peyriere, rp.PEYRIERE_SLACK,
-            "a lower bound must not exceed the dimension estimate"))
-    checks.append(verify.CheckResult(
-        f"riesz/q={q}/certified_below_entropy",
-        table.theorem3 - table.entropy_est, rp.ENTROPY_SLACK,
-        "entropy proxy dominates any valid lower bound"))
-    return row, checks
-
-
-def cmd_riesz(options: dict) -> tuple[dict, list[verify.CheckResult]]:
-    row, checks = _riesz_row(rp.RieszParams(options["a"], options["q"]))
-    return {"table": [row]}, checks
-
-
 def cmd_sweep(options: dict) -> tuple[dict, list[verify.CheckResult]]:
     sweep = [rp.RieszParams(options["a"], q) for q in options["q_range"]]
     rp.max_entropy_level(sweep[-1])  # a range past the entropy grid runs no row
     rows = []
     checks = []
     for params in sweep:
-        row, row_checks = _riesz_row(params)
-        gap = rp.fan_gap(params, row["theorem3"], row["fan_main"])
+        q = params.q
+        table = rp.bound_table_row(params)
+        dim = kb.dimension_bound(zq.ResidueSet.of(q, [1, q - 1]))
+        row = _bound_row(dim)
+        row.update((k, v) for k, v in dataclasses.asdict(table).items() if k not in ("q", "a"))
+        gap = rp.fan_gap(params, table.theorem3, table.fan_main)
         row["fan_consistency"] = abs(gap)
         rows.append(row)
-        checks.extend(row_checks)
+        checks += [
+            verify.CheckResult(f"riesz/q={q}/theorem3_in_unit_interval",
+                               max(-table.theorem3, table.theorem3 - 1.0), 0.0, ""),
+            verify.CheckResult(f"riesz/q={q}/theorem3_matches_vertex_bound",
+                               abs(table.theorem3 - dim.raw_bound), 1e-9,
+                               "closed form vs the bound over the band's Gale vertices"),
+        ]
+        if table.peyriere_converged:
+            checks.append(verify.CheckResult(
+                f"riesz/q={q}/certified_below_peyriere",
+                table.theorem3 - table.peyriere, rp.PEYRIERE_SLACK,
+                "a lower bound must not exceed the dimension estimate"))
         checks.append(verify.CheckResult(
-            f"sweep/q={params.q}/fan_consistency_bounded",
+            f"riesz/q={q}/certified_below_entropy",
+            table.theorem3 - table.entropy_est, rp.ENTROPY_SLACK,
+            "entropy proxy dominates any valid lower bound"))
+        checks.append(verify.CheckResult(
+            f"sweep/q={q}/fan_consistency_bounded",
             gap, rp.FAN_CONSISTENCY_ALLOWANCE,
             "(theorem3 - fan_main) * q * log q, absolute at |a| = 1"))
     return {"table": rows, "extra_columns": ["fan_consistency"]}, checks
@@ -314,10 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--q", type=int, required=True)
     p_bound.add_argument("--b", help="comma-separated residues, e.g. '1,3' (default: none)")
 
-    p_riesz = add_command("riesz", "bound comparison table for the product measure")
-    p_riesz.add_argument("--q", type=int, required=True)
-    p_riesz.add_argument("--a", type=float, default=1.0)
-
     p_verify = add_command("verify", "run a named property suite")
     # each option is named as the keyword of the suites that read it
     p_verify.add_argument("--suite", required=True, choices=(*verify.SUITES, "all"))
@@ -328,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, help="martingale grid depth N")
     p_verify.add_argument("--p", help="comma list of exponents, e.g. '1.25,2,4'")
 
-    p_sweep = add_command("sweep", "bound formulas across a q range")
-    p_sweep.add_argument("--q", required=True, help="range like '8..128' or a single value")
+    p_sweep = add_command("sweep", "Riesz product comparison table for one q or a q range")
+    p_sweep.add_argument("--q", required=True, help="one value, or a range like '8..128'")
     p_sweep.add_argument("--step", default="1", help="'k' additive or 'xk' multiplicative")
     p_sweep.add_argument("--a", type=float, default=1.0)
     return parser
@@ -337,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 COMMANDS = {
     "bound": cmd_bound,
-    "riesz": cmd_riesz,
     "verify": cmd_verify,
     "sweep": cmd_sweep,
 }

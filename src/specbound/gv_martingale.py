@@ -191,6 +191,7 @@ class GrowthReport(NamedTuple):
     worst_step_slack: float  # min over k of rhs - lhs for the level norms
     worst_atom_slack: float  # min over atoms/levels of the localized inequality slack
     global_slack: float      # q * exp(kappa*N) * mass - ||f||_p
+    floor: float             # 1e-12 * max(1, max |f_N|), each comparison's absolute allowance
     failures: tuple[str, ...]
 
 
@@ -203,7 +204,7 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
     All comparisons allow multiplicative ``SLACK`` plus a tiny absolute floor.
     This chain is the engine of the dimension bound; a failure means a bug, not
     an unlucky input.  A NaN slack propagates to the minima and is listed in
-    ``failures``.  :func:`set_average_check` reads its ``norm`` and ``global_rhs``.
+    ``failures``.  :func:`set_average_check` reads its ``norm``, ``global_rhs`` and ``floor``.
     A spectrum outside the restricted set of ``b``, or a negative density: :class:`PreconditionError`.
     """
     if not p >= 1.0:
@@ -249,6 +250,7 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
         worst_step_slack=float(np.min(step_slacks)),
         worst_atom_slack=float(np.min(atom_slacks)),
         global_slack=global_slack,
+        floor=floor,
         failures=tuple(failures),
     )
 
@@ -267,27 +269,28 @@ def set_average_check(seq: MartingaleSequence, subset: Sequence[int],
 
     (1/q**N) * sum_{x in C} f(x) <= ||f||_p * (#C * q**-N)**((p-1)/p)
                                  <= q * e**(kappa(1/p)*N) * mass * (#C * q**-N)**((p-1)/p).
-    ``growth``, :func:`growth_check`'s report at p, gives ||f||_p and the global bound.
-    Both comparisons allow ``SLACK`` and the floor 1e-12 * max(1, max |f|) of
-    :func:`growth_check`; the report carries each one's signed slack.
+    ``subset`` holds strictly increasing grid indices, as
+    :meth:`~specbound.draws.Stream.subset` draws them.  ``growth``,
+    :func:`growth_check`'s report at p, gives ||f||_p, the global bound and the
+    floor.  Both comparisons allow ``SLACK`` and that floor; the report carries
+    each one's signed slack.
     """
     if growth.p <= 1.0:
         raise PreconditionError(f"the chain needs p > 1, got {growth.p}")
-    subset = np.sort(np.asarray(subset, dtype=np.int64))
+    subset = np.asarray(subset, dtype=np.int64)
     if subset.size == 0:
         raise PreconditionError("subset must be nonempty")
+    if not np.all(subset[1:] > subset[:-1]):
+        raise InvalidInputError("subset indices must be strictly increasing")
     if subset[0] < 0 or subset[-1] >= seq.grid.size:
         raise InvalidInputError("subset indices outside the grid")
-    # sort-based dedup: numpy's hash-based np.unique is ~50x slower on 10**6 ints
-    subset = subset[np.diff(subset, prepend=-1) != 0]
     f = seq.class_values[seq.grid.levels]
     average = float(np.sum(f[subset])) / seq.grid.size
     share = (subset.size / seq.grid.size) ** ((growth.p - 1.0) / growth.p)
     hoelder = growth.norm * share
     bound = growth.global_rhs * share
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(f))))
-    hoelder_slack = hoelder * (1.0 + SLACK) + floor - average
-    growth_slack = bound * (1.0 + SLACK) + floor - hoelder
+    hoelder_slack = hoelder * (1.0 + SLACK) + growth.floor - average
+    growth_slack = bound * (1.0 + SLACK) + growth.floor - hoelder
     return SetAverageReport(average, hoelder, bound, hoelder_slack, growth_slack)
 
 

@@ -24,8 +24,8 @@ CONJUGATE_TOL = 1e-12
 class SparseSpectrum:
     """Finite frequency-to-coefficient map.
 
-    Frequencies that arrive sorted and distinct are kept as given, so the
-    arrays may share memory with the caller's; neither is ever written to.
+    Frequencies must arrive strictly increasing.  They are kept as given, so
+    the arrays may share memory with the caller's; neither is ever written to.
     """
 
     frequencies: np.ndarray  # int64, strictly increasing
@@ -36,14 +36,9 @@ class SparseSpectrum:
         coeffs = np.asarray(self.coefficients, dtype=complex)
         if freqs.shape != coeffs.shape or freqs.ndim != 1:
             raise InvalidInputError("frequencies and coefficients must be 1-d and aligned")
-        # callers that build sorted, distinct frequencies pay O(n), not a
-        # sort; compared, not subtracted, since an int64 difference can wrap
+        # compared, not subtracted, since an int64 difference can wrap
         if not np.all(freqs[1:] > freqs[:-1]):
-            order_ix = np.argsort(freqs)
-            freqs = freqs[order_ix]
-            coeffs = coeffs[order_ix]
-            if np.any(np.diff(freqs) == 0):
-                raise InvalidInputError("duplicate frequencies")
+            raise InvalidInputError("frequencies must be sorted, with no duplicate")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "coefficients", coeffs)
 

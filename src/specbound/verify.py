@@ -25,8 +25,8 @@ from .errors import InvalidInputError, check_budget, shown
 FD_STEPS = np.array([1e-2, 1e-3, 1e-4])
 FD_Q_MAX = 8  # largest q whose kappa'(1) gets the difference-quotient checks
 # vertex-subset solves, sum of C(q, d_B) over the symmetric B that the kappa
-# suite enumerates exhaustively (bands solve none): q_max 18 needs 2.0e7 (about
-# 100 s), q_max 20 needs 1.55e8
+# suite enumerates exhaustively (bands solve none): q_max 18 needs 2.0e7 (71 s
+# on a 2-core VM), q_max 20 needs 1.55e8
 MAX_KAPPA_SUBSETS = 10 ** 8
 CHEBYSHEV_POINTS = 100  # amplitudes of the Chebyshev factorization, drawn before the Lipschitz pairs
 

@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Criteria 2-7, 9 and 10 assert on the named checks of the
-``verify`` suites, and criterion 8 on those of the ``riesz`` row, which hold
-their tolerances; criterion 1 holds its own here.  Tolerances must not be
+``verify`` suites, and criterion 8 on those of the ``sweep --q 4`` row, which
+hold their tolerances; criterion 1 holds its own here.  Tolerances must not be
 loosened.
 """
 
@@ -13,7 +13,6 @@ import numpy as np
 
 from specbound import cli
 from specbound import kappa_bound as kb
-from specbound import riesz_products as rp
 from specbound import verify
 from specbound import zq_spectral as zq
 
@@ -136,12 +135,12 @@ def test_criterion_07_fan_term_agreement():
 
 def test_criterion_08_dimension_proxies_dominate():
     crit = Criterion("8. certified bound sits below the converged dimension proxies (q=4)")
-    # the checks of the row that `riesz --q 4` reports, at slacks
+    # the checks of the row that `sweep --q 4` reports, at slacks
     # rp.PEYRIERE_SLACK and rp.ENTROPY_SLACK; the Peyriere one is there only
     # when that estimate converged
     crit.expect_suite_checks(["riesz/q=4/certified_below_peyriere",
                               "riesz/q=4/certified_below_entropy"],
-                             lambda: cli._riesz_row(rp.RieszParams(1.0, 4))[1])
+                             lambda: cli.cmd_sweep({"q_range": (4,), "a": 1.0})[1])
     crit.done()
 
 

@@ -123,15 +123,16 @@ class TestBoundCommand:
 
 
 class TestRieszCommand:
+    # the Riesz comparison table at one q, which `sweep --q Q` reports
     def test_q4_table(self, capsys):
-        code, data = payload(["riesz", "--q", "4", "--a", "1"], capsys)
+        code, data = payload(["sweep", "--q", "4", "--a", "1"], capsys)
         assert code == 0
         row = data["results"]["table"][0]
         assert abs(row["theorem3"] - 0.5) <= 1e-12
         assert row["peyriere_converged"] is True
 
     def test_q3_prop4_absent(self, capsys):
-        code, data = payload(["riesz", "--q", "3", "--a", "1"], capsys)
+        code, data = payload(["sweep", "--q", "3", "--a", "1"], capsys)
         assert code == 0
         row = data["results"]["table"][0]
         assert row["prop4"] is None
@@ -139,7 +140,7 @@ class TestRieszCommand:
         assert row["prop5"] < 0
 
     def test_lebesgue_peyriere_exact(self, capsys):
-        code, data = payload(["riesz", "--q", "4", "--a", "0"], capsys)
+        code, data = payload(["sweep", "--q", "4", "--a", "0"], capsys)
         assert code == 0
         assert data["results"]["table"][0]["peyriere"] == 1.0
 
@@ -151,10 +152,17 @@ class TestRieszCommand:
 
         monkeypatch.setattr(rp, "peyriere_dimension", forbidden)
         monkeypatch.setattr(rp, "log_integral", forbidden)
-        code, out, err = run_main(["riesz", "--q", "1000001"], capsys)
+        code, out, err = run_main(["sweep", "--q", "1000001"], capsys)
         assert code == 3
         assert out == ""
         assert err.startswith("resource guard: interval masses q**level = 1000001, over")
+
+    def test_riesz_command_retired(self, capsys):
+        # `sweep --q Q` reports the row that the retired `riesz --q Q` did
+        code, out, err = run_main(["riesz", "--q", "4"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("specbound: error: argument command: invalid choice: 'riesz'")
+        assert err.count("\n") == 1
 
 
 class TestOversizedInputs:
@@ -213,25 +221,25 @@ class TestLongArguments:
          "error: kappa suite needs q_max >= 3, got a negative 13288-bit number"),
         (["verify", "--suite", "all", "--seed", NINES], 2,
          "error: seed must be in 0..2**64-1, got a 13288-bit number"),
-        (["riesz", "--q", "4", "--entropy-level", "-" + NINES], 2,
-         "specbound: error: unrecognized arguments: --entropy-level a 4001-character text"),
-        (["riesz", "--q", "-" + NINES], 2,
-         "error: base must be an integer >= 3, got a negative 13288-bit number"),
+        (["sweep", "--q", "4", "--zzz", "-" + NINES], 2,
+         "specbound: error: unrecognized arguments: --zzz a 4001-character text"),
+        (["sweep", "--q", "-" + NINES], 2,
+         "error: q range must start at 1 or more, got a 4001-character text"),
         (["sweep", "--q", NINES + "..3"], 2, "error: empty q range a 4003-character text"),
         (["sweep", "--q", "3..5", "--step", NINES + "x"], 2,
          "error: cannot parse step a 4001-character text"),
     ], ids=["bound_q", "bound_b", "bound_b_text", "bound_q_past_int", "unknown_option",
             "suite_choice", "subsets", "subsets_negative", "n_negative",
-            "p_text", "riesz_q_max", "kappa_q_max_negative", "seed", "entropy_level_negative",
-            "riesz_q_negative", "sweep_q_text", "sweep_step_text"])
+            "p_text", "riesz_q_max", "kappa_q_max_negative", "seed", "unknown_option_negative",
+            "sweep_q_negative", "sweep_q_text", "sweep_step_text"])
     def test_one_short_line(self, argv, code, message, capsys):
         start = time.monotonic()
         assert run_main(argv, capsys) == (code, "", message + "\n")
         assert time.monotonic() - start < 1.0
 
     def test_normal_size_wording_kept(self, capsys):
-        assert run_main(["riesz", "--q", "-5"], capsys) == (
-            2, "", "error: base must be an integer >= 3, got -5\n")
+        assert run_main(["sweep", "--q", "-5"], capsys) == (
+            2, "", "error: q range must start at 1 or more, got '-5'\n")
         assert run_main(["sweep", "--q", "3..x"], capsys) == (
             2, "", "error: cannot parse q range '3..x'\n")
         big = str(2 ** 128 - 1)  # 39 digits, the longest shown in full
@@ -493,7 +501,7 @@ class TestPassRule:
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "all", "--seed", "0"],
         ["bound", "--q", "14", "--b", "2,4,10,12"],
-        ["riesz", "--q", "4"],
+        ["sweep", "--q", "4"],
         ["sweep", "--q", "8..32", "--step", "x2", "--a", "0.5"],  # a negative fan gap
     ])
     def test_passed_is_residual_at_most_bound(self, argv, capsys):
@@ -508,7 +516,7 @@ class TestPassRule:
             expected = check["detail"] == "no cases" if residual is None else residual <= check["bound"]
             assert check["passed"] is expected, check
         assert code == (0 if all(c["passed"] for c in checks) else 1)
-        if argv[0] == "sweep":
+        if "--a" in argv:  # the range at a = 0.5
             fan = [c for c in checks if c["name"].endswith("/fan_consistency_bounded")]
             assert len(fan) == 3 and all(c["residual"] < 0 and c["passed"] for c in fan)
 
@@ -530,7 +538,7 @@ class TestEnvelope:
     @pytest.mark.parametrize("argv,keys", [
         (["bound", "--q", "4", "--b", "2"], {"q", "b"}),
         (["bound", "--q", "5"], {"q"}),
-        (["riesz", "--q", "4"], {"q", "a"}),
+        (["sweep", "--q", "4"], {"q_range", "a"}),
         (["sweep", "--q", "4..5"], {"q_range", "a"}),
         (["verify", "--suite", "kappa", "--q-max", "4"], {"suite", "q_max", "seed"}),
         (["verify", "--suite", "martingale", "--q", "3", "--n", "3", "--p", "2", "--a", "0.5"],
@@ -544,7 +552,6 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("command", [
         ["bound", "--q", "4", "--b", "2"],
-        ["riesz", "--q", "4"],
         ["sweep", "--q", "4"],
     ])
     def test_seed_is_a_verify_option(self, command):
@@ -580,7 +587,7 @@ class TestEnvelope:
         ["bound", "--q", "8", "--b", "1,7"],  # a band
         ["bound", "--q", "8", "--b", "2,4,6"],  # exhaustive enumeration
         ["bound", "--q", "5"],  # empty B
-        ["riesz", "--q", "4"],
+        ["sweep", "--q", "4"],
         ["sweep", "--q", "3..4"],
         ["verify", "--suite", "all"],
     ])
@@ -630,7 +637,6 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("command", [
         ["bound", "--q", "4", "--b", "2"],
-        ["riesz", "--q", "4"],
         ["verify", "--suite", "kappa", "--q-max", "4"],
         ["sweep", "--q", "4"],
     ])

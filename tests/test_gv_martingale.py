@@ -25,8 +25,8 @@ def random_real_spectrum(rng, grid):
     freqs = np.arange((grid.size + 1) // 2)
     coeffs = rng.normal(size=freqs.size) + 1j * rng.normal(size=freqs.size)
     coeffs[0] = coeffs[0].real
-    return SparseSpectrum(np.concatenate((freqs, -freqs[1:])),
-                          np.concatenate((coeffs, coeffs[1:].conj())))
+    return SparseSpectrum(np.concatenate((-freqs[:0:-1], freqs)),
+                          np.concatenate((coeffs[:0:-1].conj(), coeffs)))
 
 
 def sibling_differences(seq, k, cls):
@@ -333,9 +333,12 @@ class TestSetAverage:
         f = seq.class_values[grid.levels]
         assert abs(report.average - kb.power_mean(f, 1.0)) <= 1e-12
         assert abs(report.hoelder_rhs - kb.power_mean(f, 2.0)) <= 1e-12
-        # repeated and unordered indices name the same subset
+        # the indices must be strictly increasing: repeated or unordered ones are refused
         shuffled = np.concatenate([np.arange(grid.size)[::-1], np.arange(0, grid.size, 7)])
-        assert gv.set_average_check(seq, shuffled, growth) == report
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            gv.set_average_check(seq, shuffled, growth)
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            gv.set_average_check(seq, [0, 1, 1, 2], growth)
 
     def test_slacks_decide_the_outcome(self):
         # a growth report whose norm is 0 breaks the Hoelder step by the
@@ -346,6 +349,7 @@ class TestSetAverage:
         assert report.hoelder_slack > 0 and report.growth_slack > 0
         broken = gv.set_average_check(seq, np.arange(grid.size), growth._replace(norm=0.0))
         floor = 1e-12 * max(1.0, float(np.max(np.abs(seq.class_values[grid.levels]))))
+        assert growth.floor == floor
         assert broken.growth_slack > 0
         assert broken.hoelder_slack == floor - broken.average < 0
 
@@ -363,7 +367,7 @@ class TestSetAverage:
     def test_index_outside_grid_rejected(self, bad):
         seq, _, _ = riesz_sequence(3, 1.0, 3)
         with pytest.raises(InvalidInputError):
-            gv.set_average_check(seq, [5, bad, 5], growth_at(seq))
+            gv.set_average_check(seq, sorted([5, bad]), growth_at(seq))
 
     def test_growth_report_at_p1_rejected(self):
         # a report at p = 1 is a valid growth check, but the Hoelder step needs p > 1
