@@ -553,6 +553,7 @@ class TestEnvelope:
     @pytest.mark.parametrize("command", [
         ["bound", "--q", "4", "--b", "2"],
         ["sweep", "--q", "4"],
+        ["sweep", "--q", "4..5"],
     ])
     def test_seed_is_a_verify_option(self, command):
         with pytest.raises(SystemExit) as exc:
@@ -639,6 +640,7 @@ class TestEnvelope:
         ["bound", "--q", "4", "--b", "2"],
         ["verify", "--suite", "kappa", "--q-max", "4"],
         ["sweep", "--q", "4"],
+        ["sweep", "--q", "4..5"],
     ])
     def test_output_option_is_usage_error(self, command, tmp_path, monkeypatch, capsys):
         # every report goes to stdout; there is no option to write a file
