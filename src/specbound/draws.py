@@ -2,13 +2,13 @@
 2014) applied to a counter, in numpy uint64 array arithmetic.
 
 Word i of seed s is the SplitMix64 finalizer of s + i * 0x9E3779B97F4A7C15
-(mod 2**64), counting from i = 1.  The words, the integers and subsets drawn
-from them and the uniform floats (exact functions of the words) are defined by
-integer arithmetic alone, so a seed draws them identically on every platform
-and every numpy and Python version.  Every mixing step runs on arrays: numpy
-warns on scalar uint64 overflow but wraps array arithmetic silently.  The
-stream offers only the draws the verify suites use, and keeps ``numpy.random``
-(with its ``secrets`` and ``hashlib`` imports) out of the process.
+(mod 2**64), counting from i = 1.  The words and the uniform floats (exact
+functions of the words) are defined by integer arithmetic alone, so a seed
+draws them identically on every platform and every numpy and Python version.
+Every mixing step runs on arrays: numpy warns on scalar uint64 overflow but
+wraps array arithmetic silently.  The stream offers only the draws the verify
+suites use, and keeps ``numpy.random`` (with its ``secrets`` and ``hashlib``
+imports) out of the process.
 """
 
 from __future__ import annotations
@@ -66,22 +66,8 @@ class Stream:
         cells = (int(words[0]) if size is None else words) >> (64 - _CELL_BITS)
         return low + (high - low) * ((cells + 0.5) * 2.0 ** -_CELL_BITS)
 
-    def integer(self, low: int, high: int) -> int:
-        """An integer in low..high-1: the range times one word, shifted down 64
-        bits (bias below (high - low) / 2**64)."""
-        if high <= low:
-            raise InvalidInputError(f"empty integer range {low}..{high - 1}")
-        return low + ((int(self.bits(1)[0]) * (high - low)) >> 64)
-
     def dirichlet(self, n: int) -> np.ndarray:
         """``n`` weights from the flat Dirichlet: normalized exponential draws."""
         weights = -np.log1p(-self.uniform(size=n))
         return weights / weights.sum()
 
-    def subset(self, n: int, k: int) -> np.ndarray:
-        """``k`` distinct indices of range(n), ascending: those of the ``k``
-        smallest of ``n`` fresh words, which are distinct."""
-        if not 1 <= k <= n:
-            raise InvalidInputError(f"cannot draw {k} of {n} indices")
-        keys = self.bits(n)
-        return np.flatnonzero(keys <= np.partition(keys, k - 1)[k - 1])

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,42 +256,43 @@ def growth_check(seq: MartingaleSequence, b: ResidueSet, p: float) -> GrowthRepo
 
 
 class SetAverageReport(NamedTuple):
-    average: float            # (1/q**N) * sum over C of f
-    hoelder_rhs: float        # ||f||_p * (#C/q**N)**((p-1)/p)
-    growth_rhs: float         # q * e**(kappa(1/p)*N) * mass * (#C/q**N)**((p-1)/p)
-    hoelder_slack: float      # hoelder_rhs * (1 + SLACK) + floor - average
-    growth_slack: float       # growth_rhs * (1 + SLACK) + floor - hoelder_rhs
+    hoelder_slack: float  # least over k of ||f||_p * share(k) * (1 + SLACK) + floor - average(k)
+    hoelder_size: int     # the k where hoelder_slack sits
+    growth_slack: float   # least over k of (global bound * (1 + SLACK) - ||f||_p) * share(k) + floor
+    growth_size: int      # the k where growth_slack sits
 
 
-def set_average_check(seq: MartingaleSequence, subset: Sequence[int],
-                      growth: GrowthReport) -> SetAverageReport:
-    """Explicit-constant chain bounding the average of f over a grid subset.
+def set_average_check(seq: MartingaleSequence, growth: GrowthReport) -> SetAverageReport:
+    """Explicit-constant chain bounding the average of f over every grid subset C.
 
     (1/q**N) * sum_{x in C} f(x) <= ||f||_p * (#C * q**-N)**((p-1)/p)
                                  <= q * e**(kappa(1/p)*N) * mass * (#C * q**-N)**((p-1)/p).
-    ``subset`` holds strictly increasing grid indices, as
-    :meth:`~specbound.draws.Stream.subset` draws them.  ``growth``,
+    Both right sides depend on C only through k = #C, through share(k) =
+    (k * q**-N)**((p-1)/p), and the k largest values of f give the largest left
+    side, so one descending sort checks every subset: its prefix sums over q**N
+    are the largest average(k) at each size k = 1..q**N.  ``growth``,
     :func:`growth_check`'s report at p, gives ||f||_p, the global bound and the
     floor.  Both comparisons allow ``SLACK`` and that floor; the report carries
-    each one's signed slack.
+    each one's least signed slack over k (a NaN first) and the size where it
+    sits.  At most three grid-sized arrays are alive at once.
     """
     if growth.p <= 1.0:
         raise PreconditionError(f"the chain needs p > 1, got {growth.p}")
-    subset = np.asarray(subset, dtype=np.int64)
-    if subset.size == 0:
-        raise PreconditionError("subset must be nonempty")
-    if not np.all(subset[1:] > subset[:-1]):
-        raise InvalidInputError("subset indices must be strictly increasing")
-    if subset[0] < 0 or subset[-1] >= seq.grid.size:
-        raise InvalidInputError("subset indices outside the grid")
-    f = seq.class_values[seq.grid.levels]
-    average = float(np.sum(f[subset])) / seq.grid.size
-    share = (subset.size / seq.grid.size) ** ((growth.p - 1.0) / growth.p)
-    hoelder = growth.norm * share
-    bound = growth.global_rhs * share
-    hoelder_slack = hoelder * (1.0 + SLACK) + growth.floor - average
-    growth_slack = bound * (1.0 + SLACK) + growth.floor - hoelder
-    return SetAverageReport(average, hoelder, bound, hoelder_slack, growth_slack)
+    size = seq.grid.size
+    average = np.cumsum(np.sort(seq.class_values[seq.grid.levels])[::-1])
+    average /= size
+    share = np.arange(1, size + 1, dtype=float)
+    share /= size
+    share **= (growth.p - 1.0) / growth.p
+    hoelder = share * (growth.norm * (1.0 + SLACK))
+    hoelder += growth.floor
+    hoelder -= average
+    k_hoelder = int(np.argmin(hoelder))
+    bound = share
+    bound *= growth.global_rhs * (1.0 + SLACK) - growth.norm
+    bound += growth.floor
+    k_bound = int(np.argmin(bound))
+    return SetAverageReport(float(hoelder[k_hoelder]), k_hoelder + 1, float(bound[k_bound]), k_bound + 1)
 
 
 class SandwichReport(NamedTuple):

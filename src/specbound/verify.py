@@ -285,20 +285,22 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
                      seed: int = 0) -> list[CheckResult]:
     """The martingale checks on the Riesz product at (q, a) over the q**n grid.
 
-    The growth check runs once at each exponent in ``p``, and subset i of the
-    set-average chain reads the report at ``p[i % len(p)]``, with 1 replaced by
-    2 (the chain needs p > 1).  The chain draws 100 random subsets, each
-    costing time linear in the grid size, so the grid's own size guard
-    (``gv.MAX_GRID`` points) also bounds the chain's work.  A repeated
-    exponent raises :class:`InvalidInputError`: it would repeat its growth
-    check and weigh the chain's rotation toward it.
+    The growth check runs once at each exponent in ``p``, and the set-average
+    chain once at each distinct exponent, with 1 replaced by 2 (the chain needs
+    p > 1).  The chain checks every subset of the grid with one sort, so the
+    grid's own size guard (``gv.MAX_GRID`` points) also bounds its work.  A
+    repeated exponent raises :class:`InvalidInputError`: it would repeat its
+    growth check.  The suite draws nothing and does not read ``seed``.  The
+    keyword stays because ``verify --seed`` has a parser default and
+    ``verify`` refuses an option that no selected suite names, so without it
+    every ``verify --suite martingale`` would exit 2, and because the
+    benchmark's martingale requests send ``--seed``.
     """
     seen: set[float] = set()
     for exponent in map(float, p):
         if exponent in seen:
             raise InvalidInputError(f"exponent {exponent} is repeated in p")
         seen.add(exponent)
-    stream = draws.Stream(seed)
     params = rp.RieszParams(a, q)
     b = zq.ResidueSet.of(q, [1, q - 1])
     grid = gv.QadicGrid(q, n)
@@ -342,14 +344,11 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
             f"kappa(1/p)={report.kappa_theta:.6f}; " + ("; ".join(report.failures) or "all steps and atoms pass"),
         ))
 
-    subset_entries = []
-    for i in range(100):
-        count = stream.integer(1, grid.size)
-        subset = stream.subset(grid.size, count)
-        exponent = chain_p[i % len(p)]
-        report = gv.set_average_check(seq, subset, growth[exponent])
-        subset_entries.append((-float(np.minimum(report.hoelder_slack, report.growth_slack)),
-                               f"subset {i} (p={exponent}, #C={count})"))
+    chain_entries = []
+    for exponent in dict.fromkeys(chain_p):
+        chain = gv.set_average_check(seq, growth[exponent])
+        chain_entries += [(-chain.hoelder_slack, f"#C={chain.hoelder_size} (p={exponent})"),
+                          (-chain.growth_slack, f"#C={chain.growth_size} (p={exponent})")]
 
     sandwich_level = min(n, 4)
     sandwich = gv.phi_kernel_mass_sandwich(
@@ -370,7 +369,7 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
         CheckResult("martingale/levels_nonnegative", -nonneg, 1e-10,
                     "non-negative source keeps every level non-negative"),
         *growth_checks,
-        _worst("martingale/set_average_chain", subset_entries, 0.0),
+        _worst("martingale/set_average_chain", chain_entries, 0.0),
         CheckResult("martingale/plateau_kernel_sandwich",
                     -float(np.minimum(sandwich.min_lower_margin, sandwich.min_upper_margin)), 1e-10,
                     f"worst grid point {sandwich.worst_point}"),

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from specbound.kappa_bound import SLACK
 from specbound.quadrature import tanh_sinh_full
 from specbound.spectrum import SparseSpectrum, synthesize_on_grid
 
@@ -80,3 +81,21 @@ def lowered_table_row_sizes(q):
     while q ** (depth + 1) <= 5 * 10 ** 5 and depth < 8:
         depth += 1
     return level, spectrum_depth, depth
+
+
+def brute_force_set_average(seq, growth):
+    """Reference: the set-average chain on every nonempty subset C of the grid,
+    one subset per row of a membership matrix.  Returns the least slack of the
+    Hoelder and of the growth comparison, each with the #C of the first subset
+    that has it, in the order of the set_average_check report."""
+    f = seq.class_values[seq.grid.levels]
+    size = f.size
+    members = (np.arange(1, 2 ** size)[:, None] >> np.arange(size)) & 1
+    counts = members.sum(axis=1)
+    share = (counts / size) ** ((growth.p - 1.0) / growth.p)
+    hoelder = growth.norm * share
+    hoelder_slack = hoelder * (1.0 + SLACK) + growth.floor - members @ f / size
+    growth_slack = growth.global_rhs * share * (1.0 + SLACK) + growth.floor - hoelder
+    first_h, first_g = int(np.argmin(hoelder_slack)), int(np.argmin(growth_slack))
+    return (float(hoelder_slack[first_h]), int(counts[first_h]),
+            float(growth_slack[first_g]), int(counts[first_g]))

@@ -389,15 +389,14 @@ class TestVerifyCommand:
         assert err.startswith("error: ")
 
     def test_repeated_exponent_is_usage_error(self, capsys):
-        # a repeated exponent would print its growth check twice and weigh
-        # the set-average chain's rotation toward it
+        # a repeated exponent would print its growth check twice
         code, out, err = run_main(["verify", "--suite", "martingale", "--q", "3", "--n", "3",
                                    "--p", "2,2.0"], capsys)
         assert (code, out, err) == (2, "", "error: exponent 2.0 is repeated in p\n")
 
     def test_subset_budget_exit_code(self, capsys):
-        # the chain's 100 subsets each cost a pass over the grid, so the grid's
-        # own guard prices them: one level past it exits 3 before any work
+        # the chain checks every subset with one sort of the grid, so the grid's
+        # own guard prices it: one level past it exits 3 before any work
         start = time.monotonic()
         code, out, err = run_main(["verify", "--suite", "martingale", "--q", "3", "--n", "15"],
                                   capsys)
@@ -528,6 +527,16 @@ class TestEnvelope:
         _, second = payload(args, capsys)
         first.pop("wall_time_s")
         second.pop("wall_time_s")
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_martingale_report_ignores_the_seed(self, capsys):
+        # the martingale suite draws nothing: two seeds differ only in the config's seed
+        args = ["verify", "--suite", "martingale", "--q", "3", "--n", "4"]
+        _, first = payload(args + ["--seed", "0"], capsys)
+        _, second = payload(args + ["--seed", "5"], capsys)
+        for data, seed in ((first, 0), (second, 5)):
+            data.pop("wall_time_s")
+            assert data["config"].pop("seed") == seed
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_round_trip_keys(self, capsys):

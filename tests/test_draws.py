@@ -47,15 +47,6 @@ def test_uniform_open_interval_and_scalar():
     assert v.shape == (5,) and np.all(np.abs(v) < 1.0)
 
 
-def test_integer_in_range():
-    stream = Stream(5)
-    values = [stream.integer(1, 7) for _ in range(600)]
-    assert set(values) == set(range(1, 7))
-    assert stream.integer(4, 5) == 4
-    with pytest.raises(InvalidInputError):
-        stream.integer(3, 3)
-
-
 @pytest.mark.parametrize("n", [1, 2, 17, 500])
 def test_dirichlet_weights(n):
     stream = Stream(11)
@@ -63,19 +54,6 @@ def test_dirichlet_weights(n):
         weights = stream.dirichlet(n)
         assert weights.shape == (n,) and np.all(weights >= 0)
         assert abs(weights.sum() - 1.0) <= 1e-12
-
-
-@pytest.mark.parametrize("n", [2, 3, 64, 16807])
-def test_subsets_distinct_and_in_range(n):
-    stream = Stream(13)
-    for k in (1, n - 1):
-        subset = stream.subset(n, k)
-        assert subset.shape == (k,)
-        assert len(set(subset.tolist())) == k
-        assert subset.min() >= 0 and subset.max() < n
-        assert np.all(np.diff(subset) > 0)
-    with pytest.raises(InvalidInputError):
-        stream.subset(n, 0)
 
 
 def test_verify_all_leaves_numpy_random_unloaded():

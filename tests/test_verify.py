@@ -2,7 +2,6 @@ import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from cli_child import REPORT_PEAK_RSS, peak_rss_kb, run_cli
@@ -102,30 +101,39 @@ class TestSuites:
         # the chain needs p > 1, so p = 1 runs at p = 2, and the detail says so
         checks = {c.name: c for c in verify.martingale_suite(q=3, n=4, p=(1.0,))}
         chain = checks["martingale/set_average_chain"]
-        assert chain.passed and "(p=2.0, #C=" in chain.detail
+        assert chain.passed and chain.detail.startswith("#C=") and chain.detail.endswith(" (p=2.0)")
 
     def test_set_average_chain_reports_its_least_slack(self, monkeypatch):
-        # the residual is minus the least slack of the 100 subsets, and the
-        # detail names the subset that has it
+        # one report per distinct exponent (1 and 2 share p = 2); the residual is
+        # minus the least slack of both comparisons, and the detail names the
+        # size and exponent that have it
         reports = []
         set_average_check = gv.set_average_check
 
-        def recorded(*args):
-            reports.append(set_average_check(*args))
-            return reports[-1]
+        def recorded(seq, growth):
+            reports.append((growth.p, set_average_check(seq, growth)))
+            return reports[-1][1]
 
         monkeypatch.setattr(gv, "set_average_check", recorded)
-        checks = {c.name: c for c in verify.martingale_suite(q=3, n=5, seed=3)}
+        checks = {c.name: c for c in verify.martingale_suite(q=3, n=5, p=(1.0, 1.25, 2.0, 4.0))}
         chain = checks["martingale/set_average_chain"]
-        slacks = [min(r.hoelder_slack, r.growth_slack) for r in reports]
-        worst = int(np.argmin(slacks))
-        assert len(reports) == 100 and chain.passed
-        assert chain.residual == -slacks[worst] < 0
-        assert chain.detail.startswith(f"subset {worst} (")
+        assert [p for p, _ in reports] == [2.0, 1.25, 4.0] and chain.passed
+        slack, size, p = min((s, k, p) for p, r in reports
+                             for s, k in ((r.hoelder_slack, r.hoelder_size), (r.growth_slack, r.growth_size)))
+        assert chain.residual == -slack < 0
+        assert chain.detail == f"#C={size} (p={p})"
+
+    def test_flat_density_passes_the_chain(self):
+        # a = 0 gives f = 1: at the full grid the Hoelder side exceeds the
+        # average only by the allowance, 1e-9 * ||f||_p plus the floor, which
+        # the prefix sums' round-off over 10**6 points must not use up
+        checks = {c.name: c for c in verify.martingale_suite(q=1000, n=2, a=0.0)}
+        chain = checks["martingale/set_average_chain"]
+        assert chain.passed and chain.detail.startswith("#C=1000000 ")
 
     def test_martingale_suite_reads_one_kappa_per_exponent(self, monkeypatch):
         # the set-average chain reads the growth report at its exponent, so
-        # the 100 subsets add no kappa to the growth checks at 1.25, 2 and 4
+        # it adds no kappa to the growth checks at 1.25, 2 and 4
         calls = []
         kappa = gv.kappa
 
