@@ -24,7 +24,6 @@ deterministic for a fixed config and seed except for the wall_time_s field.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import io
 import json
@@ -93,7 +92,7 @@ def _bound_row(result: kb.DimensionBound) -> dict:
 
 
 def cmd_bound(options: dict) -> tuple[dict, list[verify.CheckResult]]:
-    result = kb.dimension_bound(zq.ResidueSet.of(options["q"], options.get("b", ())))
+    result = kb.dimension_bound(zq.ResidueSet(options["q"], options.get("b", ())))
     results = {
         "table": [_bound_row(result)],
         "raw_bound": result.raw_bound,
@@ -121,9 +120,9 @@ def cmd_sweep(options: dict) -> tuple[dict, list[verify.CheckResult]]:
     for params in sweep:
         q = params.q
         table = rp.bound_table_row(params)
-        dim = kb.dimension_bound(zq.ResidueSet.of(q, [1, q - 1]))
+        dim = kb.dimension_bound(zq.ResidueSet(q, [1, q - 1]))
         row = _bound_row(dim)
-        row.update((k, v) for k, v in dataclasses.asdict(table).items() if k not in ("q", "a"))
+        row.update((k, v) for k, v in table._asdict().items() if k not in ("q", "a"))
         gap = rp.fan_gap(params, table.theorem3, table.fan_main)
         row["fan_consistency"] = abs(gap)
         rows.append(row)

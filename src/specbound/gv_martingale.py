@@ -21,7 +21,6 @@ were built from, and verifies, with explicit residuals, that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,19 +33,18 @@ from .zq_spectral import ResidueSet, in_cb, wb_basis
 MAX_GRID = 10 ** 7
 
 
-@dataclass(frozen=True)
-class QadicGrid:
-    """The uniform grid j/q**N, addressed by exact integer indices."""
+class QadicGrid(NamedTuple("_QadicGrid", [("q", int), ("levels", int)])):
+    """The uniform grid j/q**N (N = ``levels``), addressed by exact integer indices."""
 
-    q: int
-    levels: int  # N
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 3:
-            raise InvalidInputError(f"base must be >= 3, got {shown(self.q)}")
-        if self.levels < 1:
-            raise InvalidInputError(f"need at least one level, got {shown(self.levels)}")
-        check_budget("grid points q**N", self.q, MAX_GRID, self.levels)
+    def __new__(cls, q: int, levels: int):
+        if q < 3:
+            raise InvalidInputError(f"base must be >= 3, got {shown(q)}")
+        if levels < 1:
+            raise InvalidInputError(f"need at least one level, got {shown(levels)}")
+        check_budget("grid points q**N", q, MAX_GRID, levels)
+        return super().__new__(cls, q, levels)
 
     @property
     def size(self) -> int:
@@ -69,11 +67,10 @@ def sample_on_grid(spec: SparseSpectrum, grid: QadicGrid) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(values))))
     if float(np.max(np.abs(values.imag))) > 1e-12 * scale:
         raise InvalidInputError("synthesis produced a non-real density")
-    return values.real
+    return values.real.copy()  # a copy, so the complex synthesis is freed
 
 
-@dataclass
-class MartingaleSequence:
+class MartingaleSequence(NamedTuple):
     """All levels f_0..f_N of the density with spectrum ``source``, one value per tree atom.
 
     ``class_values[k]`` has length q**k; entry c is the constant value of f_k
@@ -105,8 +102,7 @@ def martingale_levels(spec: SparseSpectrum, grid: QadicGrid) -> MartingaleSequen
     subgroup-tower averages makes the composition equal the direct definition.
     """
     levels = [None] * (grid.levels + 1)
-    # a contiguous copy of the real part frees the complex synthesis
-    levels[grid.levels] = np.ascontiguousarray(sample_on_grid(spec, grid))
+    levels[grid.levels] = sample_on_grid(spec, grid)
     for k in range(grid.levels - 1, -1, -1):
         # each atom's q children as one contiguous row, which numpy sums
         # pairwise; a mean over axis 0 adds q strided rows one after another,

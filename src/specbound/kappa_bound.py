@@ -25,7 +25,6 @@ subgroup bound 1 - log|H|/log q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice, repeat
 from typing import Iterator, NamedTuple
@@ -551,8 +550,7 @@ def _first_image(rows: np.ndarray) -> np.ndarray:
     return best
 
 
-@dataclass(frozen=True)
-class DimensionBound:
+class DimensionBound(NamedTuple):
     """Certified lower bound 1 + kappa'(1)/log q for spectra restricted by B."""
 
     q: int

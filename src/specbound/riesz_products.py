@@ -14,7 +14,6 @@ numerical dimension proxies that any valid lower bound must stay below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -39,18 +38,17 @@ ENDPOINT_GRID = 1001  # phi grid of endpoint_optimality_gap
 LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class RieszParams:
+class RieszParams(NamedTuple("_RieszParams", [("a", float), ("q", int)])):
     """Amplitude a in [-1, 1] and lacunary base q >= 3."""
 
-    a: float
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 3:
-            raise InvalidInputError(f"base must be an integer >= 3, got {shown(self.q)}")
-        if not abs(self.a) <= 1.0:
-            raise InvalidInputError(f"amplitude must satisfy |a| <= 1, got {self.a}")
+    def __new__(cls, a: float, q: int):
+        if not isinstance(q, int) or q < 3:
+            raise InvalidInputError(f"base must be an integer >= 3, got {shown(q)}")
+        if not abs(a) <= 1.0:
+            raise InvalidInputError(f"amplitude must satisfy |a| <= 1, got {a}")
+        return super().__new__(cls, a, q)
 
 
 def riesz_spectrum(params: RieszParams, depth: int) -> SparseSpectrum:
@@ -372,8 +370,7 @@ def _level_entropy(spec: SparseSpectrum, q: int, level: int) -> float:
     return entropy / (level * math.log(q))
 
 
-@dataclass(frozen=True)
-class BoundTableRow:
+class BoundTableRow(NamedTuple):
     """One comparison row: certified bounds next to the empirical proxies."""
 
     q: int

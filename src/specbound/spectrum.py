@@ -11,8 +11,6 @@ and running one inverse FFT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError
@@ -20,27 +18,27 @@ from .errors import InvalidInputError
 CONJUGATE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class SparseSpectrum:
-    """Finite frequency-to-coefficient map.
+    """Finite frequency-to-coefficient map: int64 frequencies and complex128
+    coefficients, two aligned 1-d arrays.
 
     Frequencies must arrive strictly increasing.  They are kept as given, so
     the arrays may share memory with the caller's; neither is ever written to.
+    A plain class rather than a tuple, because ``len`` is the term count.
     """
 
-    frequencies: np.ndarray  # int64, strictly increasing
-    coefficients: np.ndarray  # complex128, same length
+    __slots__ = ("frequencies", "coefficients")
 
-    def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=np.int64)
-        coeffs = np.asarray(self.coefficients, dtype=complex)
+    def __init__(self, frequencies: np.ndarray, coefficients: np.ndarray):
+        freqs = np.asarray(frequencies, dtype=np.int64)
+        coeffs = np.asarray(coefficients, dtype=complex)
         if freqs.shape != coeffs.shape or freqs.ndim != 1:
             raise InvalidInputError("frequencies and coefficients must be 1-d and aligned")
         # compared, not subtracted, since an int64 difference can wrap
         if not np.all(freqs[1:] > freqs[:-1]):
             raise InvalidInputError("frequencies must be sorted, with no duplicate")
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "coefficients", coeffs)
+        self.frequencies = freqs
+        self.coefficients = coeffs
 
     @classmethod
     def from_dict(cls, mapping: dict[int, complex]) -> "SparseSpectrum":
@@ -93,7 +91,9 @@ def synthesize_on_grid(spec: SparseSpectrum, m: int) -> np.ndarray:
     binned = np.zeros(m, dtype=complex)
     if len(spec):
         np.add.at(binned, np.mod(spec.frequencies, m), spec.coefficients)
-    return np.fft.ifft(binned) * m
+    values = np.fft.ifft(binned)
+    values *= m  # in place: ``* m`` would allocate a second complex grid
+    return values
 
 
 def uniform_interval_masses(spec: SparseSpectrum, m: int) -> np.ndarray:
@@ -121,10 +121,11 @@ def centered_interval_masses(spec: SparseSpectrum, m: int, radius: float) -> np.
 
 def _oscillating_masses(spec: SparseSpectrum, m: int, weights) -> np.ndarray:
     """Interval masses of the nonzero frequencies at the m grid points: the grid
-    synthesis of each term's mass ``weights(c_n, n)`` at the interval based at 0."""
+    synthesis of each term's mass ``weights(c_n, n)`` at the interval based at 0.
+    The real part is copied, so no complex grid outlives the call."""
     if not spec.is_conjugate_symmetric():
         raise InvalidInputError("interval masses need a conjugate-symmetric spectrum")
     nonzero = spec.frequencies != 0
     freqs = spec.frequencies[nonzero]
     terms = SparseSpectrum(freqs, weights(spec.coefficients[nonzero], freqs))
-    return synthesize_on_grid(terms, m).real
+    return synthesize_on_grid(terms, m).real.copy()

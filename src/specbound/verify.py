@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ MAX_KAPPA_SUBSETS = 10 ** 8
 CHEBYSHEV_POINTS = 100  # amplitudes of the Chebyshev factorization, drawn before the Lipschitz pairs
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Passes when its residual is at most its bound (so NaN fails) or is None (no cases)."""
 
     name: str
@@ -67,7 +66,7 @@ def symmetric_residue_sets(q: int):
         orbits.append((m,) if 2 * m == q else (m, q - m))
     for r in range(len(orbits) + 1):
         for combo in itertools.combinations(orbits, r):
-            yield zq.ResidueSet.of(q, [x for orbit in combo for x in orbit])
+            yield zq.ResidueSet(q, [x for orbit in combo for x in orbit])
 
 
 def _worst(name: str, entries: list[tuple[float, str]], bound: float) -> CheckResult:
@@ -192,7 +191,7 @@ def _counterexample_check(q: int = 4, l: int = 1) -> CheckResult:
     residual is at most 0 when every weight has modulus within 1e-12 of 1/q and
     some |imaginary part| is at least 0.1/q; each frequency outside C_B adds 1."""
     spec = zq.counterexample_measure(q, l)
-    outside_cb = int(np.sum(~zq.in_cb(spec.frequencies, zq.ResidueSet.of(q, [l]))))
+    outside_cb = int(np.sum(~zq.in_cb(spec.frequencies, zq.ResidueSet(q, [l]))))
     # the inverse transform on Z_q of the indicator of residue l
     weights = np.exp(2j * np.pi * l * np.arange(q) / q) / q
     uniform = float(np.max(np.abs(np.abs(weights) - 1.0 / q)))
@@ -238,7 +237,7 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
     for q in range(3, min(q_max, 12) + 1):
         # built without its residue set, the polytope is enumerated by the
         # exhaustive solver, independent of the sine products a band takes
-        polytope = kb.FeasiblePolytope(zq.wb_basis(zq.ResidueSet.of(q, [1, q - 1])))
+        polytope = kb.FeasiblePolytope(zq.wb_basis(zq.ResidueSet(q, [1, q - 1])))
         cross.append((abs(rp.kappa_prime_riesz(q) - kb.kappa_prime_1(polytope).value), f"q={q}"))
         endpoint.append((rp.endpoint_optimality_gap(q), f"q={q}"))
 
@@ -302,7 +301,7 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
             raise InvalidInputError(f"exponent {exponent} is repeated in p")
         seen.add(exponent)
     params = rp.RieszParams(a, q)
-    b = zq.ResidueSet.of(q, [1, q - 1])
+    b = zq.ResidueSet(q, [1, q - 1])
     grid = gv.QadicGrid(q, n)
     seq = gv.martingale_levels(rp.riesz_spectrum(params, n), grid)
     f = seq.class_values[grid.levels]

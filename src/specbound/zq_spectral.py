@@ -10,8 +10,7 @@ C_B = {k*q**v : k mod q in B, v >= 0} | {0}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -24,24 +23,19 @@ TWO_PI = 2.0 * math.pi
 MAX_ARRAY_FLOATS = 10 ** 7
 
 
-@dataclass(frozen=True)
-class ResidueSet:
+class ResidueSet(NamedTuple("_ResidueSet", [("q", int), ("members", frozenset)])):
     """A modulus q >= 3 together with a set of allowed nonzero residues."""
 
-    q: int
-    members: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 3:
-            raise InvalidInputError(f"modulus must be an integer >= 3, got {shown(self.q)}")
-        object.__setattr__(self, "members", frozenset(int(m) for m in self.members))
-        for m in self.members:
-            if not 1 <= m <= self.q - 1:
-                raise InvalidInputError(f"residue {shown(m)} outside 1..{shown(self.q - 1)}")
-
-    @classmethod
-    def of(cls, q: int, members: Iterable[int]) -> "ResidueSet":
-        return cls(q, frozenset(int(m) for m in members))
+    def __new__(cls, q: int, members: Iterable[int]):
+        if not isinstance(q, int) or q < 3:
+            raise InvalidInputError(f"modulus must be an integer >= 3, got {shown(q)}")
+        members = frozenset(int(m) for m in members)
+        for m in members:
+            if not 1 <= m <= q - 1:
+                raise InvalidInputError(f"residue {shown(m)} outside 1..{shown(q - 1)}")
+        return super().__new__(cls, q, members)
 
     @property
     def symmetric(self) -> bool:
@@ -55,11 +49,10 @@ class ResidueSet:
 
 def symmetrize(b: ResidueSet) -> ResidueSet:
     """Close ``b`` under the reflection m -> q - m.  Idempotent."""
-    return ResidueSet.of(b.q, b.members | {b.q - m for m in b.members})
+    return ResidueSet(b.q, b.members | {b.q - m for m in b.members})
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(NamedTuple):
     """Orthonormal real basis (columns) of the admissible-difference subspace.
 
     Every column sums to zero and its Z_q transform vanishes at every nonzero

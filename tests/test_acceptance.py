@@ -3,11 +3,16 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Criteria 2-7, 9 and 10 assert on the named checks of the
 ``verify`` suites, and criterion 8 on those of the ``sweep --q 4`` row, which
-hold their tolerances; criterion 1 holds its own here.  Tolerances must not be
-loosened.
+hold their tolerances; criterion 1 holds its own here.  Criterion 11 runs every
+request of the benchmark's reference through ``cli.main`` and applies the
+benchmark's own gate (``perfbench/gate.py``) against ``perfbench/reference.json``.
+Tolerances must not be loosened.
 """
 
+import json
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +20,12 @@ from specbound import cli
 from specbound import kappa_bound as kb
 from specbound import verify
 from specbound import zq_spectral as zq
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import gate  # noqa: E402
+import pass_worker  # noqa: E402
+import workloads  # noqa: E402
 
 class Criterion:
     """Collects assertions, then prints one line and fails atomically."""
@@ -59,7 +70,7 @@ def test_criterion_01_q4_fixtures():
                                        [1, -1, -1, 1], [-1, 1, 1, -1])],
     }
     for members, witnesses in expected_witnesses.items():
-        result = kb.dimension_bound(zq.ResidueSet.of(4, members))
+        result = kb.dimension_bound(zq.ResidueSet(4, members))
         crit.expect(abs(result.bound - 0.5) <= 1e-12,
                     f"B={members}: bound {result.bound!r} != 0.5 within 1e-12")
         witness = np.array(result.witness_vertex)
@@ -161,4 +172,21 @@ def test_criterion_10_counterexample_fixture():
     check = verify._counterexample_check(4, 1)
     crit.expect(check.passed, f"counterexample check failed: residual {check.residual}")
     print(f"       note: {check.detail}")
+    crit.done()
+
+
+def test_criterion_11_reference_parity():
+    crit = Criterion("11. every benchmark reference request passes the benchmark's gate")
+    # each request as the benchmark's worker runs it, with --format json; the
+    # gate compares the exit code, the check list, the exact vertex_count and
+    # each table field within gate.TOLERANCES, and forgives a failure only
+    # when gate.known_defect names it
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    requests = workloads.reference_requests()
+    crit.expect({workloads.reference_key(argv) for argv in requests} == set(reference),
+                "the requests and the stored reference differ")
+    for argv in requests:
+        outcome = pass_worker.run_request(cli.main, argv)
+        for reason, defect in gate.check_request(outcome, reference):
+            crit.expect(defect is not None, f"{' '.join(argv)}: {reason}")
     crit.done()

@@ -1,3 +1,4 @@
+import ast
 import functools
 import itertools
 import json
@@ -664,6 +665,27 @@ class TestEnvelope:
 def test_import_leaves_csv_unloaded():
     # only a CSV report loads the csv module
     assert loaded_after_import("cli", ["csv"]) == []
+
+
+def test_no_module_imports_dataclasses():
+    # value records are NamedTuples (SparseSpectrum a plain class), so no
+    # dataclass code is generated when the package loads
+    package = os.path.dirname(cli.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}" for module in modules if module == "dataclasses"]
+    assert found == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")

@@ -40,6 +40,18 @@ class TestGrid:
         with pytest.raises(ResourceLimitError):
             gv.QadicGrid(10, 8)
 
+    def test_validation(self):
+        # the base is checked first, then the levels, then the budget
+        with pytest.raises(InvalidInputError, match=r"^base must be >= 3, got 2$"):
+            gv.QadicGrid(2, 0)
+        with pytest.raises(InvalidInputError, match=r"^need at least one level, got 0$"):
+            gv.QadicGrid(10 ** 8, 0)
+        grid = gv.QadicGrid(q=3, levels=2)
+        assert grid == gv.QadicGrid(3, 2)
+        for name, value in (("q", 4), ("levels", 3), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(grid, name, value)
+
 
 class TestSampling:
     def test_constant_spectrum(self):
@@ -211,18 +223,18 @@ class TestSubspaceMembership:
         for q in (3, 4, 5):
             seq, _, grid = riesz_sequence(q, 1.0, 4)
             sup = float(np.abs(seq.class_values[grid.levels]).max())
-            residual = gv.wb_membership_check(seq, zq.ResidueSet.of(q, [1, q - 1]))
+            residual = gv.wb_membership_check(seq, zq.ResidueSet(q, [1, q - 1]))
             assert residual <= 1e-10 * max(1.0, sup)
 
     def test_full_set_trivial(self):
         seq, _, _ = riesz_sequence(3, 1.0, 3)
-        assert gv.wb_membership_check(seq, zq.ResidueSet.of(3, [1, 2])) <= 1e-10
+        assert gv.wb_membership_check(seq, zq.ResidueSet(3, [1, 2])) <= 1e-10
 
     def test_spectrum_outside_restriction_raises(self):
         grid = gv.QadicGrid(4, 3)
         seq = gv.martingale_levels(SparseSpectrum.from_dict({0: 1.0, 1: 0.25, -1: 0.25}), grid)
         with pytest.raises(PreconditionError, match="frequency -?1"):
-            gv.wb_membership_check(seq, zq.ResidueSet.of(4, [2]))
+            gv.wb_membership_check(seq, zq.ResidueSet(4, [2]))
 
 
 class TestLpNorm:
@@ -252,7 +264,7 @@ class TestGrowth:
         q = 3
         grid = gv.QadicGrid(q, 4)
         seq = gv.martingale_levels(SparseSpectrum.from_dict({0: 1.0}), grid)
-        report = gv.growth_check(seq, zq.ResidueSet.of(q, [1, 2]), 2.0)
+        report = gv.growth_check(seq, zq.ResidueSet(q, [1, 2]), 2.0)
         assert not report.failures
         # every level norm is 1, so the per-step slack is exp(kappa) - 1
         assert abs(report.worst_step_slack - (math.exp(report.kappa_theta) - 1.0)) <= 1e-6
@@ -260,21 +272,21 @@ class TestGrowth:
     @pytest.mark.parametrize("p", [1.25, 2.0, 4.0])
     def test_riesz_full_run(self, p):
         seq, _, _ = riesz_sequence(3, 1.0, 6)
-        report = gv.growth_check(seq, zq.ResidueSet.of(3, [1, 2]), p)
+        report = gv.growth_check(seq, zq.ResidueSet(3, [1, 2]), p)
         assert not report.failures, report.failures
         assert report.worst_atom_slack >= 0.0
 
     @pytest.mark.parametrize("q,depth", [(3, 8), (4, 6), (5, 5)])
     def test_riesz_fixtures_across_bases(self, q, depth):
         seq, _, _ = riesz_sequence(q, 1.0, depth)
-        b = zq.ResidueSet.of(q, [1, q - 1])
+        b = zq.ResidueSet(q, [1, q - 1])
         for p in (1.25, 2.0, 4.0):
             report = gv.growth_check(seq, b, p)
             assert not report.failures, (q, p, report.failures)
 
     def test_p1_is_mass_preservation(self):
         seq, _, grid = riesz_sequence(4, 1.0, 4)
-        report = gv.growth_check(seq, zq.ResidueSet.of(4, [1, 3]), 1.0)
+        report = gv.growth_check(seq, zq.ResidueSet(4, [1, 3]), 1.0)
         assert not report.failures
         assert report.kappa_theta == 0.0
         norms = [kb.power_mean(seq.class_values[k], 1.0) for k in range(grid.levels + 1)]
@@ -285,7 +297,7 @@ class TestGrowth:
         grid = gv.QadicGrid(3, 3)
         seq = gv.martingale_levels(SparseSpectrum.from_dict({1: 0.5, -1: 0.5}), grid)
         with pytest.raises(PreconditionError, match="non-negative"):
-            gv.growth_check(seq, zq.ResidueSet.of(3, [1, 2]), 2.0)
+            gv.growth_check(seq, zq.ResidueSet(3, [1, 2]), 2.0)
 
     def test_spectrum_outside_restriction_raises(self):
         # 1 + 0.1*cos(4*pi*x) is positive, but its frequencies +-2 are not in
@@ -293,7 +305,7 @@ class TestGrowth:
         grid = gv.QadicGrid(5, 3)
         seq = gv.martingale_levels(SparseSpectrum.from_dict({0: 1.0, 2: 0.05, -2: 0.05}), grid)
         with pytest.raises(PreconditionError, match="frequency -?2 is outside"):
-            gv.growth_check(seq, zq.ResidueSet.of(5, [1, 4]), 2.0)
+            gv.growth_check(seq, zq.ResidueSet(5, [1, 4]), 2.0)
 
     def test_nan_density_fails_its_check(self, monkeypatch):
         # one NaN at the finest level, averaged up to the root: every slack it
@@ -305,7 +317,7 @@ class TestGrowth:
         for k in range(grid.levels - 1, -1, -1):
             levels[k] = levels[k + 1].reshape(grid.q, -1).mean(axis=0)
         corrupted = gv.MartingaleSequence(grid, levels, seq.source)
-        report = gv.growth_check(corrupted, zq.ResidueSet.of(3, [1, 2]), 2.0)
+        report = gv.growth_check(corrupted, zq.ResidueSet(3, [1, 2]), 2.0)
         assert math.isnan(report.worst_step_slack) and math.isnan(report.global_slack)
         assert report.failures
         monkeypatch.setattr(gv, "martingale_levels", lambda spec, grid: corrupted)
@@ -317,11 +329,11 @@ class TestGrowth:
     def test_nan_exponent_rejected(self):
         seq, _, _ = riesz_sequence(3, 1.0, 3)
         with pytest.raises(InvalidInputError):
-            gv.growth_check(seq, zq.ResidueSet.of(3, [1, 2]), math.nan)
+            gv.growth_check(seq, zq.ResidueSet(3, [1, 2]), math.nan)
 
 
 def growth_at(seq, p=2.0):
-    return gv.growth_check(seq, zq.ResidueSet.of(seq.grid.q, [1, seq.grid.q - 1]), p)
+    return gv.growth_check(seq, zq.ResidueSet(seq.grid.q, [1, seq.grid.q - 1]), p)
 
 
 class TestSetAverage:

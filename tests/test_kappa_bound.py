@@ -16,7 +16,7 @@ LOG2 = math.log(2.0)
 
 
 def polytope(q, members):
-    return kb.FeasiblePolytope.from_residues(zq.ResidueSet.of(q, members))
+    return kb.FeasiblePolytope.from_residues(zq.ResidueSet(q, members))
 
 
 def nonempty_symmetric_sets(q):
@@ -149,7 +149,7 @@ def bands(q):
 
 def half_band(q):
     h = q // 4
-    return zq.ResidueSet.of(q, [*range(1, h + 1), *range(q - h, q)])
+    return zq.ResidueSet(q, [*range(1, h + 1), *range(q - h, q)])
 
 
 @functools.cache
@@ -212,7 +212,7 @@ class TestGaleEvenness:
         (8, [], None),
     ])
     def test_band_multiplier(self, q, members, expected):
-        assert kb.band_multiplier(zq.ResidueSet.of(q, members)) == expected
+        assert kb.band_multiplier(zq.ResidueSet(q, members)) == expected
 
     def test_matches_exhaustive_enumeration(self):
         # the expanded orbits are the exhaustive vertex set, for every band and
@@ -244,7 +244,7 @@ class TestGaleEvenness:
         # against expanding all 2q dihedral images of every orbit
         # representative: every band with q <= 16, and the q = 1000 band
         # whose mirror images tie in every coordinate
-        cases = [b for q in range(3, 17) for b in bands(q)] + [zq.ResidueSet.of(1000, [1, 999])]
+        cases = [b for q in range(3, 17) for b in bands(q)] + [zq.ResidueSet(1000, [1, 999])]
         for b in cases:
             rows = orbit_rows(b)
             np.testing.assert_array_equal(kb._first_image(rows), first_image_oracle(rows),
@@ -403,7 +403,7 @@ class TestNonVertexRows:
     """
 
     CASES = [b for q in range(3, 13) for b in symmetric_residue_sets(q)] + [
-        zq.ResidueSet.of(14, [2, 4, 10, 12]), zq.ResidueSet.of(15, [3, 6, 9, 12])]
+        zq.ResidueSet(14, [2, 4, 10, 12]), zq.ResidueSet(15, [3, 6, 9, 12])]
 
     def test_rank_filter_finds_the_vertices(self):
         # a 4-simplex, and the Gale count for the band {+-1, +-2} on Z_7
@@ -604,61 +604,61 @@ class TestFiniteDifference:
 class TestDimensionBound:
     def test_q4_fixtures(self):
         for members in ([2], [1, 3]):
-            result = kb.dimension_bound(zq.ResidueSet.of(4, members))
+            result = kb.dimension_bound(zq.ResidueSet(4, members))
             assert abs(result.bound - 0.5) <= 1e-12
             assert abs(result.kappa_prime_1 + LOG2) <= 1e-12
 
     def test_full_set_gives_zero(self):
         for q in (3, 4, 5, 6):
-            result = kb.dimension_bound(zq.ResidueSet.of(q, range(1, q)))
+            result = kb.dimension_bound(zq.ResidueSet(q, range(1, q)))
             assert abs(result.bound) <= 1e-12
             assert abs(result.kappa_prime_1 + math.log(q)) <= 1e-12
 
     def test_empty_gives_one(self):
-        result = kb.dimension_bound(zq.ResidueSet.of(4, []))
+        result = kb.dimension_bound(zq.ResidueSet(4, []))
         assert result.bound == 1.0
 
     def test_symmetrization_flag(self):
-        result = kb.dimension_bound(zq.ResidueSet.of(8, [2]))
+        result = kb.dimension_bound(zq.ResidueSet(8, [2]))
         assert result.symmetrized
         assert result.members == (2, 6)
 
     def test_delta_nonnegative_and_raw_bound_sane(self):
         for q in range(3, 10):
             for members in ([1, q - 1], list(range(1, q))):
-                result = kb.dimension_bound(zq.ResidueSet.of(q, members))
+                result = kb.dimension_bound(zq.ResidueSet(q, members))
                 assert result.delta >= -1e-12
                 assert result.raw_bound >= -1e-12
                 assert result.raw_bound <= 1.0 + 1e-12
 
     def test_monotone_in_residue_set(self):
-        small = kb.dimension_bound(zq.ResidueSet.of(8, [1, 7])).bound
-        large = kb.dimension_bound(zq.ResidueSet.of(8, [1, 3, 5, 7])).bound
+        small = kb.dimension_bound(zq.ResidueSet(8, [1, 7])).bound
+        large = kb.dimension_bound(zq.ResidueSet(8, [1, 3, 5, 7])).bound
         assert small >= large - 1e-12
 
 
 class TestSubgroupBound:
     # the subgroup bound 1 - log|H|/log q, H = g*Z_q for g = gcd(B | {q})
     def test_q4(self):
-        result = kb.dimension_bound(zq.ResidueSet.of(4, [2]))
+        result = kb.dimension_bound(zq.ResidueSet(4, [2]))
         assert abs(result.subgroup_bound - 0.5) <= 1e-15
         assert result.subgroup_generator == 2
         assert not result.proper_inclusion
 
     def test_q8_proper(self):
         # B = {2} is symmetrized to {2, 6}, still a proper part of {2, 4, 6}
-        result = kb.dimension_bound(zq.ResidueSet.of(8, [2]))
+        result = kb.dimension_bound(zq.ResidueSet(8, [2]))
         assert abs(result.subgroup_bound - (1 - math.log(4) / math.log(8))) <= 1e-15
         assert result.subgroup_generator == 2
         assert result.proper_inclusion
 
     def test_q5_whole_group(self):
-        result = kb.dimension_bound(zq.ResidueSet.of(5, [1, 4]))
+        result = kb.dimension_bound(zq.ResidueSet(5, [1, 4]))
         assert result.subgroup_bound == 0.0
         assert result.subgroup_generator == 1
 
     def test_empty_convention(self):
-        result = kb.dimension_bound(zq.ResidueSet.of(6, []))
+        result = kb.dimension_bound(zq.ResidueSet(6, []))
         assert result.subgroup_bound == 1.0
         assert result.subgroup_generator == 6
         assert not result.proper_inclusion
@@ -674,7 +674,7 @@ class TestSubgroupBound:
             assert result.proper_inclusion == (set(range(g, q, g)) != b.members)
 
     def test_strict_gain_when_proper(self):
-        dim = kb.dimension_bound(zq.ResidueSet.of(8, [2, 6]))
+        dim = kb.dimension_bound(zq.ResidueSet(8, [2, 6]))
         assert dim.proper_inclusion
         assert dim.bound >= dim.subgroup_bound + 1e-6
 

@@ -87,7 +87,7 @@ class TestRieszSpectrum:
 
     def test_support_in_restricted_set(self):
         for q in (3, 4, 5):
-            b = zq.ResidueSet.of(q, [1, q - 1])
+            b = zq.ResidueSet(q, [1, q - 1])
             spec = rp.riesz_spectrum(rp.RieszParams(1.0, q), 5)
             assert zq.in_cb(spec.frequencies, b).all()
 
@@ -96,10 +96,20 @@ class TestRieszSpectrum:
             rp.riesz_spectrum(rp.RieszParams(1.0, 3), 15)
 
     def test_params_validation(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^amplitude must satisfy \|a\| <= 1, got 1.5$"):
             rp.RieszParams(1.5, 3)
-        with pytest.raises(InvalidInputError):
-            rp.RieszParams(0.5, 2)
+        with pytest.raises(InvalidInputError, match=r"^amplitude must satisfy \|a\| <= 1, got nan$"):
+            rp.RieszParams(math.nan, 3)
+        # the base is checked first
+        with pytest.raises(InvalidInputError, match=r"^base must be an integer >= 3, got 2$"):
+            rp.RieszParams(1.5, 2)
+        with pytest.raises(InvalidInputError, match=r"^base must be an integer >= 3, got 3.0$"):
+            rp.RieszParams(0.5, 3.0)
+        params = rp.RieszParams(a=0.5, q=3)
+        assert params == rp.RieszParams(0.5, 3) and hash(params) == hash(rp.RieszParams(0.5, 3))
+        for name, value in (("a", 1.0), ("q", 4), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(params, name, value)
 
 
 class TestPartialProduct:
@@ -161,7 +171,7 @@ class TestClosedForms:
     def test_matches_vertex_enumeration(self):
         # the exhaustive solver (no residue set), not the band's own sine products
         for q in range(3, 13):
-            p = kb.FeasiblePolytope(zq.wb_basis(zq.ResidueSet.of(q, [1, q - 1])))
+            p = kb.FeasiblePolytope(zq.wb_basis(zq.ResidueSet(q, [1, q - 1])))
             assert p.vertex_source == "exhaustive"
             assert abs(rp.kappa_prime_riesz(q) - kb.kappa_prime_1(p).value) <= 1e-9
 

@@ -18,9 +18,11 @@ from oracles import direct_synthesis
 class TestSparseSpectrum:
     def test_sorted_and_deduplicated(self):
         spec = SparseSpectrum.from_dict({3: 1.0, -2: 0.5j, 0: 2.0})
-        assert list(spec.frequencies) == [-2, 0, 3]
+        assert list(spec.frequencies) == [-2, 0, 3] and len(spec) == 3
         with pytest.raises(InvalidInputError):
             SparseSpectrum(np.array([1, 1]), np.array([1.0, 2.0]))
+        with pytest.raises(AttributeError):  # two slots, no instance dict
+            spec.extra = 1
 
     def test_unsorted_input_rejected(self):
         with pytest.raises(InvalidInputError, match="sorted"):

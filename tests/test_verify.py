@@ -189,6 +189,13 @@ class TestCheckResult:
         assert verify.CheckResult("x", -2e-6, -1e-6).passed
         assert verify.CheckResult("x", None, 0.0, "no cases").passed
 
+    def test_detail_defaults_to_empty_and_fields_are_read_only(self):
+        check = verify.CheckResult("x", 0.5, 1.0)
+        assert check.detail == "" and check.as_dict()["detail"] == ""
+        for name in ("residual", "passed", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(check, name, 2.0)
+
     @pytest.mark.parametrize("residual", [math.nan, math.inf])
     def test_non_finite_residual_fails(self, residual):
         check = verify.CheckResult("x", residual, 0.0, "why")

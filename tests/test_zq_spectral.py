@@ -12,12 +12,24 @@ from specbound.errors import InvalidInputError, ResourceLimitError
 
 class TestResidueSet:
     def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            zq.ResidueSet.of(2, [1])
-        with pytest.raises(InvalidInputError):
-            zq.ResidueSet.of(4, [0])
-        with pytest.raises(InvalidInputError):
-            zq.ResidueSet.of(4, [4])
+        with pytest.raises(InvalidInputError, match=r"^modulus must be an integer >= 3, got 2$"):
+            zq.ResidueSet(2, [1])
+        with pytest.raises(InvalidInputError, match=r"^modulus must be an integer >= 3, got 5.0$"):
+            zq.ResidueSet(5.0, [1])
+        with pytest.raises(InvalidInputError, match=r"^residue 0 outside 1..3$"):
+            zq.ResidueSet(4, [0])
+        with pytest.raises(InvalidInputError, match=r"^residue 4 outside 1..3$"):
+            zq.ResidueSet(4, [4])
+
+    def test_normalized_value_record(self):
+        # members arrive as any iterable of integers and are kept as a frozenset
+        b = zq.ResidueSet(5, (np.int64(4), 1.0))
+        assert b.members == frozenset({1, 4}) and all(type(m) is int for m in b.members)
+        assert b == zq.ResidueSet(q=5, members=[1, 4])
+        assert hash(b) == hash(zq.ResidueSet(5, {4, 1}))
+        for name, value in (("q", 7), ("members", frozenset()), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(b, name, value)
 
     @pytest.mark.parametrize("q,members,expected", [
         (5, [1], {1, 4}),
@@ -25,7 +37,7 @@ class TestResidueSet:
         (6, [1, 2], {1, 2, 4, 5}),
     ])
     def test_symmetrize(self, q, members, expected):
-        assert zq.symmetrize(zq.ResidueSet.of(q, members)).members == expected
+        assert zq.symmetrize(zq.ResidueSet(q, members)).members == expected
 
     def test_symmetrize_idempotent_and_order_independent(self):
         rng = np.random.default_rng(3)
@@ -33,37 +45,37 @@ class TestResidueSet:
             q = int(rng.integers(3, 14))
             members = list(rng.choice(np.arange(1, q), size=rng.integers(0, q - 1),
                                       replace=False))
-            b = zq.ResidueSet.of(q, members)
+            b = zq.ResidueSet(q, members)
             once = zq.symmetrize(b)
             assert zq.symmetrize(once).members == once.members
-            shuffled = zq.ResidueSet.of(q, list(reversed(members)))
+            shuffled = zq.ResidueSet(q, list(reversed(members)))
             assert zq.symmetrize(shuffled).members == once.members
 
     def test_symmetric_flag(self):
-        assert zq.ResidueSet.of(4, [2]).symmetric
-        assert not zq.ResidueSet.of(5, [1]).symmetric
+        assert zq.ResidueSet(4, [2]).symmetric
+        assert not zq.ResidueSet(5, [1]).symmetric
 
 
 class TestWbBasis:
     def test_q4_alternating(self):
-        basis = zq.wb_basis(zq.ResidueSet.of(4, [2]))
+        basis = zq.wb_basis(zq.ResidueSet(4, [2]))
         assert basis.dim == 1
         col = basis.columns[:, 0]
         assert np.allclose(col / col[0], [1, -1, 1, -1])
 
     def test_q4_pair(self):
-        assert zq.wb_basis(zq.ResidueSet.of(4, [1, 3])).dim == 2
+        assert zq.wb_basis(zq.ResidueSet(4, [1, 3])).dim == 2
 
     def test_q3_full(self):
         # rank oracle: the zero-sum hyperplane of R^3 has dimension 2
-        assert zq.wb_basis(zq.ResidueSet.of(3, [1, 2])).dim == 2
+        assert zq.wb_basis(zq.ResidueSet(3, [1, 2])).dim == 2
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(InvalidInputError):
-            zq.wb_basis(zq.ResidueSet.of(5, [1]))
+            zq.wb_basis(zq.ResidueSet(5, [1]))
 
     def test_empty_is_valid(self):
-        basis = zq.wb_basis(zq.ResidueSet.of(7, []))
+        basis = zq.wb_basis(zq.ResidueSet(7, []))
         assert basis.dim == 0 and basis.columns.shape == (7, 0)
 
     @pytest.mark.parametrize("q,members", [
@@ -74,7 +86,7 @@ class TestWbBasis:
     ])
     def test_size_guard(self, q, members):
         with pytest.raises(ResourceLimitError, match="over the 1e\\+07 budget"):
-            zq.wb_basis(zq.ResidueSet.of(q, members))
+            zq.wb_basis(zq.ResidueSet(q, members))
 
     def _symmetric_sets(self, q):
         import itertools
@@ -86,7 +98,7 @@ class TestWbBasis:
     def test_columns_orthonormal_zero_sum_and_supported_on_b(self):
         for q in range(3, 17):
             for members in self._symmetric_sets(q):
-                basis = zq.wb_basis(zq.ResidueSet.of(q, members))
+                basis = zq.wb_basis(zq.ResidueSet(q, members))
                 if basis.dim:
                     gram = basis.columns.T @ basis.columns
                     assert np.max(np.abs(gram - np.eye(basis.dim))) <= 1e-12
@@ -101,7 +113,7 @@ class TestWbBasis:
         # independent oracle: rank of the stacked cosine/sine vectors
         for q in range(3, 17):
             for members in self._symmetric_sets(q):
-                basis = zq.wb_basis(zq.ResidueSet.of(q, members))
+                basis = zq.wb_basis(zq.ResidueSet(q, members))
                 j = np.arange(q)
                 rows = []
                 for m in members:
@@ -172,7 +184,7 @@ class TestArithmetic:
     @settings(max_examples=300, deadline=None)
     def test_in_cb_matches_scalar_reference(self, data, q, symmetric):
         members = data.draw(st.sets(st.integers(min_value=1, max_value=q - 1)))
-        b = zq.ResidueSet.of(q, members)
+        b = zq.ResidueSet(q, members)
         if symmetric:
             b = zq.symmetrize(b)
         n = np.array(data.draw(frequency_arrays(q)), dtype=np.int64)
@@ -181,19 +193,19 @@ class TestArithmetic:
         assert [bool(zq.in_cb(int(x), b)) for x in n] == expected
 
     def test_in_cb_examples(self):
-        assert zq.in_cb(0, zq.ResidueSet.of(4, [2]))
-        assert not zq.in_cb(4, zq.ResidueSet.of(4, [2]))
-        assert zq.in_cb(6, zq.ResidueSet.of(3, [1, 2]))
+        assert zq.in_cb(0, zq.ResidueSet(4, [2]))
+        assert not zq.in_cb(4, zq.ResidueSet(4, [2]))
+        assert zq.in_cb(6, zq.ResidueSet(3, [1, 2]))
 
     @given(st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0))
     @settings(max_examples=200, deadline=None)
     def test_in_cb_closed_under_base_multiplication(self, n):
-        b = zq.ResidueSet.of(5, [2, 3])
+        b = zq.ResidueSet(5, [2, 3])
         assert zq.in_cb(n, b) == zq.in_cb(n * 5, b)
 
     def test_in_cb_absolute_mode(self):
         # negative n is tested literally; on a symmetric B that equals testing |n|
-        b = zq.ResidueSet.of(5, [1])  # not symmetric: -1 has residue 4
+        b = zq.ResidueSet(5, [1])  # not symmetric: -1 has residue 4
         assert not zq.in_cb(-1, b)
         assert zq.in_cb(-4, b)
         sym = zq.symmetrize(b)
@@ -206,7 +218,7 @@ class TestSubgroups:
     # g = gcd(B | {q}) of q, listed here from its generator
     @staticmethod
     def subgroup(q, members):
-        g = kb.dimension_bound(zq.ResidueSet.of(q, members)).subgroup_generator
+        g = kb.dimension_bound(zq.ResidueSet(q, members)).subgroup_generator
         assert q % g == 0
         return tuple(range(0, q, g))
 
@@ -225,7 +237,7 @@ class TestSubgroups:
         (5, [1, 4], (0, 1, 2, 3, 4), True),
     ])
     def test_minimal_subgroup(self, q, members, elements, proper):
-        result = kb.dimension_bound(zq.ResidueSet.of(q, members))
+        result = kb.dimension_bound(zq.ResidueSet(q, members))
         assert tuple(range(0, q, result.subgroup_generator)) == elements
         assert result.proper_inclusion == proper
 
@@ -255,7 +267,7 @@ class TestCounterexampleMeasure:
     def test_support_in_restricted_set(self):
         q, l = 4, 1
         spec = zq.counterexample_measure(q, l)
-        b = zq.ResidueSet.of(q, [l])
+        b = zq.ResidueSet(q, [l])
         assert zq.in_cb(spec.frequencies, b).all()
 
     def test_q_unit_atoms(self):
