@@ -18,7 +18,7 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error
 (including a verify option no selected suite reads), violated precondition,
 empty range or a report that cannot be written to stdout, 3 resource guard
 tripped or memory exhausted, 4 numerical failure.  JSON payloads are
-deterministic for a fixed config and seed except for the wall_time_s field.
+deterministic for a fixed config except for the wall_time_s field.
 """
 
 from __future__ import annotations
@@ -150,6 +150,10 @@ def cmd_sweep(options: dict) -> tuple[dict, list[verify.CheckResult]]:
 
 
 def cmd_verify(options: dict) -> tuple[dict, list[verify.CheckResult]]:
+    # no check samples, so no suite reads --seed; it is accepted, within
+    # 0..2**64-1, for scripts that send it
+    if not 0 <= options["seed"] < 2 ** 64:
+        raise InvalidInputError(f"seed must be in 0..2**64-1, got {shown(options['seed'])}")
     suite = options["suite"]
     keywords = {s: inspect.signature(fn).parameters for s, fn in verify.SUITES.items()}
     selected = list(verify.SUITES) if suite == "all" else [suite]
@@ -303,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--b", help="comma-separated residues, e.g. '1,3' (default: none)")
 
     p_verify = add_command("verify", "run a named property suite")
-    # each option is named as the keyword of the suites that read it
+    # each option is named as the keyword of the suites that read it, except
+    # --seed, which no suite reads
     p_verify.add_argument("--suite", required=True, choices=(*verify.SUITES, "all"))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--q", type=int)

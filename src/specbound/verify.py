@@ -2,8 +2,8 @@
 dimension-bound machinery relies on, run with explicit residuals.
 
 Each suite returns a flat list of :class:`CheckResult`; a suite passes iff all
-its checks do.  Every random draw of a suite comes from its one seeded
-:class:`draws.Stream`, so failures are reproducible from the reported configuration.
+its checks do.  No check samples: each one runs at its exact worst case or on a
+fixed grid that covers its domain, so a report depends on its sizes alone.
 The martingale suite runs the checks of :mod:`gv_martingale` and synthesizes nothing.
 """
 
@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import draws
 from . import gv_martingale as gv
 from . import kappa_bound as kb
 from . import riesz_products as rp
@@ -25,10 +24,10 @@ from .errors import InvalidInputError, check_budget, shown
 FD_STEPS = np.array([1e-2, 1e-3, 1e-4])
 FD_Q_MAX = 8  # largest q whose kappa'(1) gets the difference-quotient checks
 # vertex-subset solves, sum of C(q, d_B) over the symmetric B that the kappa
-# suite enumerates exhaustively (bands solve none): q_max 18 needs 2.0e7 (71 s
-# on a 2-core VM), q_max 20 needs 1.55e8
-MAX_KAPPA_SUBSETS = 10 ** 8
-CHEBYSHEV_POINTS = 100  # amplitudes of the Chebyshev factorization, drawn before the Lipschitz pairs
+# suite enumerates exhaustively (bands solve none): q_max 16 needs 2560269
+# (9-13 s on a 2-core VM), q_max 17 needs 5766402 and is refused
+MAX_KAPPA_SUBSETS = 3 * 10 ** 6
+SINGLE_STEP_P = np.array([1.1, 1.25, 2.0, 4.0, 5.0])  # exponents of the single-step check
 
 
 class CheckResult(NamedTuple):
@@ -81,7 +80,7 @@ def _worst(name: str, entries: list[tuple[float, str]], bound: float) -> CheckRe
 # kappa suite: polytope geometry, bound dominance, derivative sandwich
 # ---------------------------------------------------------------------------
 
-def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
+def kappa_suite(q_max: int = 10) -> list[CheckResult]:
     """Polytope, bound and derivative checks for every symmetric B with q <= ``q_max``.
 
     The feasibility, subspace-membership and single-step checks read the
@@ -90,20 +89,22 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
     other B.  A band passes the first two on its representatives exactly when
     every vertex does.  Each map j -> c +- j permutes the coordinates, so it
     keeps min v, and W_B is invariant under it because B is symmetric, so it
-    keeps the distance to W_B.  A Dirichlet mix of the rows is a convex
-    combination of points of the polytope, so it lies in the polytope, as
-    the single-step check needs.
+    keeps the distance to W_B.
 
-    The single-step check draws three (mix b, exponent p) pairs per B and
-    states ||1 + b||_p <= e^kappa(1/p), the power mean of 1 + b on the left,
-    with ``kb.SLACK`` and a 1e-15 floor; its residual is the worst excess of
-    the left side over the slackened right.  One :func:`kb.kappa` call per B
-    takes the three 1/p and, for q <= ``FD_Q_MAX``, the three 1 - h of
-    ``FD_STEPS``, so each B's representatives are read once for all its exponents.
+    The single-step check states ||1 + b||_p <= e^kappa(1/p), the power mean
+    of 1 + b on the left, at every representative b and every p in
+    ``SINGLE_STEP_P``, with ``kb.SLACK`` and a 1e-15 floor; its residual is
+    the worst excess of the left side over the slackened right, and its
+    detail names the B and p.  The power mean is convex in b, so over the
+    polytope it peaks at a vertex, and it is symmetric in the coordinates, so
+    that vertex can be taken among the representatives: this is the exact
+    worst case.  One :func:`kb.kappa` call per B takes the 1/p and, for
+    q <= ``FD_Q_MAX``, the three 1 - h of ``FD_STEPS``, so each B's
+    representatives are read once for all its exponents.
 
     Raises :class:`ResourceLimitError` before any enumeration once the C(q, d_B)
     vertex-subset solves of the B that are not bands add up to over
-    ``MAX_KAPPA_SUBSETS`` (1e8).  A symmetric B has d_B = |B|.
+    ``MAX_KAPPA_SUBSETS`` (3e6).  A symmetric B has d_B = |B|.
     """
     if q_max < 3:
         raise InvalidInputError(f"kappa suite needs q_max >= 3, got {shown(q_max)}")
@@ -113,7 +114,6 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
                       for b in symmetric_residue_sets(q)
                       if kb.band_multiplier(b) is None)
         check_budget(f"kappa-suite vertex-subset solves up to q={q}", solves, MAX_KAPPA_SUBSETS)
-    stream = draws.Stream(seed)
     feasibility: list[tuple[float, str]] = []
     membership: list[tuple[float, str]] = []
     witness: list[tuple[float, str]] = []
@@ -131,20 +131,15 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
             tag = f"q={q} B={sorted(b.members)}"
             polytope = kb.FeasiblePolytope.from_residues(b)
             vertices = np.concatenate([np.zeros((0, q)), *kb.representatives(polytope)])
-            mixes, ps = np.zeros((0, q)), np.zeros(0)
+            thetas = np.concatenate((1.0 / SINGLE_STEP_P, 1.0 - FD_STEPS if q <= FD_Q_MAX else []))
+            kappas = kb.kappa(thetas, polytope)
             if len(vertices):
                 off = np.linalg.norm(polytope.basis.project_off(vertices.T), axis=0)
                 feasibility.append((float((-1.0 - vertices.min())), tag))
                 membership.append((float(off.max()), tag))
-                pairs = [(stream.dirichlet(len(vertices)) @ vertices, stream.uniform(1.1, 5.0))
-                         for _ in range(3)]
-                mixes, ps = (np.array(column) for column in zip(*pairs))
-            thetas = np.concatenate((1.0 / ps, 1.0 - FD_STEPS if q <= FD_Q_MAX else []))
-            if len(thetas):
-                kappas = kb.kappa(thetas, polytope)
-                for mix, p, rhs in zip(mixes, ps, np.exp(kappas[:len(ps)])):
-                    excess = kb.power_mean(1.0 + mix, p) - (rhs * (1.0 + kb.SLACK) + 1e-15)
-                    single_step.append((float(excess), f"{tag} p={p:.3f}"))
+                rhs = np.exp(kappas[:len(SINGLE_STEP_P)]) * (1.0 + kb.SLACK) + 1e-15
+                excess = (kb.power_mean(1.0 + vertices.T, SINGLE_STEP_P) - rhs[:, None]).max(axis=1)
+                single_step += [(float(e), f"{tag} p={p}") for e, p in zip(excess, SINGLE_STEP_P)]
             result = kb.dimension_bound(b)
             re_eval = -np.sum(kb.xlogx(np.clip(1.0 + np.array(result.witness_vertex), 0, None))) / q
             witness.append((abs(re_eval - result.kappa_prime_1), tag))
@@ -157,7 +152,7 @@ def kappa_suite(q_max: int = 10, seed: int = 0) -> list[CheckResult]:
 
             if q <= FD_Q_MAX:
                 # (kappa(1) - kappa(1-h))/h rises toward kappa'(1) as h shrinks, by convexity
-                quotients = -kappas[len(ps):] / FD_STEPS
+                quotients = -kappas[len(SINGLE_STEP_P):] / FD_STEPS
                 chain = [*quotients, result.kappa_prime_1]
                 drift = max(chain[i] - chain[i + 1] for i in range(len(chain) - 1))
                 fd_monotone.append((drift, tag))
@@ -209,25 +204,27 @@ def _counterexample_check(q: int = 4, l: int = 1) -> CheckResult:
 # riesz identity suite: closed forms, quadrature identity, auxiliary lemmas
 # ---------------------------------------------------------------------------
 
-def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
+def riesz_identity_suite(q_max: int = 16) -> list[CheckResult]:
     """Closed forms, the quadrature identity and the auxiliary lemmas of the Riesz product.
 
     The sum-integral identity, the Chebyshev factorization and the prop4 report
-    take the even q in 4..q_max.  ``q_max`` must lie in 4..512, checked before
-    any quadrature.  That keeps a margin below q = 894, where the
-    factorization's running node product falls to subnormal floats and its
-    mismatch first exceeds the 1e-9 bound; for every even q <= 512 the
-    mismatch is at most 2.7e-12 over 202 amplitude seeds, and the identity
-    residual is 2.8e-14 at q = 512.  The vertex-solver cross-check and the
-    endpoint optimality take q = 3..min(q_max, 12), prop5 q = 3..max(q_max, 32),
-    the fan main term q = 8, 16, ..., 128.  Draws from the one stream: the 100
-    Chebyshev amplitudes first, then the 10^4 Lipschitz pairs.
+    take the even q in 4..q_max, the factorization at 1001 evenly spaced
+    amplitudes in [-1, 1].  ``q_max`` must lie in 4..512, checked before any
+    quadrature.  That keeps a margin below q = 894, where the factorization's
+    running node product falls to subnormal floats and its mismatch first
+    exceeds the 1e-9 bound; for every even q <= 512 the mismatch on the grid
+    is at most 5.5e-12 (at q = 486), and the identity residual is 2.8e-14 at
+    q = 512.  The vertex-solver cross-check and the endpoint optimality take
+    q = 3..min(q_max, 12), prop5 q = 3..max(q_max, 32), the fan main term
+    q = 8, 16, ..., 128.  The 1-Lipschitz check compares every neighbouring
+    pair of 20001 evenly spaced amplitudes in [-1, 1]: when no neighbouring
+    pair exceeds its distance, the triangle inequality gives that for every
+    pair of grid points.
     """
     if not 4 <= q_max <= 512:
         raise InvalidInputError("riesz identities need q_max in 4..512, past which the Chebyshev "
                                 f"node product underflows, got q_max={shown(q_max)}")
-    stream = draws.Stream(seed)
-    amplitudes = stream.uniform(-1.0, 1.0, size=CHEBYSHEV_POINTS)
+    amplitudes = np.linspace(-1.0, 1.0, 1001)
     identity = [(rp.chebyshev_identity_residual(q), f"q={q}")
                 for q in range(4, q_max + 1, 2)]
     factorization = [(rp.chebyshev_product_relerr(q, amplitudes), f"q={q}")
@@ -243,11 +240,8 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
 
     deriv = rp.g_derivative_bound_check()
     lipschitz = deriv.lipschitz_constant
-    pairs = stream.uniform(-1.0, 1.0, size=20_000).reshape(10_000, 2)
-    lip_excess = float(np.max(
-        np.abs(rp.factor_entropy(pairs[:, 0]) - rp.factor_entropy(pairs[:, 1]))
-        - np.abs(pairs[:, 0] - pairs[:, 1])
-    ))
+    grid = np.linspace(-1.0, 1.0, 20001)
+    lip_excess = float(np.max(np.abs(np.diff(rp.factor_entropy(grid))) - np.diff(grid)))
     fan = [(rp.fan_gap(params, rp.bound_theorem3(params.q), rp.fan_main_term(params)),
             f"q={params.q}") for params in (rp.RieszParams(1.0, q) for q in (8, 16, 32, 64, 128))]
     prop5_dom = [(rp.bound_prop5(q) - rp.bound_theorem3(q), f"q={q}")
@@ -266,7 +260,7 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
                     max(1.2 - lipschitz, lipschitz - 1.25), 0.0,
                     "sup of sin(x)(1 + log(1 + cos x)) on [0, pi/2]"),
         CheckResult("riesz/factor_entropy_1_lipschitz", lip_excess, 1e-6,
-                    "10^4 random amplitude pairs"),
+                    "neighbouring pairs of 20001 amplitudes in [-1, 1]"),
         _worst("riesz/fan_main_term_agreement", fan, rp.FAN_CONSISTENCY_ALLOWANCE),
         _worst("riesz/prop5_below_theorem3", prop5_dom, 1e-9),
         CheckResult("riesz/prop4_sign_discrepancy_report", prop4_residual, 1e-12,
@@ -280,8 +274,7 @@ def riesz_identity_suite(q_max: int = 16, seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
-                     p: tuple[float, ...] = (1.25, 2.0, 4.0),
-                     seed: int = 0) -> list[CheckResult]:
+                     p: tuple[float, ...] = (1.25, 2.0, 4.0)) -> list[CheckResult]:
     """The martingale checks on the Riesz product at (q, a) over the q**n grid.
 
     The growth check runs once at each exponent in ``p``, and the set-average
@@ -289,11 +282,7 @@ def martingale_suite(q: int = 3, a: float = 1.0, n: int = 6,
     p > 1).  The chain checks every subset of the grid with one sort, so the
     grid's own size guard (``gv.MAX_GRID`` points) also bounds its work.  A
     repeated exponent raises :class:`InvalidInputError`: it would repeat its
-    growth check.  The suite draws nothing and does not read ``seed``.  The
-    keyword stays because ``verify --seed`` has a parser default and
-    ``verify`` refuses an option that no selected suite names, so without it
-    every ``verify --suite martingale`` would exit 2, and because the
-    benchmark's martingale requests send ``--seed``.
+    growth check.
     """
     seen: set[float] = set()
     for exponent in map(float, p):

@@ -84,17 +84,17 @@ def test_criterion_02_closed_form_cross_validation():
                      budget_s=10.0)
     # |closed form - vertex value| <= 1e-9 for q=3..12
     crit.expect_suite_checks(["riesz/closed_form_matches_vertex_solver"],
-                             verify.riesz_identity_suite, q_max=32, seed=0)
+                             verify.riesz_identity_suite, q_max=32)
     crit.done()
 
 
 def test_criterion_03_sum_integral_identity():
     crit = Criterion("3. entropy-sum/log-integral identity and node-product factorization",
                      budget_s=10.0)
-    # even q=4..32: identity residual <= 1e-7, factorization relerr <= 1e-9 on 100 points
+    # even q=4..32: identity residual <= 1e-7, factorization relerr <= 1e-9 on 1001 points
     crit.expect_suite_checks(["riesz/sum_integral_identity",
                               "riesz/chebyshev_factorization"],
-                             verify.riesz_identity_suite, q_max=32, seed=0)
+                             verify.riesz_identity_suite, q_max=32)
     crit.done()
 
 
@@ -139,7 +139,7 @@ def test_criterion_07_fan_term_agreement():
     crit = Criterion("7. asymptotic main-term agreement across the q sweep")
     # |theorem3 - fan main term| * q * log q <= 10 for q = 8, 16, ..., 128
     crit.expect_suite_checks(["riesz/fan_main_term_agreement"],
-                             verify.riesz_identity_suite, q_max=32, seed=0)
+                             verify.riesz_identity_suite, q_max=32)
     crit.done()
 
 
@@ -157,11 +157,12 @@ def test_criterion_08_dimension_proxies_dominate():
 def test_criterion_09_auxiliary_function_bounds():
     crit = Criterion("9. auxiliary derivative bound, Lipschitz window, 1-Lipschitz entropy")
     # exact derivative sup <= 2 and L in [1.2, 1.25] (both 1.2257873768428666, from
-    # the closed form), Lipschitz excess <= 1e-6 on 10^4 seeded pairs
+    # the closed form), Lipschitz excess <= 1e-6 on every neighbouring pair of
+    # 20001 evenly spaced amplitudes in [-1, 1]
     crit.expect_suite_checks(["riesz/derivative_bounded_by_2",
                               "riesz/lipschitz_constant_in_window",
                               "riesz/factor_entropy_1_lipschitz"],
-                             verify.riesz_identity_suite, seed=1)
+                             verify.riesz_identity_suite)
     crit.done()
 
 

@@ -39,11 +39,11 @@ def payload(argv, capsys):
 
 
 # the verify flags each suite reads, a small value for each, and sizes that
-# keep every suite fast
+# keep every suite fast; --seed is accepted by every suite and read by none
 SUITE_READS = {
-    "kappa": {"--seed", "--q-max"},
-    "riesz-identities": {"--seed", "--q-max"},
-    "martingale": {"--seed", "--q", "--a", "--n", "--p"},
+    "kappa": {"--q-max"},
+    "riesz-identities": {"--q-max"},
+    "martingale": {"--q", "--a", "--n", "--p"},
 }
 FLAG_VALUES = {"--seed": "1", "--q": "3", "--q-max": "4", "--a": "0.5", "--n": "3", "--p": "2"}
 TINY_SUITE = {"kappa": {"--q-max": "4"}, "riesz-identities": {"--q-max": "4"},
@@ -421,7 +421,10 @@ class TestVerifyCommand:
         options = {**TINY_SUITE[suite], flag: FLAG_VALUES[flag]}
         code, out, err = run_main(["verify", "--suite", suite, *itertools.chain(*options.items())],
                                   capsys)
-        if flag in SUITE_READS[suite]:
+        if flag == "--seed":
+            assert code == 0
+            assert "seed" not in received[0]
+        elif flag in SUITE_READS[suite]:
             assert code == 0
             assert flag[2:].replace("-", "_") in received[0]
         else:
@@ -447,7 +450,7 @@ class TestVerifyCommand:
         ("-1", 2), ("0", 0), (str(2 ** 64 - 1), 0), (str(2 ** 64), 2),
     ])
     def test_seed_range(self, capsys, seed, code):
-        # the stream takes seeds 0..2**64-1; outside that range is a usage error
+        # verify takes seeds 0..2**64-1; outside that range is a usage error
         got, out, err = run_main(["verify", "--suite", "kappa", "--q-max", "4", "--seed", seed],
                                  capsys)
         assert got == code
@@ -530,9 +533,9 @@ class TestEnvelope:
         second.pop("wall_time_s")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
-    def test_martingale_report_ignores_the_seed(self, capsys):
-        # the martingale suite draws nothing: two seeds differ only in the config's seed
-        args = ["verify", "--suite", "martingale", "--q", "3", "--n", "4"]
+    def test_verify_report_ignores_the_seed(self, capsys):
+        # no suite samples: two seeds differ only in the config's seed
+        args = ["verify", "--suite", "all"]
         _, first = payload(args + ["--seed", "0"], capsys)
         _, second = payload(args + ["--seed", "5"], capsys)
         for data, seed in ((first, 0), (second, 5)):

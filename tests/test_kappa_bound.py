@@ -681,8 +681,8 @@ class TestSubgroupBound:
 
 def test_import_loads_only_what_the_module_uses():
     # the package namespace re-exports nothing, so importing kappa_bound in a
-    # fresh interpreter leaves the martingale, Riesz, quadrature, draw and
-    # verify modules unloaded
+    # fresh interpreter leaves the martingale, Riesz, quadrature and verify
+    # modules unloaded
     unused = [f"specbound.{m}" for m in ("gv_martingale", "riesz_products", "quadrature",
-                                          "draws", "verify")]
+                                          "verify")]
     assert loaded_after_import("kappa_bound", unused) == []

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from specbound import draws
 from specbound import kappa_bound as kb
 from specbound import riesz_products as rp
 from specbound import verify
@@ -261,14 +260,27 @@ class TestChebyshevIdentity:
         t2 = np.cos(2 * np.arccos(0.0))
         assert abs(2.0 ** (-2) * t2 ** 2 - prod) <= 1e-15
 
-    def test_factorization_random_points(self):
-        # the riesz suite's amplitudes: at seed 468110 it draws a = -0.8314,
-        # 3.8e-5 from a node of q = 14; both sides are near 0 there, and a
-        # mismatch relative to |lhs| reached 1.15e-9
-        for seed in (0, 468110):
-            a = draws.Stream(seed).uniform(-1.0, 1.0, size=verify.CHEBYSHEV_POINTS)
-            for q in (4, 8, 12, 14, 16, 32):
-                assert rp.chebyshev_product_relerr(q, a) <= 1e-9
+    def test_factorization_on_the_suite_grid(self, monkeypatch):
+        # the riesz suite checks the factorization on one fixed grid of the
+        # whole amplitude range.  Near a node both sides are near 0: a = -0.8314,
+        # 3.8e-5 from a node of q = 14, once gave a mismatch relative to |lhs|
+        # of 1.15e-9, and the points 1e-6 either side of every q = 14 node are
+        # nearer still
+        grids = []
+        relerr = rp.chebyshev_product_relerr
+
+        def recorded(q, a):
+            grids.append(a)
+            return relerr(q, a)
+
+        monkeypatch.setattr(rp, "chebyshev_product_relerr", recorded)
+        verify.riesz_identity_suite(q_max=16)
+        assert len(grids) == 7
+        assert all(np.array_equal(a, np.linspace(-1.0, 1.0, 1001)) for a in grids)
+        nodes = np.cos((2 * np.arange(14) + 1) * np.pi / 14)
+        a = np.concatenate((grids[0], [-0.8314], nodes - 1e-6, nodes + 1e-6))
+        for q in (4, 8, 12, 14, 16, 32):
+            assert relerr(q, a) <= 1e-9
 
     def test_range_check(self):
         with pytest.raises(InvalidInputError):
@@ -589,7 +601,7 @@ class TestBoundTable:
         assert row.prop4 is None
 
 
-def test_import_leaves_draws_unloaded():
-    # the module takes its random inputs as arguments and draws none itself
-    unused = [f"specbound.{m}" for m in ("draws", "gv_martingale", "verify", "cli")]
+def test_import_loads_only_what_the_module_uses():
+    # the module takes its check inputs as arguments
+    unused = [f"specbound.{m}" for m in ("gv_martingale", "verify", "cli")]
     assert loaded_after_import("riesz_products", unused) == []
